@@ -1,10 +1,14 @@
 """Tree decompositions, exact treewidth at small scale, certificates.
 
-exact_treewidth runs a memoized elimination-order search, so it is reserved
-for graphs of at most twenty vertices. Larger structured graphs go through
-treewidth_certificates, which pins the width with a grid found as a subgraph
-(lower bound) and a column-sweep path decomposition (upper bound), falling
-back to a clique-minor bramble and an exact layout search when small.
+exact_treewidth brackets the width between a min-fill elimination order
+(upper bound) and minor-min-width (lower bound). When they differ it decides
+each width in between in turn by a pruned, memoized search over
+eliminated-vertex sets. That search is exponential in the worst case, so it
+is reserved for graphs of at most twenty vertices. Larger structured graphs
+go through treewidth_certificates, which pins the width with a grid found as
+a subgraph (lower bound) and a column-sweep path decomposition (upper
+bound), falling back to a clique-minor bramble and an exact layout search
+when small.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    connected_components,
     mask_bits,
     mask_neighborhood,
     mask_of,
@@ -158,76 +163,110 @@ def _forest_decomposition(g):
 
 
 def _is_forest(g):
-    return g.m == g.n - len(_components_count(g))
+    return g.m == g.n - len(connected_components(g))
 
 
-def _components_count(g):
-    comps = []
-    seen = set()
-    for r in range(g.n):
-        if r in seen:
-            continue
-        comp = {r}
-        stack = [r]
-        seen.add(r)
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+def _min_fill_order(masks):
+    """Upper bound: greedily eliminate the vertex adding the fewest fill
+    edges (ties by degree, then index). Returns (width, order)."""
+    adj = list(masks)
+    rest = (1 << len(adj)) - 1
+    width = -1
+    order = []
+
+    def key(v):
+        nb = adj[v]
+        # each neighbour a counts the neighbours it lacks; a itself is in nb
+        fill = sum((nb & ~adj[a]).bit_count() - 1 for a in mask_bits(nb))
+        return fill, nb.bit_count(), v
+
+    while rest:
+        v = min(mask_bits(rest), key=key)
+        nb = adj[v]
+        width = max(width, nb.bit_count())
+        for a in mask_bits(nb):
+            adj[a] = (adj[a] | nb) & ~(1 << a | 1 << v)
+        rest &= ~(1 << v)
+        order.append(v)
+    return width, order
 
 
-def _elimination_width(g):
-    """Minimum over elimination orders of the maximum elimination degree,
-    with the order realizing it. Memoized over eliminated-vertex masks."""
-    n = g.n
-    masks = neighbor_masks(g)
-    full = (1 << n) - 1
-    memo = {}
-    choice = {}
+def _minor_min_width(masks):
+    """Lower bound (Gogate & Dechter's minor-min-width): contract a
+    min-degree vertex into its min-degree neighbour, over and over; the
+    largest min-degree seen bounds the treewidth of every minor, so of g."""
+    adj = list(masks)
+    rest = (1 << len(adj)) - 1
+    lower = 0
+
+    def degree(x):
+        return adj[x].bit_count(), x
+
+    while rest & (rest - 1):
+        v = min(mask_bits(rest), key=degree)
+        nb = adj[v]
+        lower = max(lower, nb.bit_count())
+        if nb:
+            u = min(mask_bits(nb), key=degree)
+            for a in mask_bits(nb):
+                adj[a] &= ~(1 << v)
+            adj[u] |= nb & ~(1 << u)
+            for a in mask_bits(adj[u]):
+                adj[a] |= 1 << u
+        rest &= ~(1 << v)
+    return lower
+
+
+def _order_within(masks, t):
+    """An elimination order of width at most t, or None.
+
+    Depth-first over eliminated-vertex masks, cheapest vertex first. A
+    vertex is eliminable when its q-cost (its degree in the graph left after
+    eliminating `done`) is at most t. Any order finishes the last t+1
+    vertices. Masks that fail are memoised."""
+    full = (1 << len(masks)) - 1
+    failed = set()
+    order = []
 
     def q_cost(done, v):
         reach = mask_reach(1 << v, done, masks)
         return (mask_neighborhood(reach, masks) & ~done & ~(1 << v)).bit_count()
 
-    def f(done):
-        if done == full:
-            return -1
-        if done in memo:
-            return memo[done]
+    def dfs(done):
         rest = full & ~done
-        # a vertex of remaining degree <= 1 is always safe to eliminate first
-        forced = None
-        m = rest
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if q_cost(done, v) <= 1:
-                forced = v
+        if rest.bit_count() <= t + 1:
+            order.extend(mask_bits(rest))
+            return True
+        if done in failed:
+            return False
+        costs = sorted((q_cost(done, v), v) for v in mask_bits(rest))
+        for cost, v in costs:
+            if cost > t:
                 break
-        cands = [forced] if forced is not None else list(mask_bits(rest))
-        best = None
-        best_v = None
-        for v in cands:
-            cost = max(q_cost(done, v), f(done | (1 << v)))
-            if best is None or cost < best:
-                best, best_v = cost, v
-        memo[done] = best
-        choice[done] = best_v
-        return best
+            order.append(v)
+            if dfs(done | 1 << v):
+                return True
+            order.pop()
+        failed.add(done)
+        return False
 
-    width = f(0)
-    order = []
-    done = 0
-    while done != full:
-        v = choice[done]
-        order.append(v)
-        done |= 1 << v
+    return order if dfs(0) else None
+
+
+def _elimination_width(g, upper=None):
+    """(width, order) of an optimal elimination order, or None when the
+    width exceeds `upper`. Bounds first: a min-fill order gives the upper
+    bound and minor-min-width the lower; between them each target width is
+    decided in turn, and the first feasible one is the treewidth."""
+    masks = neighbor_masks(g)
+    width, order = _min_fill_order(masks)
+    stop = width if upper is None else min(width, upper + 1)
+    for t in range(_minor_min_width(masks), stop):
+        found = _order_within(masks, t)
+        if found is not None:
+            return t, found
+    if upper is not None and width > upper:
+        return None
     return width, order
 
 
@@ -264,7 +303,16 @@ def _decomposition_from_order(g, order):
 
 def exact_treewidth(g, upper=None):
     """(width, decomposition), or an AboveBound marker when a bound is given
-    and exceeded. Exhaustive; capped at twenty vertices."""
+    and exceeded; capped at twenty vertices.
+
+    Forests are solved directly. Otherwise a min-fill order gives an upper
+    bound and minor-min-width a lower one; equal bounds return the min-fill
+    order at once. Between them, each target width from the lower bound up is
+    decided by a depth-first search over eliminated-vertex sets that skips
+    any vertex of elimination degree above the target; the first feasible
+    target is the treewidth. With `upper`, no target above it is searched,
+    and the answer is AboveBound as soon as the lower bound exceeds it. The
+    decomposition is built from the order and validated before return."""
     if g.n > EXACT_VERTEX_CAP:
         raise SearchCapExceeded(
             f"{g.n} vertices; exact treewidth is capped at {EXACT_VERTEX_CAP}"
@@ -276,7 +324,10 @@ def exact_treewidth(g, upper=None):
         width = 1 if g.m else 0
         td = _forest_decomposition(g)
     else:
-        width, order = _elimination_width(g)
+        found = _elimination_width(g, upper)
+        if found is None:
+            return AboveBound()
+        width, order = found
         td = _decomposition_from_order(g, order)
     assert validate_td(g, td).valid and td.width() == width
     if upper is not None and width > upper:

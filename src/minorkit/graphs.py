@@ -510,7 +510,10 @@ def parse_edge_list(text):
     n, m = header
     if len(edges) != m:
         raise PreconditionViolated(f"header promises {m} edges, found {len(edges)}")
-    return Graph(n, edges, labels)
+    g = Graph(n, edges, labels)
+    if g.m != m:
+        raise PreconditionViolated(f"{m - g.m} repeated edge(s) among the {m} listed")
+    return g
 
 
 def to_dot(g, name="G"):

@@ -1,18 +1,26 @@
 """Tree decompositions: validation, exact width, certificates, nice form.
 
 exact_treewidth is cross-checked against a brute-force oracle that tries
-every elimination order, which is the definitional route at tiny sizes.
+every elimination order, which is the definitional route at tiny sizes,
+and against a bound-free subset DP over eliminated sets up to ten vertices.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minorkit.constructions import grid, wall
 from minorkit.decomposition import (
     AboveBound,
     Bramble,
     TreeDecomposition,
+    _decomposition_from_order,
+    _min_fill_order,
+    _minor_min_width,
+    _order_within,
     bramble_order,
     exact_treewidth,
     find_grid_subgraph,
@@ -25,7 +33,7 @@ from minorkit.decomposition import (
     write_td,
 )
 from minorkit.errors import CertificateNotFound, InvalidDecomposition, SearchCapExceeded
-from minorkit.graphs import Graph
+from minorkit.graphs import Graph, neighbor_masks
 
 
 def path_graph(n):
@@ -76,6 +84,36 @@ def tw_oracle(g):
         else:
             best = width if best is None else min(best, width)
     return best if best is not None else -1
+
+
+def tw_subset_dp(g):
+    """Treewidth as min over elimination orders, by a DP over eliminated
+    sets with no bounds: TW(S) = min over v in S of max(TW(S - v), Q(S - v, v)),
+    where Q(S, v) counts the vertices outside S + v reachable from v through S."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+
+    def q(done, v):
+        seen = {v}
+        stack = [v]
+        out = set()
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in seen:
+                    continue
+                seen.add(y)
+                if y in done:
+                    stack.append(y)
+                else:
+                    out.add(y)
+        return len(out)
+
+    best = {frozenset(): -1}
+    for size in range(1, g.n + 1):
+        for s in itertools.combinations(range(g.n), size):
+            s = frozenset(s)
+            best[s] = min(max(best[s - {v}], q(s - {v}, v)) for v in s)
+    return best[frozenset(range(g.n))]
 
 
 def gamma2_like():
@@ -171,6 +209,83 @@ def test_above_bound_and_cap():
     assert width == 3
     with pytest.raises(SearchCapExceeded):
         exact_treewidth(Graph(21, []))
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_exact_matches_subset_dp(g):
+    width, td = exact_treewidth(g)
+    assert width == tw_subset_dp(g)
+    check = validate_td(g, td)
+    assert check.valid and check.width == width
+    # each per-width decision on its own, below and above the bounds
+    for t in range(g.n):
+        order = _order_within(neighbor_masks(g), t)
+        assert (order is not None) == (t >= width)
+        if order is not None:
+            assert _decomposition_from_order(g, order).width() <= t
+
+
+def wagner_graph():
+    return Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+def circulant(n, steps):
+    return Graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def gap_cases():
+    """Graphs whose min-fill width is above their minor-min-width, so the
+    per-width search decides each target: the treewidth is below the greedy
+    width in the first case and equal to it in the others."""
+    return [
+        Graph(8, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (1, 5),
+                  (1, 6), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (4, 7),
+                  (6, 7)]),
+        wagner_graph(),
+        circulant(11, (1, 3)),
+    ]
+
+
+def test_search_runs_between_the_bounds():
+    cases = gap_cases()
+    for g in cases:
+        masks = neighbor_masks(g)
+        assert _min_fill_order(masks)[0] > _minor_min_width(masks)
+        width, td = exact_treewidth(g)
+        assert width == tw_subset_dp(g)
+        assert validate_td(g, td).valid and td.width() == width
+    assert exact_treewidth(cases[0])[0] < _min_fill_order(neighbor_masks(cases[0]))[0]
+
+
+def test_upper_agrees_with_unbounded_call():
+    rng = random.Random(19)
+    graphs = [random_graph(rng.randint(1, 12), rng.uniform(0.15, 0.8), rng) for _ in range(60)]
+    for g in graphs + gap_cases():
+        width, _ = exact_treewidth(g)
+        for upper in range(-1, g.n + 1):
+            bounded = exact_treewidth(g, upper=upper)
+            if width > upper:
+                assert isinstance(bounded, AboveBound)
+            else:
+                assert bounded[0] == width
+                assert validate_td(g, bounded[1]).valid
+
+
+def test_grid_and_wall_widths_at_the_cap():
+    width, td = exact_treewidth(grid(4, 5))
+    assert width == 4 and validate_td(grid(4, 5), td).valid
+    g = wall(3).graph
+    width, td = exact_treewidth(g)
+    assert width == 3 and validate_td(g, td).valid
 
 
 def test_vertex_deletion_monotone():

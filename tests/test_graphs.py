@@ -271,6 +271,12 @@ def test_edge_list_edge_count_checked():
         parse_edge_list("3 2\n0 1\n")
 
 
+def test_edge_list_rejects_repeated_edge():
+    for text in ("3 2\n0 1\n1 0\n", "3 2\n0 1\n0 1\n", "3 3\n0 1\n1 2\n2 1\n"):
+        with pytest.raises(PreconditionViolated):
+            parse_edge_list(text)
+
+
 def test_dot_export_mentions_labels():
     g = build_graph(2, [(0, 1)], labels={0: "v1"})
     dot = to_dot(g)
