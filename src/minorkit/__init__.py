@@ -1,7 +1,7 @@
 """minorkit: exact desk-scale graph-minor computations.
 
 Modules:
-    graphs         immutable graphs, separations, blocks, Menger flows
+    graphs         immutable graphs, separations, blocks, Menger flows and cuts
     minors         minor models (plain / rooted / red), canonical codes, bidim
     decomposition  tree decompositions, exact solver, certificates, nice form
     linkages       patterns, disjoint paths, linkage counting, vitality

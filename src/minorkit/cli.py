@@ -189,9 +189,7 @@ def _cmd_vital(args):
 def _cmd_reduce(args):
     g = _load_graph(args.graph)
     host = AnnotatedGraph.of(g, _vertex_list(g, args.annotated))
-    cfg = PipelineConfig(
-        threshold=args.threshold, engine=args.engine, workers=args.threads
-    )
+    cfg = PipelineConfig(threshold=args.threshold, engine=args.engine)
     _, trace = reduce(host, args.k, args.d, cfg)
     print(trace_to_json(trace))
     return 0 if trace.status == "met" else 1
@@ -262,7 +260,12 @@ def _build_parser():
     dp = sub.add_parser("dp", help="vertex-disjoint paths for a pattern")
     dp.add_argument("--graph", required=True)
     dp.add_argument("--pattern", required=True)
-    dp.add_argument("--engine", choices=["auto", "dfs", "rooted"], default="auto")
+    dp.add_argument(
+        "--engine",
+        choices=["auto", "dfs"],
+        default="auto",
+        help="both values run the same linkage search; kept for old command lines",
+    )
     dp.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     dp.set_defaults(fn=_cmd_dp)
 
@@ -286,7 +289,6 @@ def _build_parser():
     red.add_argument("--d", type=int, default=0)
     red.add_argument("--threshold", type=int, default=4)
     red.add_argument("--engine", choices=["oracle", "clique-rule", "both"], default="both")
-    red.add_argument("--threads", type=int, default=1)
     red.set_defaults(fn=_cmd_reduce)
 
     route = sub.add_parser("route", help="route a pattern on an annulus")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .decomposition import exact_treewidth, nice_form, nice_node_kind, validate_td
@@ -28,8 +27,8 @@ from .errors import (
     PreconditionViolated,
     SearchCapExceeded,
 )
-from .graphs import AnnotatedGraph, Graph, RootedGraph, delete_vertex
-from .minors import canonical_form, find_rooted_minor
+from .graphs import Graph, RootedGraph, delete_vertex
+from .minors import canonical_code, canonical_form, find_rooted_minor
 
 ORACLE_HOST_CAP = 12
 ORACLE_DETAIL_CAP = 3
@@ -73,8 +72,7 @@ class Folio:
         return frozenset(e.code for e in self.entries)
 
     def has(self, rg):
-        _, sig = canonical_form(rg)
-        code = repr(sig).encode("ascii")
+        code = canonical_code(rg)
         return any(e.code == code for e in self.entries)
 
 
@@ -394,14 +392,8 @@ def kd_folio(
     engine="oracle",
     max_multisets=DEFAULT_MULTISET_BUDGET,
     max_states=DEFAULT_STATE_BUDGET,
-    workers=1,
 ):
-    """Union of d-folios over all ordered k-multisets of annotated vertices.
-
-    Each per-multiset folio is independent of the others and the union has
-    set semantics, so with workers > 1 the multisets are farmed out to a
-    thread pool; the result does not depend on completion order.
-    """
+    """Union of d-folios over all ordered k-multisets of annotated vertices."""
     reds = sorted(host.annotated)
     total = len(reds) ** k if k else 1
     if total > max_multisets:
@@ -410,21 +402,13 @@ def kd_folio(
     if engine == "dp":
         _, td = exact_treewidth(host.graph)
 
-    def one(tup):
+    entries = set()
+    for tup in itertools.product(reds, repeat=k):
         rg = RootedGraph.of(host.graph, tup)
         if engine == "oracle":
-            return folio_bruteforce(rg, d)
-        return folio_dp(rg, d, td, max_states=max_states)
-
-    tuples = itertools.product(reds, repeat=k)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            folios = list(pool.map(one, tuples))
-    else:
-        folios = [one(t) for t in tuples]
-    entries = set()
-    for f in folios:
-        entries |= f.entries
+            entries |= folio_bruteforce(rg, d).entries
+        else:
+            entries |= folio_dp(rg, d, td, max_states=max_states).entries
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 

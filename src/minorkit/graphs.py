@@ -336,7 +336,97 @@ def blocks(g):
 
 
 # ---------------------------------------------------------------------------
-# Menger: vertex-disjoint paths or a small separation, via unit vertex flow.
+# Menger and minimum vertex cuts, via one unit-vertex-capacity flow.
+
+
+def _vertex_flow(g, sources, sinks, limit=None, uncapped=frozenset()):
+    """Unit-vertex-capacity flow from `sources` to `sinks`.
+
+    Vertex v is split into 2v (in) and 2v+1 (out), joined by an arc of
+    capacity 1, or unbounded when v is in `uncapped`. Edge arcs, the arcs
+    out of the super source 2n and the arcs into the super sink 2n+1 are
+    unbounded. Shortest augmenting paths are added, scanning arcs in
+    ascending vertex order, until none is left or the value reaches
+    `limit`. Returns (value, residual) with residual = (arc_to, arc_cap, adj).
+    """
+    n_nodes = 2 * g.n + 2
+    source = 2 * g.n
+    sink = 2 * g.n + 1
+    big = g.n + 2
+
+    arc_to = []
+    arc_cap = []
+    adj = [[] for _ in range(n_nodes)]
+
+    def add_arc(a, b, cap):
+        adj[a].append(len(arc_to))
+        arc_to.append(b)
+        arc_cap.append(cap)
+        adj[b].append(len(arc_to))
+        arc_to.append(a)
+        arc_cap.append(0)
+
+    for v in g.vertices():
+        add_arc(2 * v, 2 * v + 1, big if v in uncapped else 1)
+    for u, v in sorted(g.edges):
+        add_arc(2 * u + 1, 2 * v, big)
+        add_arc(2 * v + 1, 2 * u, big)
+    for x in sorted(sources):
+        add_arc(source, 2 * x, big)
+    for y in sorted(sinks):
+        add_arc(2 * y + 1, sink, big)
+
+    value = 0
+    while limit is None or value < limit:
+        # BFS for a shortest augmenting path, ascending arc ids per node
+        parent_arc = [-1] * n_nodes
+        parent_arc[source] = -2
+        queue = [source]
+        qi = 0
+        while qi < len(queue) and parent_arc[sink] == -1:
+            a = queue[qi]
+            qi += 1
+            for aid in adj[a]:
+                b = arc_to[aid]
+                if parent_arc[b] == -1 and arc_cap[aid] > 0:
+                    parent_arc[b] = aid
+                    queue.append(b)
+        if parent_arc[sink] == -1:
+            break
+        node = sink
+        while node != source:
+            aid = parent_arc[node]
+            arc_cap[aid] -= 1
+            arc_cap[aid ^ 1] += 1
+            node = arc_to[aid ^ 1]
+        value += 1
+    return value, (arc_to, arc_cap, adj)
+
+
+def _flow_cut(g, residual, near_sink):
+    """(cut, side) of a maximum flow: the minimum cut nearest the source
+    with the vertices whose in-node the source still reaches, or, with
+    near_sink, the minimum cut nearest the sink with the vertices whose
+    out-node still reaches the sink. The cut lies inside its side."""
+    arc_to, arc_cap, adj = residual
+    start = 2 * g.n + 1 if near_sink else 2 * g.n
+    reach = [False] * len(adj)
+    reach[start] = True
+    queue = [start]
+    qi = 0
+    while qi < len(queue):
+        a = queue[qi]
+        qi += 1
+        for aid in adj[a]:
+            b = arc_to[aid]
+            # towards the sink an arc b -> a is walked backwards
+            if arc_cap[aid ^ 1 if near_sink else aid] > 0 and not reach[b]:
+                reach[b] = True
+                queue.append(b)
+    inner, outer = (1, 0) if near_sink else (0, 1)
+    side = frozenset(v for v in g.vertices() if reach[2 * v + inner])
+    cut = frozenset(v for v in side if not reach[2 * v + outer])
+    return cut, side
 
 
 def menger(g, x_set, y_set, k):
@@ -359,79 +449,13 @@ def menger(g, x_set, y_set, k):
     if k == 0:
         return "paths", []
 
-    # split each vertex v into 2v (in) and 2v+1 (out); S and T at the end
-    n_nodes = 2 * g.n + 2
-    source = 2 * g.n
-    sink = 2 * g.n + 1
-    big = g.n + 2
-
-    arc_to = []
-    arc_cap = []
-    adj = [[] for _ in range(n_nodes)]
-
-    def add_arc(a, b, cap):
-        adj[a].append(len(arc_to))
-        arc_to.append(b)
-        arc_cap.append(cap)
-        adj[b].append(len(arc_to))
-        arc_to.append(a)
-        arc_cap.append(0)
-
-    for v in g.vertices():
-        add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in sorted(g.edges):
-        add_arc(2 * u + 1, 2 * v, big)
-        add_arc(2 * v + 1, 2 * u, big)
-    for x in x_set:
-        add_arc(source, 2 * x, big)
-    for y in y_set:
-        add_arc(2 * y + 1, sink, big)
-
-    flow_value = 0
-    while flow_value < k:
-        # BFS for a shortest augmenting path, ascending arc ids per node
-        parent_arc = [-1] * n_nodes
-        parent_arc[source] = -2
-        queue = [source]
-        qi = 0
-        while qi < len(queue) and parent_arc[sink] == -1:
-            a = queue[qi]
-            qi += 1
-            for aid in adj[a]:
-                b = arc_to[aid]
-                if parent_arc[b] == -1 and arc_cap[aid] > 0:
-                    parent_arc[b] = aid
-                    queue.append(b)
-        if parent_arc[sink] == -1:
-            break
-        node = sink
-        while node != source:
-            aid = parent_arc[node]
-            arc_cap[aid] -= 1
-            arc_cap[aid ^ 1] += 1
-            node = arc_to[aid ^ 1]
-        flow_value += 1
-
+    flow_value, residual = _vertex_flow(g, x_set, y_set, limit=k)
     if flow_value >= k:
-        paths = _extract_flow_paths(g, arc_to, arc_cap, adj, source, sink)
+        paths = _extract_flow_paths(g, residual)
         assert len(paths) == k
         return "paths", paths
 
-    # residual reachability from the source gives the vertex cut
-    reach = [False] * n_nodes
-    reach[source] = True
-    queue = [source]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for aid in adj[a]:
-            b = arc_to[aid]
-            if arc_cap[aid] > 0 and not reach[b]:
-                reach[b] = True
-                queue.append(b)
-    side_a = frozenset(v for v in g.vertices() if reach[2 * v])
-    cut = frozenset(v for v in side_a if not reach[2 * v + 1])
+    cut, side_a = _flow_cut(g, residual, near_sink=False)
     side_b = frozenset(set(g.vertices()) - side_a) | cut
     sep = Separation(side_a, side_b)
     assert sep.order == flow_value and sep.order < k
@@ -440,8 +464,30 @@ def menger(g, x_set, y_set, k):
     return "separation", sep
 
 
-def _extract_flow_paths(g, arc_to, arc_cap, adj, source, sink):
+def min_vertex_cut(g, sources, sinks):
+    """A minimum set of non-sink vertices meeting every sources-sinks path;
+    sources may be cut.
+
+    Of all minimum cuts, returns the one nearest the sinks, which leaves the
+    sinks' side as small as it can be. Raises PreconditionViolated when a
+    vertex is both a source and a sink, since then no cut exists.
+    """
+    sources, sinks = frozenset(sources), frozenset(sinks)
+    for v in sources | sinks:
+        if not (0 <= v < g.n):
+            raise IndexOutOfRange(f"terminal {v} outside graph")
+    if sources & sinks:
+        raise PreconditionViolated("a vertex is both a source and a sink")
+    value, residual = _vertex_flow(g, sources, sinks, uncapped=sinks)
+    cut, _ = _flow_cut(g, residual, near_sink=True)
+    assert len(cut) == value and not cut & sinks
+    return cut
+
+
+def _extract_flow_paths(g, residual):
     """Walk saturated vertex arcs from the source to recover the paths."""
+    arc_to, arc_cap, adj = residual
+    source, sink = 2 * g.n, 2 * g.n + 1
     used_arc = [False] * len(arc_to)
     paths = []
     for aid in adj[source]:

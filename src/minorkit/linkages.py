@@ -2,10 +2,10 @@
 
 Enumeration is depth-first over per-pair path extensions with one global
 used-vertex mask. Pairs are handled in pattern order and neighbors in index
-order, so counts and witnesses are deterministic. The disjoint-paths decision
-also has a second route through rooted-minor search (an edge-free pattern
-whose roots are the doubled terminals); the two routes are cross-checked in
-tests.
+order, so counts and witnesses are deterministic. The same search answers
+disjoint-paths queries (stopping at the first linkage), linkage counting and
+vitality; the tests check it against a rooted-minor reference on the
+doubled-terminal encoding.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from .errors import (
     SearchCapExceeded,
     UsageError,
 )
-from .graphs import (
-    Graph,
-    RootedGraph,
-    induced_subgraph,
-    mask_reach,
-    neighbor_masks,
-)
-from .minors import find_rooted_minor
+from .graphs import Graph, induced_subgraph, mask_reach, neighbor_masks
 
 PAIR_CAP = 4
 SMALL_HOST_CAP = 14
@@ -210,57 +203,21 @@ def count_linkages(g, p, spanning_only=False, limit=2, max_nodes=None):
     return count
 
 
-def _linkage_from_rooted_model(g, p, model):
-    masks = neighbor_masks(g)
-    paths = []
-    for i, (s, t) in enumerate(p.pairs):
-        block = model.branch_sets[i]
-        # walk s -> t inside the branch set
-        parent = {s: None}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            if v == t:
-                break
-            for w in g.neighbors(v):
-                if w in block and w not in parent:
-                    parent[w] = v
-                    stack.append(w)
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        paths.append(tuple(reversed(path)))
-    return Linkage.of(paths)
-
-
 def disjoint_paths(g, p, engine="auto", max_nodes=None):
     """A linkage realizing the pattern, or None. Exhaustive under the caps.
 
-    engine: "dfs" enumerates directly, "rooted" goes through rooted-minor
-    search on the doubled-terminal encoding, "auto" picks rooted for at most
-    two pairs and dfs beyond that.
+    The first linkage of the depth-first enumeration, so the witness is
+    deterministic; BudgetExceeded once the search passes max_nodes nodes.
+    engine accepts only "auto" and "dfs", and both run the same search. It
+    stays only because the benchmark in perfbench/ still passes it (as does
+    `minorkit dp --engine`); both can go with the next benchmark change.
     """
     _check_cap(g, p)
-    if engine not in ("auto", "dfs", "rooted"):
+    if engine not in ("auto", "dfs"):
         raise UsageError(f"unknown engine {engine!r}")
-    k = len(p.pairs)
-    use_rooted = engine == "rooted" or (engine == "auto" and k <= 2)
-    if use_rooted:
-        hroots = []
-        proots = []
-        for i, (s, t) in enumerate(p.pairs):
-            hroots += [s, t]
-            proots += [i, i]
-        model = find_rooted_minor(
-            RootedGraph.of(g, hroots), RootedGraph.of(Graph(k, []), proots)
-        )
-        if model is None:
-            return None
-        linkage = _linkage_from_rooted_model(g, p, model)
-    else:
-        _, linkage = _enumerate_linkages(g, p, False, 1, max_nodes, True)
-        if linkage is None:
-            return None
+    _, linkage = _enumerate_linkages(g, p, False, 1, max_nodes, True)
+    if linkage is None:
+        return None
     assert validate_linkage(g, linkage) and pattern_of(linkage) == Pattern.of(p.pairs)
     return linkage
 

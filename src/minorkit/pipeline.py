@@ -8,7 +8,6 @@ deletion is recorded in a replayable trace.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,6 +27,7 @@ from .graphs import (
     AnnotatedGraph,
     Graph,
     delete_vertex,
+    min_vertex_cut,
     parse_edge_list,
     write_edge_list,
 )
@@ -197,81 +197,6 @@ def dense_clique_minor(g, t):
 # --- the clique deletion rule ------------------------------------------------
 
 
-def _min_separation(g, sources, protected):
-    """Minimum-order vertex cut between `sources` and `protected`, where
-    the cut may use source vertices but never protected ones.
-
-    Returns (order, cut) with the cut chosen as far from the sources as
-    possible, which makes the terminal side of the separation maximal.
-    """
-    big = g.n + 7
-    source, sink = 2 * g.n, 2 * g.n + 1
-    arc_to, arc_cap = [], []
-    adj = [[] for _ in range(2 * g.n + 2)]
-
-    def add_arc(a, b, cap):
-        adj[a].append(len(arc_to))
-        arc_to.append(b)
-        arc_cap.append(cap)
-        adj[b].append(len(arc_to))
-        arc_to.append(a)
-        arc_cap.append(0)
-
-    for v in g.vertices():
-        add_arc(2 * v, 2 * v + 1, big if v in protected else 1)
-    for u, v in sorted(g.edges):
-        add_arc(2 * u + 1, 2 * v, big)
-        add_arc(2 * v + 1, 2 * u, big)
-    for z in sorted(sources):
-        add_arc(source, 2 * z, big)
-    for b in sorted(protected):
-        add_arc(2 * b + 1, sink, big)
-
-    flow = 0
-    while True:
-        parent = [-1] * (2 * g.n + 2)
-        parent[source] = -2
-        queue, qi = [source], 0
-        while qi < len(queue) and parent[sink] == -1:
-            a = queue[qi]
-            qi += 1
-            for aid in adj[a]:
-                b = arc_to[aid]
-                if parent[b] == -1 and arc_cap[aid] > 0:
-                    parent[b] = aid
-                    queue.append(b)
-        if parent[sink] == -1:
-            break
-        node = sink
-        while node != source:
-            aid = parent[node]
-            arc_cap[aid] -= 1
-            arc_cap[aid ^ 1] += 1
-            node = arc_to[aid ^ 1]
-        flow += 1
-
-    # nodes that still reach the sink; saturated vertex arcs entering the
-    # set form the cut nearest the protected side
-    reach = [False] * (2 * g.n + 2)
-    reach[sink] = True
-    queue, qi = [sink], 0
-    while qi < len(queue):
-        b = queue[qi]
-        qi += 1
-        for aid in adj[b]:
-            a = arc_to[aid]
-            if not reach[a] and arc_cap[aid ^ 1] > 0:
-                reach[a] = True
-                queue.append(a)
-    cut = frozenset(
-        v
-        for v in g.vertices()
-        if v not in protected and not reach[2 * v] and reach[2 * v + 1]
-    )
-    assert len(cut) == flow
-    return flow, cut
-
-
 def _component_through(g, seeds, blocked):
     seen = set(s for s in seeds if s not in blocked)
     queue = sorted(seen)
@@ -313,10 +238,11 @@ def clique_irrelevant_vertex(host, d, model):
     for u, bset in enumerate(model.branch_sets):
         if set(bset) & terms:
             continue
-        order, cut = _min_separation(g, terms, set(bset))
+        # the cut nearest the branch set leaves the terminal side maximal
+        cut = min_vertex_cut(g, terms, bset)
         far = _component_through(g, bset, cut)
         assert not far & terms and not far & cut
-        key = (order, len(far), u)
+        key = (len(cut), len(far), u)
         if best is None or key < best[0]:
             best = (key, far)
     if best is None:
@@ -337,15 +263,12 @@ class PipelineConfig:
     max_multisets: int = DEFAULT_MULTISET_BUDGET
     max_states: int = DEFAULT_STATE_BUDGET
     pattern_cap: int = 12
-    workers: int = 1
 
     def __post_init__(self):
         if self.threshold < 1:
             raise PreconditionViolated("threshold must be at least 1")
         if self.engine not in ("oracle", "clique-rule", "both"):
             raise PreconditionViolated(f"unknown engine {self.engine!r}")
-        if self.workers < 1:
-            raise PreconditionViolated("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -375,23 +298,11 @@ def _clique_step(cur, d, width, cfg):
 
 
 def _oracle_step(cur, k, d, cfg):
-    """Smallest vertex the folio oracle certifies as deletable, or None.
-    Candidates are checked against an immutable snapshot, so with more
-    than one worker they are farmed out to a pool."""
-    candidates = [v for v in cur.graph.vertices() if v not in cur.annotated]
-
-    def check(v):
-        return strongly_irrelevant(cur, k, d, v, max_multisets=cfg.max_multisets)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            verdicts = list(pool.map(check, candidates))
-        for v, ok in zip(candidates, verdicts):
-            if ok:
-                return v
-        return None
-    for v in candidates:
-        if check(v):
+    """Smallest vertex the folio oracle certifies as deletable, or None."""
+    for v in cur.graph.vertices():
+        if v not in cur.annotated and strongly_irrelevant(
+            cur, k, d, v, max_multisets=cfg.max_multisets
+        ):
             return v
     return None
 
@@ -485,7 +396,6 @@ def solve_folio(host, k, d, cfg=PipelineConfig()):
         engine="dp",
         max_multisets=cfg.max_multisets,
         max_states=cfg.max_states,
-        workers=cfg.workers,
     )
 
 

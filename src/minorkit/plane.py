@@ -14,7 +14,7 @@ from .errors import (
     InvalidEmbedding,
     PreconditionViolated,
 )
-from .graphs import Graph, is_connected, parse_edge_list, write_edge_list
+from .graphs import is_connected, parse_edge_list, write_edge_list
 
 
 class PlaneGraph:
@@ -124,6 +124,19 @@ def _cycle_edges(cycle):
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         out.add((a, b) if a < b else (b, a))
     return out
+
+
+def _is_cyclic_shift(a, b):
+    """Is sequence a a rotation of sequence b? Lists and tuples compare alike."""
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    doubled = tuple(b) + tuple(b)
+    for i in range(len(b)):
+        if doubled[i : i + len(a)] == tuple(a):
+            return True
+    return False
 
 
 def _check_cycle(g, cycle):

@@ -24,7 +24,13 @@ from .errors import (
     TerminalNotOnBoundary,
 )
 from .linkages import Linkage, Pattern, pattern_of, validate_linkage
-from .plane import ConcentricCycles, parse_plane, vertex_strictly_inside, write_plane
+from .plane import (
+    ConcentricCycles,
+    _is_cyclic_shift,
+    parse_plane,
+    vertex_strictly_inside,
+    write_plane,
+)
 
 
 def feasible_on_disc(pattern, boundary_order):
@@ -184,18 +190,6 @@ def route_disc(cc, paths, pattern):
         for v in route:
             assert not vertex_strictly_inside(cc.plane, v, inner)
     return linkage
-
-
-def _is_cyclic_shift(a, b):
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = tuple(b) + tuple(b)
-    for i in range(len(b)):
-        if doubled[i : i + len(a)] == tuple(a):
-            return True
-    return False
 
 
 def _brackets_ok(tokens):

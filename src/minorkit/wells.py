@@ -22,6 +22,8 @@ import json
 from .errors import MinorkitError, NotTight, PreconditionViolated
 from .plane import (
     ConcentricCycles,
+    _cycle_edges,
+    _is_cyclic_shift,
     edge_strictly_inside,
     inside_faces,
     parse_plane,
@@ -36,25 +38,6 @@ def _path_edges(path):
     for a, b in zip(path, path[1:]):
         out.add((a, b) if a < b else (b, a))
     return out
-
-
-def _cycle_edge_set(cycle):
-    out = set()
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        out.add((a, b) if a < b else (b, a))
-    return out
-
-
-def _is_cyclic_shift(a, b):
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    for i in range(len(b)):
-        if doubled[i : i + len(a)] == a:
-            return True
-    return False
 
 
 class Well:
@@ -161,7 +144,7 @@ class Well:
 
         union = set()
         for c in cycles:
-            union |= _cycle_edge_set(c)
+            union |= _cycle_edges(c)
         for p in paths:
             union |= _path_edges(p)
 
@@ -214,7 +197,7 @@ def pocket(w, i):
 
     pv = set(p)
     inner = w.cycles[0]
-    inner_edges = _cycle_edge_set(inner)
+    inner_edges = _cycle_edges(inner)
     clean = []
     for side in sides:
         touches = False
@@ -277,7 +260,7 @@ def _intersection_components(path, cycle):
     """Number of connected pieces of the path-cycle intersection, counting
     shared vertices joined by shared edges as one piece."""
     cset = set(cycle)
-    cedges = _cycle_edge_set(cycle)
+    cedges = _cycle_edges(cycle)
     pieces = 0
     prev_in = False
     prev_joined = False
@@ -323,7 +306,7 @@ def is_dry(w):
 def _union_count(cycles, paths):
     union = set()
     for c in cycles:
-        union |= _cycle_edge_set(c)
+        union |= _cycle_edges(c)
     for p in paths:
         union |= _path_edges(p)
     return len(union)

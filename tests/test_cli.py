@@ -342,6 +342,20 @@ def test_exhausted_search_budget_exits_three(tmp_path, capsys):
     assert "error" in doc
 
 
+def test_dp_default_engine_honours_node_budget(tmp_path, capsys):
+    g = tmp_path / "g44.edg"
+    g.write_text(write_edge_list(grid(4, 4)))
+    pat = tmp_path / "p.pat"
+    pat.write_text("pair 0 15\npair 3 12\n")
+    argv = ["dp", "--graph", str(g), "--pattern", str(pat), "--max-nodes", "5"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 3
+    assert "error" in doc
+    code = cli.main(argv + ["--engine", "rooted"])
+    capsys.readouterr()
+    assert code == 2
+
+
 def test_error_message_goes_to_stderr(tmp_path, capsys):
     cli.main(["tw", "--graph", str(tmp_path / "nope.edg")])
     captured = capsys.readouterr()

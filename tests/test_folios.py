@@ -269,13 +269,6 @@ def test_kd_folio_multiset_budget():
         kd_folio(host, 3, 0, max_multisets=10)
 
 
-def test_kd_folio_workers_agree():
-    host = AnnotatedGraph.of(cycle_graph(5), {0, 2})
-    a = kd_folio(host, 2, 1, workers=1)
-    b = kd_folio(host, 2, 1, workers=4)
-    assert a.entries == b.entries
-
-
 def test_kd_folio_dp_engine_matches_oracle():
     host = AnnotatedGraph.of(grid_graph(2, 3), {0, 5})
     a = kd_folio(host, 2, 1, engine="oracle")

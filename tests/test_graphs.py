@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from minorkit.graphs import (
     delete_vertex,
     induced_subgraph,
     menger,
+    min_vertex_cut,
     parse_edge_list,
     to_dot,
     verify_separation,
@@ -251,6 +253,61 @@ def test_menger_duality_matches_independent_flow():
                 assert cert.order == expected
                 assert verify_separation(g, cert)
                 assert xs <= cert.side_a and ys <= cert.side_b
+
+
+def _reach_avoiding(g, seeds, cut):
+    seen = {s for s in seeds if s not in cut}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for w in g.neighbors(v):
+            if w not in cut and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_min_vertex_cut_matches_networkx_and_sits_nearest_the_sinks():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randrange(2, 9)
+        g = random_graph(n, rng.uniform(0.2, 0.7), rng)
+        protected = set(rng.sample(range(n), rng.randrange(1, n)))
+        rest = [v for v in g.vertices() if v not in protected]
+        sources = set(rng.sample(rest, rng.randrange(0, len(rest) + 1)))
+        # reference order: the sources hang off S, the protected set is
+        # contracted to T, and networkx counts S-T vertex-disjoint paths
+        h = nx.Graph()
+        h.add_nodes_from(rest + ["S", "T"])
+        for u, v in g.edges:
+            a, b = (x if x in rest else "T" for x in (u, v))
+            if a != b:
+                h.add_edge(a, b)
+        h.add_edges_from(("S", x) for x in sources)
+        order = local_node_connectivity(h, "S", "T")
+        separating = [
+            set(c)
+            for c in itertools.combinations(rest, order)
+            if not _reach_avoiding(g, sources, set(c)) & protected
+        ]
+        cut = min_vertex_cut(g, sources, protected)
+        assert len(cut) == order
+        assert not cut & protected
+        assert cut in separating
+        # nearest the sinks: no other minimum cut leaves them less room
+        ours = _reach_avoiding(g, protected, cut)
+        assert all(ours <= _reach_avoiding(g, protected, c) for c in separating)
+
+
+def test_min_vertex_cut_rejects_a_source_that_is_a_sink():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert min_vertex_cut(g, {0}, {2}) == {1}
+    assert min_vertex_cut(g, {0, 1}, {2}) == {1}
+    with pytest.raises(PreconditionViolated):
+        min_vertex_cut(g, {0, 2}, {2})
 
 
 # --- formats ---------------------------------------------------------------

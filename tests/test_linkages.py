@@ -1,4 +1,7 @@
-"""Linkage enumeration, disjoint paths (two routes), vitality machinery.
+"""Linkage enumeration, disjoint paths, vitality machinery.
+
+Disjoint paths are checked against a rooted-minor reference kept here: an
+edge-free pattern whose roots are the doubled terminals.
 
 Vital instances for the property tests come from trees: a spanning
 path-partition of a tree is always the unique linkage for its pattern, since
@@ -15,8 +18,14 @@ from minorkit.errors import (
     InvalidLinkage,
     PreconditionViolated,
     SearchCapExceeded,
+    UsageError,
 )
-from minorkit.graphs import Graph, Separation, induced_subgraph, verify_separation
+from minorkit.graphs import (
+    Graph,
+    RootedGraph,
+    Separation,
+    verify_separation,
+)
 from minorkit.linkages import (
     Linkage,
     Pattern,
@@ -34,6 +43,7 @@ from minorkit.linkages import (
     vital_after_delete,
     write_pattern,
 )
+from minorkit.minors import find_rooted_minor
 
 
 def path_graph(n):
@@ -165,8 +175,21 @@ def test_empty_pattern_present():
     assert l is not None and l.paths == ()
 
 
+def linked_by_rooted_minor(g, p):
+    """Reference decision: pair i becomes pattern vertex i rooted at both of
+    its terminals, and a rooted model's branch sets hold the paths."""
+    hroots, proots = [], []
+    for i, (s, t) in enumerate(p.pairs):
+        hroots += [s, t]
+        proots += [i, i]
+    pattern = RootedGraph.of(Graph(len(p.pairs), []), proots)
+    return find_rooted_minor(RootedGraph.of(g, hroots), pattern) is not None
+
+
 def test_engines_agree():
+    """The linkage search against the rooted-minor reference."""
     rng = random.Random(3)
+    found = 0
     for _ in range(200):
         n = rng.randint(2, 10)
         g = random_graph(n, rng.uniform(0.15, 0.7), rng)
@@ -176,12 +199,30 @@ def test_engines_agree():
             terms.append(rng.randrange(n))
         pairs = [(terms[2 * i], terms[2 * i + 1]) for i in range(k)]
         p = Pattern.of(pairs)
-        got_dfs = disjoint_paths(g, p, engine="dfs")
-        got_rooted = disjoint_paths(g, p, engine="rooted")
-        assert (got_dfs is None) == (got_rooted is None)
-        for got in (got_dfs, got_rooted):
-            if got is not None:
-                assert validate_linkage(g, got) and pattern_of(got) == p
+        got = disjoint_paths(g, p)
+        assert (got is not None) == linked_by_rooted_minor(g, p)
+        if got is not None:
+            found += 1
+            assert validate_linkage(g, got) and pattern_of(got) == p
+    assert 0 < found < 200
+
+
+def test_engine_values_run_one_search():
+    g = grid_graph(3, 3)
+    p = Pattern.of([(0, 8), (2, 6)])
+    assert disjoint_paths(g, p, engine="auto") == disjoint_paths(g, p, engine="dfs")
+    with pytest.raises(UsageError):
+        disjoint_paths(g, p, engine="rooted")
+
+
+def test_node_budget_bounds_two_pair_disjoint_paths():
+    corners = Pattern.of([(0, 15), (3, 12)])
+    with pytest.raises(BudgetExceeded):
+        disjoint_paths(grid_graph(4, 4), corners, max_nodes=5)
+
+
+def test_5x5_grid_crossing_corners_absent():
+    assert disjoint_paths(grid_graph(5, 5), Pattern.of([(0, 24), (4, 20)])) is None
 
 
 def test_search_cap():

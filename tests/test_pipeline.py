@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from minorkit.constructions import grid, wall
+from minorkit.constructions import wall
 from minorkit.errors import (
     BudgetExceeded,
     CliqueTooSmall,
@@ -214,11 +214,6 @@ def test_config_rejects_unknown_engine():
         PipelineConfig(engine="guess")
 
 
-def test_config_rejects_zero_workers():
-    with pytest.raises(PreconditionViolated):
-        PipelineConfig(workers=0)
-
-
 # --- reduce -------------------------------------------------------------------
 
 
@@ -330,16 +325,6 @@ def test_reduce_respects_deletion_budget():
     host = blob_host()
     with pytest.raises(BudgetExceeded):
         reduce(host, 2, 0, PipelineConfig(threshold=4, max_deletions=1))
-
-
-def test_reduce_with_two_workers_matches_serial():
-    host = blob_host()
-    _, serial = reduce(host, 2, 0, PipelineConfig(threshold=4, engine="oracle"))
-    _, pooled = reduce(
-        host, 2, 0, PipelineConfig(threshold=4, engine="oracle", workers=2)
-    )
-    assert pooled.deletions == serial.deletions
-    assert pooled.final == serial.final
 
 
 # --- solve_folio ---------------------------------------------------------------
