@@ -2,7 +2,8 @@
 emit JSON. One command per process; no interaction.
 
 Exit codes: 0 ok, 1 a verification failed, 2 usage or bad input,
-3 a search budget was exceeded.
+3 a search budget or cap was exceeded (`reduce` still prints the trace of
+the deletions it certified before its oracle rule hit the caps).
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .errors import (
     SearchCapExceeded,
     UsageError,
 )
-from .folios import folio_bruteforce, folio_dp, folio_to_json
+from .folios import dp_decomposition, folio_bruteforce, folio_dp, folio_to_json
 from .graphs import AnnotatedGraph, RootedGraph, build_graph, parse_edge_list, write_edge_list
 from .linkages import disjoint_paths, is_vital, linkage_to_json, parse_pattern, write_pattern
 from .minors import bidim
@@ -164,7 +165,7 @@ def _cmd_folio(args):
     if args.engine in ("oracle", "both"):
         doc["oracle"] = json.loads(folio_to_json(folio_bruteforce(rg, args.d)))
     if args.engine in ("dp", "both"):
-        _, td = exact_treewidth(g)
+        td = dp_decomposition(g)
         doc["dp"] = json.loads(folio_to_json(folio_dp(rg, args.d, td)))
     if args.engine == "both":
         doc["equal"] = doc["oracle"] == doc["dp"]
@@ -192,7 +193,7 @@ def _cmd_reduce(args):
     cfg = PipelineConfig(threshold=args.threshold, engine=args.engine)
     _, trace = reduce(host, args.k, args.d, cfg)
     print(trace_to_json(trace))
-    return 0 if trace.status == "met" else 1
+    return {"met": 0, "stuck": 1, "capped": 3}[trace.status]
 
 
 def _cmd_route(args):

@@ -301,6 +301,13 @@ def _decomposition_from_order(g, order):
     return TreeDecomposition(Graph(len(bags), edges), tuple(bags))
 
 
+def min_fill_decomposition(g):
+    """A decomposition built from a min-fill elimination order: always valid,
+    not always of minimum width, and cheap at any size."""
+    _, order = _min_fill_order(neighbor_masks(g))
+    return _decomposition_from_order(g, order)
+
+
 def exact_treewidth(g, upper=None):
     """(width, decomposition), or an AboveBound marker when a bound is given
     and exceeded; capped at twenty vertices.

@@ -1,12 +1,16 @@
 """Detail, d-folios, (k,d)-folios, strong irrelevance.
 
-Two engines compute the same object. The oracle enumerates every candidate
-rooted pattern within the detail bound (root-position partitions, up to d
-extra vertices, up to d edges, deduped by canonical code) and keeps those
-admitting a rooted minor model in the host. The dynamic program answers the
-same membership questions over a nice tree decomposition, tracking per bag
-how branch sets touch the boundary. The oracle is ground truth; the DP must
-agree exactly.
+The d-folio of a rooted host is the set of candidate patterns (every rooted
+pattern within the detail bound: root-position partitions, up to d extra
+vertices, up to d edges, deduped by canonical code) that the host contains
+as rooted minors. Folios are closed downward under rooted minors, so both
+engines decide them over the pattern lattice, the rooted-minor order among
+the candidates. Candidates are taken largest first; a member makes every
+candidate below it a member, a non-member makes every candidate above it a
+non-member, and only candidates still open are decided. The oracle decides
+one by rooted-minor search in the host. The dynamic program decides one over
+a nice tree decomposition, tracking per bag how branch sets touch the
+boundary. The oracle is ground truth; the DP must agree exactly.
 
 Folio members carry a tag: the equality pattern of the generating root
 tuple (first-occurrence normalized), since the same canonical member can
@@ -20,7 +24,13 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .decomposition import exact_treewidth, nice_form, nice_node_kind, validate_td
+from .decomposition import (
+    exact_treewidth,
+    min_fill_decomposition,
+    nice_form,
+    nice_node_kind,
+    validate_td,
+)
 from .errors import (
     BudgetExceeded,
     InvalidDecomposition,
@@ -88,6 +98,7 @@ def _set_partitions(items):
 
 
 _PATTERN_CACHE = {}
+_LATTICE_CACHE = {}
 
 
 def candidate_patterns(k, d):
@@ -122,264 +133,236 @@ def candidate_patterns(k, d):
     return result
 
 
+def pattern_lattice(k, d):
+    """The rooted-minor order among candidate_patterns(k, d), as two dicts
+    (below, above) from each candidate's code to the codes of the candidates
+    below and above it, itself included. A rooted minor has no more vertices
+    and no more edges than its host, so only such pairs are searched. Built
+    on first use and cached by (k, d)."""
+    key = (k, d)
+    if key not in _LATTICE_CACHE:
+        cands = candidate_patterns(k, d)
+        below = {
+            big_code: frozenset(
+                code
+                for small, code in cands
+                if small.graph.n <= big.graph.n
+                and small.graph.m <= big.graph.m
+                and find_rooted_minor(big, small) is not None
+            )
+            for big, big_code in cands
+        }
+        above = {code: frozenset(c for c in below if code in below[c]) for code in below}
+        _LATTICE_CACHE[key] = (below, above)
+    return _LATTICE_CACHE[key]
+
+
+def _lattice_folio(host, d, contains):
+    """The d-folio of `host`, asking `contains(pattern)` only about the
+    candidates the lattice has not settled, largest (vertices plus edges)
+    first: a member settles everything below it as a member, a non-member
+    everything above it as a non-member."""
+    k = len(host.roots)
+    cands = candidate_patterns(k, d)
+    below, above = pattern_lattice(k, d)
+    members, settled = set(), set()
+    for form, code in sorted(cands, key=lambda c: -c[0].graph.n - c[0].graph.m):
+        if code in settled:
+            continue
+        if contains(form):
+            members |= below[code]
+            settled |= below[code]
+        else:
+            settled |= above[code]
+    tag = label_pattern(host.roots)
+    entries = (FolioEntry(tag, code, form) for form, code in cands if code in members)
+    return Folio(k=k, d=d, entries=frozenset(entries))
+
+
 def folio_bruteforce(host, d):
-    """Exact d-folio of a rooted host by exhaustive rooted-minor search."""
+    """Exact d-folio of a rooted host by rooted-minor search over the
+    pattern lattice."""
     k = len(host.roots)
     if host.graph.n > ORACLE_HOST_CAP or d > ORACLE_DETAIL_CAP or k > ORACLE_ROOT_CAP:
         raise SearchCapExceeded(
             f"oracle caps: |V| <= {ORACLE_HOST_CAP}, d <= {ORACLE_DETAIL_CAP}, "
             f"|roots| <= {ORACLE_ROOT_CAP}"
         )
-    tag = label_pattern(host.roots)
-    entries = set()
-    for form, code in candidate_patterns(k, d):
-        if find_rooted_minor(host, form) is not None:
-            entries.add(FolioEntry(tag, code, form))
-    return Folio(k=k, d=d, entries=frozenset(entries))
+    return _lattice_folio(host, d, lambda form: find_rooted_minor(host, form) is not None)
 
 
 # --- dynamic program over a nice tree decomposition ---------------------------
 
 
-def _run_membership_dp(host, pattern, nice, order, kinds, children, budget):
+def _relabel(keys):
+    """Fragment ids numbered by first occurrence; FREE stays FREE."""
+    ids = {}
+    return tuple(FREE if x == FREE else ids.setdefault(x, len(ids)) for x in keys)
+
+
+def _dp_plan(g, td):
+    """The nice form of `td` as bottom-up steps, root last: (kind, node,
+    children, vertex, its position in the sorted bag that holds it, and for
+    an introduce the positions of its neighbours in the child's bag). It
+    depends on the host graph only, so it is built once per host."""
+    if not validate_td(g, td).valid:
+        raise InvalidDecomposition("decomposition does not validate for host")
+    nice = nice_form(td)
+    # nice_form numbers nodes outward from the root 0: a node's parent is
+    # its one smaller neighbour, and descending order visits children first
+    parent = {x: min(nice.tree.neighbors(x)) for x in range(1, nice.tree.n)}
+    plan = []
+    for node in reversed(range(nice.tree.n)):
+        kind, v = nice_node_kind(nice, node, parent)
+        kids = [y for y in nice.tree.neighbors(node) if y > node]
+        vi, nbrs = None, ()
+        if kind == "introduce":
+            bag = sorted(nice.bags[node])
+            vi = bag.index(v)
+            nbrs = tuple(i for i, u in enumerate(bag[:vi] + bag[vi + 1 :]) if g.has_edge(u, v))
+        elif kind == "forget":
+            vi = sorted(nice.bags[kids[0]]).index(v)
+        plan.append((kind, node, kids, v, vi, nbrs))
+    return plan
+
+
+def _run_membership_dp(host, pattern, plan, budget):
     """Does `pattern` (a rooted graph) embed as a rooted minor of `host`?
 
-    A state at a bag records, per bag vertex, which pattern vertex's branch
-    set it joined (or FREE), how same-labeled bag vertices split into
-    connected fragments, which pattern vertices are finished, and which
-    pattern edges are already witnessed by a host edge. Bottom-up over the
-    nice tree; a fragment that loses its last bag vertex either finishes the
-    branch set or kills the state.
+    A state at a bag is ((labels, fragments), closed, realized): per sorted
+    bag vertex the pattern vertex whose branch set it joined (or FREE) and
+    the id of its connected fragment of that branch set; a bitmask of the
+    finished pattern vertices; and a bitmask of the pattern edges already
+    witnessed by a host edge. Bottom-up over the nice tree; a fragment that
+    loses its last bag vertex either finishes the branch set or kills the
+    state. An introduce or forget moves a state by its (labels, fragments)
+    part alone, so each move is worked out once per node and part.
     """
-    g = host.graph
     pn = pattern.graph.n
-    p_edges = frozenset(frozenset(e) for e in pattern.graph.edges)
-    all_closed = frozenset(range(pn))
+    edge_bit = [[0] * pn for _ in range(pn)]
+    for i, (a, b) in enumerate(pattern.graph.edges):
+        edge_bit[a][b] = edge_bit[b][a] = 1 << i
     forced = {}
-    for pos, r in enumerate(host.roots):
-        q = pattern.roots[pos]
-        if r in forced and forced[r] != q:
+    for r, q in zip(host.roots, pattern.roots):
+        if forced.setdefault(r, q) != q:
             return False
-        forced[r] = q
+
+    def introduce_moves(part, v, vi, nbrs):
+        labs, frags = part
+        out = []
+        for lab in [forced[v]] if v in forced else [FREE, *range(pn)]:
+            if lab == FREE:
+                new = (labs[:vi] + (FREE,) + labs[vi:], frags[:vi] + (FREE,) + frags[vi:])
+                out.append((new, 0, 0, 0))
+                continue
+            # fragments of lab adjacent to v merge with v into one
+            merge, add = set(), 0
+            for i in nbrs:
+                if labs[i] == lab:
+                    merge.add(frags[i])
+                elif labs[i] != FREE:
+                    add |= edge_bit[labs[i]][lab]
+            joined = FREE - 1  # key of v's fragment, unlike every id
+            keys = [joined if f in merge else f for f in frags]
+            keys.insert(vi, joined)
+            new = (labs[:vi] + (lab,) + labs[vi:], _relabel(keys))
+            out.append((new, 1 << lab, 0, add))
+        return out
+
+    def forget_moves(part, vi):
+        labs, frags = part
+        lab, f = labs[vi], frags[vi]
+        rest = (labs[:vi] + labs[vi + 1 :], frags[:vi] + frags[vi + 1 :])
+        if lab == FREE:
+            return [(rest, 0, 0, 0)]
+        if f in rest[1]:
+            return [((rest[0], _relabel(rest[1])), 0, 0, 0)]
+        if lab in rest[0]:
+            return []  # branch set split off the boundary: dead
+        # the closed fragment's id is left as a gap: renumbering here would
+        # merge states and move the point where `budget` fires
+        return [(rest, 0, 1 << lab, 0)]
+
+    def join_fragments(frags1, frags2):
+        # union-find over (side, fragment); shared bag slots tie the sides
+        parent = {}
+
+        def find(x):
+            while parent.get(x, x) != x:
+                x = parent[x]
+            return x
+
+        for f1, f2 in zip(frags1, frags2):
+            if f1 != FREE:
+                a, b = find((0, f1)), find((1, f2))
+                if a != b:
+                    parent[a] = b
+        return _relabel([FREE if f == FREE else find((0, f)) for f in frags1])
 
     state_count = 0
     states_at = {}
-
-    def charge(k_new):
-        nonlocal state_count
-        state_count += k_new
+    for kind, node, kids, v, vi, nbrs in plan:
+        out = set()
+        if kind == "leaf":
+            out.add((((), ()), 0, 0))
+        elif kind == "join":
+            by_labs = {}
+            for state in states_at.pop(kids[1]):
+                by_labs.setdefault(state[0][0], []).append(state)
+            merged = {}
+            for (labs, frags1), closed1, realized1 in states_at.pop(kids[0]):
+                for (_, frags2), closed2, realized2 in by_labs.get(labs, ()):
+                    # a branch set finished on both sides would be two
+                    # disjoint pieces; equal labels rule out every other
+                    # status conflict
+                    if closed1 & closed2:
+                        continue
+                    key = (labs, frags1, frags2)
+                    if key not in merged:
+                        merged[key] = (labs, join_fragments(frags1, frags2))
+                    out.add((merged[key], closed1 | closed2, realized1 | realized2))
+        else:
+            moves = {}
+            for part, closed, realized in states_at.pop(kids[0]):
+                if part not in moves:
+                    moves[part] = (
+                        introduce_moves(part, v, vi, nbrs)
+                        if kind == "introduce"
+                        else forget_moves(part, vi)
+                    )
+                for new, blocked, close, add in moves[part]:
+                    if not closed & blocked:
+                        out.add((new, closed | close, realized | add))
+        state_count += len(out)
         if state_count > budget:
             raise BudgetExceeded(f"folio DP exceeded {budget} states")
-
-    # slots = tuple over the sorted bag of (label, fragment_class); fragment
-    # classes are first-occurrence normalized so equal partitions hash equal
-    def _normalize(bag, assign, frag):
-        slots = []
-        remap = {}
-        for u in bag:
-            lab = assign[u]
-            if lab == FREE:
-                slots.append((FREE, FREE))
-                continue
-            key = (lab, frag[u])
-            if key not in remap:
-                remap[key] = len(remap)
-            slots.append((lab, remap[key]))
-        return tuple(slots)
-
-    def introduce_states(node, v, child_states, bag):
-        vi = bag.index(v)
-        out = set()
-        for slots, closed, realized in child_states:
-            # child slots align with bag minus v
-            labels = list(slots)
-            if v in forced:
-                options = [forced[v]] if forced[v] not in closed else []
-            else:
-                options = [FREE] + [p for p in range(pn) if p not in closed]
-            for lab in options:
-                if lab == FREE:
-                    new_slots = labels[:vi] + [(FREE, FREE)] + labels[vi:]
-                    out.add((tuple(new_slots), closed, realized))
-                    continue
-                # fragments of lab adjacent to v merge with v into one
-                child_bag = bag[:vi] + bag[vi + 1 :]
-                adj_frags = set()
-                new_real = set(realized)
-                for u, (ulab, uf) in zip(child_bag, slots):
-                    if ulab == FREE or not g.has_edge(u, v):
-                        continue
-                    if ulab == lab:
-                        adj_frags.add(uf)
-                    elif frozenset({ulab, lab}) in p_edges:
-                        new_real.add(frozenset({ulab, lab}))
-                # rebuild fragment classes
-                assign = {}
-                frag = {}
-                for u, (ulab, uf) in zip(child_bag, slots):
-                    assign[u] = ulab
-                    frag[u] = uf
-                assign[v] = lab
-                merged_id = ("new", v)
-                frag[v] = merged_id
-                for u in child_bag:
-                    if assign[u] == lab and frag[u] in adj_frags:
-                        frag[u] = merged_id
-                out.add(
-                    (
-                        _normalize(bag, assign, frag),
-                        closed,
-                        frozenset(new_real),
-                    )
-                )
-        return out
-
-    def forget_states(node, v, child_states, bag, child_bag):
-        vi = child_bag.index(v)
-        out = set()
-        for slots, closed, realized in child_states:
-            lab, f = slots[vi]
-            rest = slots[:vi] + slots[vi + 1 :]
-            if lab == FREE:
-                out.add((rest, closed, realized))
-                continue
-            still = any(
-                ulab == lab and uf == f
-                for (ulab, uf) in rest
-            )
-            if still:
-                # renormalize fragment ids
-                assign = {}
-                frag = {}
-                for u, (ulab, uf) in zip(bag, rest):
-                    assign[u] = ulab
-                    frag[u] = uf
-                out.add((_normalize(bag, assign, frag), closed, realized))
-                continue
-            other_frags = any(ulab == lab for (ulab, uf) in rest)
-            if other_frags:
-                continue  # branch set split off the boundary: dead
-            out.add((rest, closed | {lab}, realized))
-        return out
-
-    def join_states(left, right):
-        by_sigma = {}
-        for slots, closed, realized in right:
-            sigma = tuple(lab for lab, _ in slots)
-            by_sigma.setdefault(sigma, []).append((slots, closed, realized))
-        out = set()
-        for slots1, closed1, realized1 in left:
-            sigma = tuple(lab for lab, _ in slots1)
-            for slots2, closed2, realized2 in by_sigma.get(sigma, ()):
-                # a branch set finished on both sides would be two disjoint
-                # pieces; equal sigmas rule out every other status conflict
-                if closed1 & closed2:
-                    continue
-                # merge fragment partitions via shared slots
-                parent = {}
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                def union(a, b):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-
-                for i, (lab, _) in enumerate(slots1):
-                    if lab != FREE:
-                        parent[i] = i
-                for i, (lab, f) in enumerate(slots1):
-                    if lab == FREE:
-                        continue
-                    for j in range(i + 1, len(slots1)):
-                        if slots1[j][0] == lab and slots1[j][1] == f:
-                            union(i, j)
-                for i, (lab, f) in enumerate(slots2):
-                    if lab == FREE:
-                        continue
-                    for j in range(i + 1, len(slots2)):
-                        if slots2[j][0] == lab and slots2[j][1] == f:
-                            union(i, j)
-                remap = {}
-                merged = []
-                for i, (lab, _) in enumerate(slots1):
-                    if lab == FREE:
-                        merged.append((FREE, FREE))
-                        continue
-                    root = find(i)
-                    if (lab, root) not in remap:
-                        remap[(lab, root)] = len(remap)
-                    merged.append((lab, remap[(lab, root)]))
-                out.add(
-                    (
-                        tuple(merged),
-                        closed1 | closed2,
-                        realized1 | realized2,
-                    )
-                )
-        return out
-
-    for node in order:
-        kind, v = kinds[node]
-        bag = sorted(nice.bags[node])
-        kids = children[node]
-        if kind == "leaf":
-            out = {(tuple(), frozenset(), frozenset())}
-        elif kind == "introduce":
-            out = introduce_states(node, v, states_at[kids[0]], bag)
-        elif kind == "forget":
-            child_bag = sorted(nice.bags[kids[0]])
-            out = forget_states(node, v, states_at[kids[0]], bag, child_bag)
-        else:  # join
-            out = join_states(states_at[kids[0]], states_at[kids[1]])
-        charge(len(out))
         states_at[node] = out
-        for c in kids:
-            del states_at[c]
-    root_states = states_at[order[-1]]
-    target = frozenset(p_edges)
-    return any(
-        closed == all_closed and realized == target
-        for _, closed, realized in root_states
-    )
+    done = (1 << pn) - 1
+    target = (1 << pattern.graph.m) - 1
+    # `out` holds the states of the root, whose bag is empty
+    return any(closed == done and realized == target for _, closed, realized in out)
+
+
+def dp_decomposition(g):
+    """The decomposition the folio DP runs on: exact within exact_treewidth's
+    vertex cap, the min-fill one past it."""
+    try:
+        return exact_treewidth(g)[1]
+    except SearchCapExceeded:
+        return min_fill_decomposition(g)
 
 
 def folio_dp(host, d, td, max_states=DEFAULT_STATE_BUDGET):
     """d-folio via dynamic programming over a tree decomposition of the host.
 
-    Agrees with folio_bruteforce exactly; raises rather than truncating when
-    the per-pattern state budget is hit.
+    Agrees with folio_bruteforce exactly. The DP runs once per candidate the
+    pattern lattice leaves open, and raises rather than truncating when one
+    run goes past `max_states` states.
     """
-    if not validate_td(host.graph, td).valid:
-        raise InvalidDecomposition("decomposition does not validate for host")
-    nice = nice_form(td)
-    parent = {0: None}
-    order_down = [0]
-    qi = 0
-    while qi < len(order_down):
-        x = order_down[qi]
-        qi += 1
-        for y in nice.tree.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                order_down.append(y)
-    children = {n: [] for n in range(nice.tree.n)}
-    for n, p in parent.items():
-        if p is not None:
-            children[p].append(n)
-    kinds = {n: nice_node_kind(nice, n, parent) for n in range(nice.tree.n)}
-    order = list(reversed(order_down))  # children before parents, root last
-    k = len(host.roots)
-    tag = label_pattern(host.roots)
-    entries = set()
-    for form, code in candidate_patterns(k, d):
-        if _run_membership_dp(host, form, nice, order, kinds, children, max_states):
-            entries.add(FolioEntry(tag, code, form))
-    return Folio(k=k, d=d, entries=frozenset(entries))
+    plan = _dp_plan(host.graph, td)
+    return _lattice_folio(
+        host, d, lambda form: _run_membership_dp(host, form, plan, max_states)
+    )
 
 
 # --- (k,d)-folio and strong irrelevance -----------------------------------------
@@ -393,14 +376,14 @@ def kd_folio(
     max_multisets=DEFAULT_MULTISET_BUDGET,
     max_states=DEFAULT_STATE_BUDGET,
 ):
-    """Union of d-folios over all ordered k-multisets of annotated vertices."""
+    """Union of d-folios over all ordered k-multisets of annotated vertices.
+    The DP engine builds one plan per host from dp_decomposition."""
     reds = sorted(host.annotated)
     total = len(reds) ** k if k else 1
     if total > max_multisets:
         raise BudgetExceeded(f"{total} root multisets exceeds {max_multisets}")
-    td = None
     if engine == "dp":
-        _, td = exact_treewidth(host.graph)
+        plan = _dp_plan(host.graph, dp_decomposition(host.graph))
 
     entries = set()
     for tup in itertools.product(reds, repeat=k):
@@ -408,13 +391,19 @@ def kd_folio(
         if engine == "oracle":
             entries |= folio_bruteforce(rg, d).entries
         else:
-            entries |= folio_dp(rg, d, td, max_states=max_states).entries
+            entries |= _lattice_folio(
+                rg, d, lambda form: _run_membership_dp(rg, form, plan, max_states)
+            ).entries
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 
 def strongly_irrelevant(host, k, d, v, max_multisets=DEFAULT_MULTISET_BUDGET):
     """True iff deleting v changes no d-folio, over every ordered root
-    multiset drawn from the annotated set. Oracle engine throughout."""
+    multiset drawn from the annotated set. Oracle engine throughout.
+
+    Deleting a vertex can only shrink a folio, and folios are closed
+    downward, so only the maximal members of each folio before deletion are
+    searched for after it; the first one missing answers False."""
     if v in host.annotated:
         raise PreconditionViolated(f"vertex {v} is annotated; cannot test it")
     reds = sorted(host.annotated)
@@ -423,22 +412,30 @@ def strongly_irrelevant(host, k, d, v, max_multisets=DEFAULT_MULTISET_BUDGET):
         raise BudgetExceeded(f"{total} root multisets exceeds {max_multisets}")
     smaller, remap = delete_vertex(host.graph, v)
     for tup in itertools.product(reds, repeat=k):
-        before = folio_bruteforce(RootedGraph.of(host.graph, tup), d)
-        after = folio_bruteforce(
-            RootedGraph.of(smaller, tuple(remap[r] for r in tup)), d
-        )
-        if before.codes() != after.codes():
-            return False
+        before = folio_bruteforce(RootedGraph.of(host.graph, tup), d).codes()
+        after = RootedGraph.of(smaller, tuple(remap[r] for r in tup))
+        _, above = pattern_lattice(k, d)  # built by folio_bruteforce
+        for form, code in candidate_patterns(k, d):
+            if (
+                code in before
+                and len(above[code] & before) == 1
+                and find_rooted_minor(after, form) is None
+            ):
+                return False
     return True
 
 
 def downward_closed(folio):
-    """Every rooted minor (within the detail bound) of a member is a member."""
+    """Every candidate below a member in the pattern lattice is a member.
+    Raises PreconditionViolated on a member that is not a candidate of the
+    folio's (k, d)."""
+    below, _ = pattern_lattice(folio.k, folio.d)
     codes = folio.codes()
-    for entry in folio.entries:
-        for form, code in candidate_patterns(folio.k, folio.d):
-            if find_rooted_minor(entry.form, form) is not None and code not in codes:
-                return False
+    for code in codes:
+        if code not in below:
+            raise PreconditionViolated(f"member {code!r} is not a candidate pattern")
+        if not below[code] <= codes:
+            return False
     return True
 
 

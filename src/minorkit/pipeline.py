@@ -16,6 +16,7 @@ from .errors import (
     BudgetExceeded,
     CliqueTooSmall,
     PreconditionViolated,
+    SearchCapExceeded,
 )
 from .folios import (
     DEFAULT_MULTISET_BUDGET,
@@ -274,12 +275,13 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class ReductionTrace:
     """What reduce did: deletions in input numbering, the survivor, the
-    survivor's exact treewidth, and whether the threshold was met."""
+    survivor's exact treewidth, and whether the threshold was met, no rule
+    fired, or the oracle rule hit its search caps."""
 
     deletions: tuple  # ((vertex, rule), ...)
     final: AnnotatedGraph
     final_width: int
-    status: str  # "met" | "stuck"
+    status: str  # "met" | "stuck" | "capped"
 
 
 def _clique_step(cur, d, width, cfg):
@@ -313,7 +315,9 @@ def reduce(host, k, d, cfg=PipelineConfig()):
 
     One deletion per round. The clique rule is tried first when enabled;
     the oracle rule is the fallback. Every trace entry names the deleted
-    vertex in the numbering of the original input.
+    vertex in the numbering of the original input. When the oracle rule
+    hits its search caps, the deletions certified so far are returned with
+    status "capped".
     """
     cur = host
     orig_of = list(host.graph.vertices())
@@ -329,7 +333,11 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             if v is not None:
                 found = (v, "clique-rule")
         if found is None and cfg.engine in ("oracle", "both"):
-            v = _oracle_step(cur, k, d, cfg)
+            try:
+                v = _oracle_step(cur, k, d, cfg)
+            except SearchCapExceeded:
+                status = "capped"
+                break
             if v is not None:
                 found = (v, "oracle")
         if found is None:
@@ -415,7 +423,7 @@ def trace_to_json(trace):
 
 def trace_from_json(text):
     doc = json.loads(text)
-    if doc["status"] not in ("met", "stuck"):
+    if doc["status"] not in ("met", "stuck", "capped"):
         raise PreconditionViolated(f"unknown status {doc['status']!r}")
     final = AnnotatedGraph.of(
         parse_edge_list(doc["final_graph"]), doc["final_annotated"]

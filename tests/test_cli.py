@@ -223,6 +223,29 @@ def test_reduce_exit_one_when_stuck(tmp_path, capsys):
     assert doc["status"] == "stuck"
 
 
+def test_reduce_prints_the_partial_trace_and_exits_three_when_capped(tmp_path, capsys):
+    import itertools
+
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    clique = list(itertools.combinations(range(5, 16), 2))
+    path = tmp_path / "cycle_clique.edg"
+    path.write_text(write_edge_list(build_graph(16, cycle + clique + [(4, 5)])))
+    code, doc = run_cli(
+        capsys,
+        [
+            "reduce",
+            "--graph", str(path),
+            "--annotated", "0,2",
+            "--k", "2",
+            "--d", "1",
+            "--threshold", "4",
+        ],
+    )
+    assert code == 3
+    assert doc["status"] == "capped"
+    assert doc["deletions"] == [[6, "clique-rule"], [7, "clique-rule"], [8, "clique-rule"]]
+
+
 # --- route ------------------------------------------------------------------------
 
 

@@ -1,12 +1,21 @@
 """Folio tests: the oracle against hand-derived sets, the DP against the
-oracle, tagging, irrelevance, budgets, and the JSON export."""
+oracle, both against a reference that decides every candidate on its own
+(no pattern lattice), the lattice itself, tagging, irrelevance, budgets,
+and the JSON export."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from minorkit.decomposition import TreeDecomposition, exact_treewidth
+from minorkit.decomposition import (
+    TreeDecomposition,
+    exact_treewidth,
+    min_fill_decomposition,
+)
 from minorkit.errors import (
     BudgetExceeded,
     InvalidDecomposition,
@@ -15,19 +24,24 @@ from minorkit.errors import (
 )
 from minorkit.folios import (
     Folio,
+    FolioEntry,
+    _dp_plan,
+    _run_membership_dp,
     candidate_patterns,
     detail,
     downward_closed,
+    dp_decomposition,
     folio_bruteforce,
     folio_dp,
     folio_to_json,
     kd_folio,
     label_pattern,
+    pattern_lattice,
     strongly_irrelevant,
 )
 from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph, delete_vertex
 from minorkit.linkages import Pattern, disjoint_paths
-from minorkit.minors import canonical_code
+from minorkit.minors import canonical_code, find_rooted_minor
 
 
 def path_graph(n):
@@ -59,6 +73,37 @@ def random_graph(n, p, rng):
     return Graph(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     )
+
+
+def reference_codes(host, d):
+    """Codes of the d-folio with every candidate decided on its own by
+    rooted-minor search: no lattice, nothing settled by another answer."""
+    return frozenset(
+        code
+        for form, code in candidate_patterns(len(host.roots), d)
+        if find_rooted_minor(host, form) is not None
+    )
+
+
+def reference_irrelevant(host, k, d, v):
+    smaller, remap = delete_vertex(host.graph, v)
+    for tup in itertools.product(sorted(host.annotated), repeat=k):
+        before = RootedGraph.of(host.graph, tup)
+        after = RootedGraph.of(smaller, tuple(remap[r] for r in tup))
+        if reference_codes(before, d) != reference_codes(after, d):
+            return False
+    return True
+
+
+@st.composite
+def small_rooted_hosts(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    k = draw(st.integers(0, 2))
+    roots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    g = Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+    return RootedGraph(g, tuple(roots))
 
 
 SINGLE_ROOTED = RootedGraph(Graph(1, []), (0,))
@@ -109,6 +154,44 @@ def test_candidate_patterns_respect_detail():
     for form, _ in candidate_patterns(3, 2):
         assert detail(form) <= 2
         assert len(form.roots) == 3
+
+
+# --- the pattern lattice -------------------------------------------------------
+
+
+SMALL_KD = [(k, d) for k in range(3) for d in range(3)]
+
+
+def test_lattice_is_reflexive_and_transitive():
+    for k, d in SMALL_KD:
+        below, above = pattern_lattice(k, d)
+        codes = [code for _, code in candidate_patterns(k, d)]
+        assert set(below) == set(above) == set(codes)
+        for c in codes:
+            assert c in below[c] and c in above[c]
+            for b in below[c]:
+                assert below[b] <= below[c]
+                assert c in above[b]
+
+
+def test_lattice_goes_from_smaller_to_larger_patterns():
+    for k, d in SMALL_KD:
+        below, _ = pattern_lattice(k, d)
+        form_of = {code: form for form, code in candidate_patterns(k, d)}
+        for big, smalls in below.items():
+            for small in smalls:
+                assert form_of[small].graph.n <= form_of[big].graph.n
+                assert form_of[small].graph.m <= form_of[big].graph.m
+
+
+def test_lattice_orders_a_known_chain():
+    # apart roots < roots joined by an edge; merged roots are below the
+    # edge (contract it) but not below the apart pair
+    below, _ = pattern_lattice(2, 1)
+    apart, merged, edge = (canonical_code(p) for p in (
+        TWO_ROOTS_APART, TWO_ROOTS_MERGED, TWO_ROOTS_EDGE))
+    assert {apart, merged} <= below[edge]
+    assert merged not in below[apart] and apart not in below[merged]
 
 
 # --- oracle folios -----------------------------------------------------------
@@ -223,6 +306,52 @@ def test_dp_state_budget_raises():
         folio_dp(host, 2, td, max_states=3)
 
 
+def test_dp_pass_explores_a_pinned_state_count():
+    # max_states must fire at the same total as in the frozenset-state DP
+    # this pass replaced: 1193 states for this pair. Renumbering fragments
+    # where a branch set closes would merge states and give 1129.
+    host = RootedGraph(grid_graph(2, 5), (0, 9))
+    pattern = RootedGraph(Graph(3, [(1, 2)]), (1, 2))
+    plan = _dp_plan(host.graph, exact_treewidth(host.graph)[1])
+    assert _run_membership_dp(host, pattern, plan, 1193)
+    with pytest.raises(BudgetExceeded):
+        _run_membership_dp(host, pattern, plan, 1192)
+
+
+def ladder_path_decomposition(cols):
+    """Width-2 path decomposition of grid_graph(2, cols), column by column."""
+    bags = []
+    for c in range(cols - 1):
+        top, bottom = c, cols + c
+        bags += [frozenset({top, bottom, top + 1}), frozenset({bottom, top + 1, bottom + 1})]
+    return TreeDecomposition(
+        Graph(len(bags), [(i, i + 1) for i in range(len(bags) - 1)]), tuple(bags)
+    )
+
+
+def test_dp_runs_past_the_exact_treewidth_cap():
+    g = grid_graph(2, 11)
+    with pytest.raises(SearchCapExceeded):
+        exact_treewidth(g)
+    host = RootedGraph(g, (0, 21))
+    min_fill = min_fill_decomposition(g)
+    assert dp_decomposition(g) == min_fill
+    got = folio_dp(host, 1, min_fill)
+    assert got == folio_dp(host, 1, ladder_path_decomposition(11))
+    # the 2x3 ladder rooted at its corners is a rooted minor of this one
+    assert folio_bruteforce(RootedGraph(grid_graph(2, 3), (0, 5)), 1).codes() <= got.codes()
+    kd = kd_folio(AnnotatedGraph.of(g, {0, 21}), 2, 1, engine="dp")
+    assert got.entries <= kd.entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rooted_hosts(), st.integers(0, 2))
+def test_lattice_engines_agree_with_the_reference(host, d):
+    want = reference_codes(host, d)
+    assert folio_bruteforce(host, d).codes() == want
+    assert folio_dp(host, d, dp_decomposition(host.graph)).codes() == want
+
+
 # --- (k,d)-folios ------------------------------------------------------------
 
 
@@ -316,6 +445,8 @@ def test_deletion_monotonicity():
 
 
 def test_downward_closure_is_a_fixed_point():
+    # the reference folio decides every candidate on its own, so its
+    # closure is a fact about the host and not about the lattice
     hosts = [
         RootedGraph(cycle_graph(5), (0, 2)),
         RootedGraph(grid_graph(2, 3), (0, 5)),
@@ -323,7 +454,27 @@ def test_downward_closure_is_a_fixed_point():
     ]
     for host in hosts:
         f = folio_bruteforce(host, 2)
+        assert f.codes() == reference_codes(host, 2)
         assert downward_closed(f)
+
+
+def test_downward_closed_rejects_a_tampered_folio():
+    f = folio_bruteforce(RootedGraph(cycle_graph(5), (0, 2)), 2)
+    below, _ = pattern_lattice(2, 2)
+    codes = f.codes()
+    # a member lying strictly below another member
+    lower = next(c for c in sorted(codes) if any(
+        c in below[other] and other != c for other in codes))
+    tampered = Folio(2, 2, frozenset(e for e in f.entries if e.code != lower))
+    assert not downward_closed(tampered)
+
+
+def test_downward_closed_rejects_a_member_outside_the_candidates():
+    triangle = RootedGraph(Graph(3, [(0, 1), (1, 2), (0, 2)]), (0,))
+    code = canonical_code(triangle)
+    f = Folio(1, 1, frozenset({FolioEntry((0,), code, triangle)}))
+    with pytest.raises(PreconditionViolated):
+        downward_closed(f)
 
 
 # --- strong irrelevance ---------------------------------------------------------
@@ -369,6 +520,24 @@ def test_strongly_irrelevant_rejects_red_vertex():
     host = AnnotatedGraph.of(path_graph(3), {0, 2})
     with pytest.raises(PreconditionViolated):
         strongly_irrelevant(host, 2, 0, 0)
+
+
+@st.composite
+def irrelevance_cases(draw):
+    host = draw(small_rooted_hosts(max_n=7))
+    g = host.graph
+    annotated = draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=3))
+    rest = [u for u in range(g.n) if u not in annotated]
+    v = draw(st.sampled_from(rest)) if rest else None
+    return AnnotatedGraph.of(g, annotated), draw(st.integers(0, 2)), draw(st.integers(0, 2)), v
+
+
+@settings(max_examples=100, deadline=None)
+@given(irrelevance_cases())
+def test_strongly_irrelevant_agrees_with_the_reference(case):
+    host, k, d, v = case
+    assume(v is not None)
+    assert strongly_irrelevant(host, k, d, v) == reference_irrelevant(host, k, d, v)
 
 
 # --- export ----------------------------------------------------------------------

@@ -327,6 +327,25 @@ def test_reduce_respects_deletion_budget():
         reduce(host, 2, 0, PipelineConfig(threshold=4, max_deletions=1))
 
 
+def cycle_clique_host():
+    """A 5-cycle joined by an edge to K11, annotated at 0 and 2: the clique
+    rule deletes three clique vertices, then stalls at 13 vertices, above
+    the folio oracle's host cap."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + clique_edges(range(5, 16))
+    return AnnotatedGraph.of(Graph(16, edges + [(4, 5)]), (0, 2))
+
+
+def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped():
+    host = cycle_clique_host()
+    reduced, trace = reduce(host, 2, 1, PipelineConfig(threshold=4))
+    assert trace.status == "capped"
+    assert trace.deletions == ((6, "clique-rule"), (7, "clique-rule"), (8, "clique-rule"))
+    assert reduced == trace.final and reduced.graph.n == 13
+    assert trace.final_width == 7
+    assert replay_trace(host, trace) == reduced
+    assert trace_from_json(trace_to_json(trace)) == trace
+
+
 # --- solve_folio ---------------------------------------------------------------
 
 
