@@ -5,7 +5,8 @@ pattern within the detail bound: root-position partitions, up to d extra
 vertices, up to d edges, deduped by canonical code) that the host contains
 as rooted minors. Folios are closed downward under rooted minors, so both
 engines decide them over the pattern lattice, the rooted-minor order among
-the candidates. Candidates are taken largest first; a member makes every
+the candidates, which is found from the patterns alone (deletions and
+contractions), with no minor search. Candidates are taken largest first; a member makes every
 candidate below it a member, a non-member makes every candidate above it a
 non-member, and only candidates still open are decided. The oracle decides
 one by rooted-minor search in the host. The dynamic program decides one over
@@ -20,6 +21,7 @@ facts about the host.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -133,28 +135,50 @@ def candidate_patterns(k, d):
     return result
 
 
+def _one_step_minors(n, edges, roots):
+    """The rooted graphs, as (vertices, edges, roots), one operation below
+    the given one: delete an edge, delete a non-root vertex v, or contract
+    an edge uv into u, which keeps the root positions of both ends."""
+    for e in edges:
+        yield n, edges - {e}, roots
+    drops = [(v, None) for v in range(n) if v not in roots]
+    for v, u in drops + [(v, u) for u, v in edges]:
+        # v leaves, later vertices move down one, v's edges go to u or away
+        to = [w - (w > v) for w in range(n)]
+        to[v] = None if u is None else to[u]
+        yield n - 1, frozenset(
+            (min(to[a], to[b]), max(to[a], to[b]))
+            for a, b in edges
+            if None not in (to[a], to[b]) and to[a] != to[b]
+        ), tuple(to[r] for r in roots)
+
+
 def pattern_lattice(k, d):
     """The rooted-minor order among candidate_patterns(k, d), as two dicts
     (below, above) from each candidate's code to the codes of the candidates
-    below and above it, itself included. A rooted minor has no more vertices
-    and no more edges than its host, so only such pairs are searched. Built
-    on first use and cached by (k, d)."""
-    key = (k, d)
-    if key not in _LATTICE_CACHE:
-        cands = candidate_patterns(k, d)
-        below = {
-            big_code: frozenset(
-                code
-                for small, code in cands
-                if small.graph.n <= big.graph.n
-                and small.graph.m <= big.graph.m
-                and find_rooted_minor(big, small) is not None
-            )
-            for big, big_code in cands
-        }
-        above = {code: frozenset(c for c in below if code in below[c]) for code in below}
-        _LATTICE_CACHE[key] = (below, above)
-    return _LATTICE_CACHE[key]
+    below and above it, itself included: the transitive closure of
+    _one_step_minors, whose steps stay within the candidates. No minor
+    search is made. Built on first use and cached by (k, d)."""
+    if (k, d) not in _LATTICE_CACHE:
+        below, above = {}, {}
+
+        @functools.cache  # one step is reached from many candidates
+        def code_of(n, edges, roots):
+            return canonical_code(RootedGraph(Graph(n, edges), roots))
+
+        # a step lowers vertices plus edges, so its result is already done
+        for form, code in sorted(candidate_patterns(k, d), key=_size):
+            steps = _one_step_minors(form.graph.n, form.graph.edges, form.roots)
+            below[code] = frozenset([code]).union(*(below[code_of(*s)] for s in steps))
+            for small in below[code]:
+                above.setdefault(small, set()).add(code)
+        above = {code: frozenset(bigs) for code, bigs in above.items()}
+        _LATTICE_CACHE[k, d] = (below, above)
+    return _LATTICE_CACHE[k, d]
+
+
+def _size(candidate):
+    return candidate[0].graph.n + candidate[0].graph.m
 
 
 def _lattice_folio(host, d, contains):
@@ -166,7 +190,7 @@ def _lattice_folio(host, d, contains):
     cands = candidate_patterns(k, d)
     below, above = pattern_lattice(k, d)
     members, settled = set(), set()
-    for form, code in sorted(cands, key=lambda c: -c[0].graph.n - c[0].graph.m):
+    for form, code in sorted(cands, key=_size, reverse=True):
         if code in settled:
             continue
         if contains(form):
@@ -352,6 +376,12 @@ def dp_decomposition(g):
         return min_fill_decomposition(g)
 
 
+def _dp_folio(host, d, plan, max_states):
+    return _lattice_folio(
+        host, d, lambda form: _run_membership_dp(host, form, plan, max_states)
+    )
+
+
 def folio_dp(host, d, td, max_states=DEFAULT_STATE_BUDGET):
     """d-folio via dynamic programming over a tree decomposition of the host.
 
@@ -359,10 +389,7 @@ def folio_dp(host, d, td, max_states=DEFAULT_STATE_BUDGET):
     pattern lattice leaves open, and raises rather than truncating when one
     run goes past `max_states` states.
     """
-    plan = _dp_plan(host.graph, td)
-    return _lattice_folio(
-        host, d, lambda form: _run_membership_dp(host, form, plan, max_states)
-    )
+    return _dp_folio(host, d, _dp_plan(host.graph, td), max_states)
 
 
 # --- (k,d)-folio and strong irrelevance -----------------------------------------
@@ -391,9 +418,7 @@ def kd_folio(
         if engine == "oracle":
             entries |= folio_bruteforce(rg, d).entries
         else:
-            entries |= _lattice_folio(
-                rg, d, lambda form: _run_membership_dp(rg, form, plan, max_states)
-            ).entries
+            entries |= _dp_folio(rg, d, plan, max_states).entries
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 
@@ -415,13 +440,10 @@ def strongly_irrelevant(host, k, d, v, max_multisets=DEFAULT_MULTISET_BUDGET):
         before = folio_bruteforce(RootedGraph.of(host.graph, tup), d).codes()
         after = RootedGraph.of(smaller, tuple(remap[r] for r in tup))
         _, above = pattern_lattice(k, d)  # built by folio_bruteforce
-        for form, code in candidate_patterns(k, d):
-            if (
-                code in before
-                and len(above[code] & before) == 1
-                and find_rooted_minor(after, form) is None
-            ):
-                return False
+        maximal = (form for form, code in candidate_patterns(k, d)
+                   if code in before and above[code] & before == {code})
+        if any(find_rooted_minor(after, form) is None for form in maximal):
+            return False
     return True
 
 

@@ -16,11 +16,11 @@ from .errors import (
     BudgetExceeded,
     CliqueTooSmall,
     PreconditionViolated,
-    SearchCapExceeded,
 )
 from .folios import (
     DEFAULT_MULTISET_BUDGET,
     DEFAULT_STATE_BUDGET,
+    ORACLE_HOST_CAP,
     kd_folio,
     strongly_irrelevant,
 )
@@ -315,9 +315,9 @@ def reduce(host, k, d, cfg=PipelineConfig()):
 
     One deletion per round. The clique rule is tried first when enabled;
     the oracle rule is the fallback. Every trace entry names the deleted
-    vertex in the numbering of the original input. When the oracle rule
-    hits its search caps, the deletions certified so far are returned with
-    status "capped".
+    vertex in the numbering of the original input. When the oracle rule is
+    needed on a host above its vertex cap, the deletions certified so far
+    are returned with status "capped"; its root and detail caps still raise.
     """
     cur = host
     orig_of = list(host.graph.vertices())
@@ -333,11 +333,10 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             if v is not None:
                 found = (v, "clique-rule")
         if found is None and cfg.engine in ("oracle", "both"):
-            try:
-                v = _oracle_step(cur, k, d, cfg)
-            except SearchCapExceeded:
+            if cur.graph.n > ORACLE_HOST_CAP:
                 status = "capped"
                 break
+            v = _oracle_step(cur, k, d, cfg)
             if v is not None:
                 found = (v, "oracle")
         if found is None:

@@ -184,6 +184,17 @@ def test_lattice_goes_from_smaller_to_larger_patterns():
                 assert form_of[small].graph.m <= form_of[big].graph.m
 
 
+def test_lattice_matches_rooted_minor_search():
+    # the lattice comes from deletions and contractions of the patterns;
+    # rooted-minor search is an independent witness of the same order
+    for k, d in [(k, d) for k in range(4) for d in range(3)] + [(2, 3)]:
+        below, _ = pattern_lattice(k, d)
+        cands = candidate_patterns(k, d)
+        for big, big_code in cands:
+            found = {c for small, c in cands if find_rooted_minor(big, small) is not None}
+            assert below[big_code] == found, (k, d)
+
+
 def test_lattice_orders_a_known_chain():
     # apart roots < roots joined by an edge; merged roots are below the
     # edge (contract it) but not below the apart pair

@@ -15,6 +15,7 @@ from minorkit.errors import (
     BudgetExceeded,
     CliqueTooSmall,
     PreconditionViolated,
+    SearchCapExceeded,
 )
 from minorkit.folios import kd_folio, strongly_irrelevant
 from minorkit.graphs import AnnotatedGraph, Graph, build_graph
@@ -344,6 +345,15 @@ def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped():
     assert trace.final_width == 7
     assert replay_trace(host, trace) == reduced
     assert trace_from_json(trace_to_json(trace)) == trace
+
+
+def test_reduce_still_raises_on_the_oracle_root_and_detail_caps():
+    # only a host above the vertex cap ends the run as "capped"; a detail or
+    # root count the oracle cannot take is a bad argument
+    cfg = PipelineConfig(threshold=4, engine="oracle")
+    for k, d in [(2, 4), (5, 1)]:
+        with pytest.raises(SearchCapExceeded):
+            reduce(blob_host(), k, d, cfg)
 
 
 # --- solve_folio ---------------------------------------------------------------
