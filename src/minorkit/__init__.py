@@ -6,8 +6,8 @@ Modules:
     decomposition  tree decompositions, exact solver, certificates, nice form
     linkages       patterns, disjoint paths, linkage counting, vitality
     folios         detail, rooted folios, the decomposition DP, irrelevance
-    plane          rotation-system plane graphs and concentric cycles
-    wells          cycle tightening and the drained / dry path normal forms
+    plane          rotation-system plane graphs, concentric cycles, tightening
+    wells          wells and their drained / dry path normal forms
     routing        feasibility and constructive routing on disc and cylinder
     constructions  generators for grids, walls, meshes, and the hard instances
     pipeline       the reduce-then-solve loop with certified deletions

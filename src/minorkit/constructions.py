@@ -1,12 +1,12 @@
 """Deterministic generators for structured instances.
 
-Grids, walls, cylindrical meshes, railed annuli, the chorded-grid linkage
-instances with their terminal pairings and witness linkages, the top-chorded
-strip graphs with their marked centre vertices, exhaustively generated
-families of connected 5-regular gadgets, the bridged gadget-pair target
-graphs, gadget-decorated linkage instances, and the structured checker that
-confirms the target stays a minor of the decoration until any single vertex
-is deleted.
+Grids, walls, cylindrical meshes, the chorded-grid linkage instances with
+their terminal pairings and witness linkages, the top-chorded strip graphs
+with their marked centre vertices, exhaustively generated families of
+connected 5-regular gadgets, the bridged gadget-pair target graphs,
+gadget-decorated linkage instances, and the structured checker that confirms
+the target stays a minor of the decoration until any single vertex is
+deleted.
 
 Every generator is pure and deterministic.  Vertex ids are dense and
 row-major where a grid underlies the instance; optional string labels record
@@ -44,6 +44,7 @@ from .linkages import (
     validate_linkage,
 )
 from .minors import MinorModel, canonical_code, verify_minor_model
+from .plane import PlaneGraph, embed_grid
 
 # Vitality self-checks at construction time get this many search nodes before
 # the instance is handed back with its uniqueness claim deferred.
@@ -89,42 +90,6 @@ class WallSpec:
     layers: tuple
 
 
-def _outer_walk(n, m, g):
-    """Closed walk bounding the outer face of g drawn on the n-by-m grid."""
-    # Rotation at each vertex: clockwise starting north.  Faces are orbits of
-    # (u, v) -> (v, w) where w precedes u in the rotation at v; the outer
-    # face is the longest orbit (ties broken by smallest vertex sequence).
-    deltas = ((-1, 0), (0, 1), (1, 0), (0, -1))
-    rot = {}
-    for v in g.vertices():
-        r, c = divmod(v, m)
-        order = []
-        for dr, dc in deltas:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < n and 0 <= cc < m and g.has_edge(v, rr * m + cc):
-                order.append(rr * m + cc)
-        rot[v] = order
-    unused = {(u, v) for u in g.vertices() for v in rot[u]}
-    faces = []
-    while unused:
-        start = min(unused)
-        walk = []
-        dart = start
-        while True:
-            walk.append(dart[0])
-            u, v = dart
-            ring = rot[v]
-            dart = (v, ring[(ring.index(u) - 1) % len(ring)])
-            unused.discard((u, v))
-            if dart == start:
-                break
-        faces.append(tuple(walk))
-    best = max(faces, key=lambda f: (len(f), [-x for x in f]))
-    # Rotate so the walk starts at its smallest vertex, for determinism.
-    pivot = best.index(min(best))
-    return best[pivot:] + best[:pivot]
-
-
 def wall(n):
     """The elementary wall of order n, with perimeter and layer annotations.
 
@@ -135,9 +100,9 @@ def wall(n):
     if n < 1:
         raise ParameterTooSmall(f"wall needs n >= 1, got {n}")
     m = 2 * n
-    g = grid(n, m)
+    drawn = embed_grid(n, m)
     kept = []
-    for u, v in g.edges:
+    for u, v in drawn.graph.edges:
         if v - u == m:  # vertical edge between rows i and i+1
             i = u // m + 1
             j = u % m + 1
@@ -146,8 +111,15 @@ def wall(n):
             if i % 2 == 0 and j % 2 == 1:
                 continue
         kept.append((u, v))
-    wg = Graph(g.n, kept)
-    perim = _outer_walk(n, m, wg)
+    wg = Graph(drawn.graph.n, kept)
+    # The grid's drawing restricted to the kept edges; the dart (1, 0) runs
+    # along the top row, so its face is the outer one.
+    rotation = [
+        [u for u in ring if wg.has_edge(v, u)]
+        for v, ring in enumerate(drawn.rotation)
+    ]
+    pg = PlaneGraph(wg, rotation, (1, 0))
+    perim = tuple(u for u, _ in pg.faces[pg.outer])
     # BFS layers from the perimeter inward.
     dist = {v: 0 for v in perim}
     frontier = sorted(dist)
@@ -168,7 +140,7 @@ def wall(n):
     return WallSpec(order=n, graph=wg, perimeter=perim, layers=tuple(layers))
 
 
-# --- cylindrical meshes and railed annuli ----------------------------------------
+# --- cylindrical meshes ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -184,57 +156,34 @@ class CylindricalMesh:
     rails: tuple
 
 
-def _ring_graph(n_rails, n_rings, tag):
-    if n_rails < 1 or n_rings < 1:
+def cylindrical_mesh(n, m):
+    """An n-by-m cylindrical mesh: n rails crossing m concentric cycles.
+
+    The vertex at position p of cycle i is labelled ``c{i+1}.{p+1}``.
+    """
+    if n < 1 or m < 1:
         raise ParameterTooSmall(
-            f"need at least one rail and one ring, got {n_rails}x{n_rings}"
+            f"need at least one rail and one ring, got {n}x{m}"
         )
-    ln = max(n_rails, 3)  # shortest simple cycle has three vertices
+    ln = max(n, 3)  # shortest simple cycle has three vertices
     edges = []
     labels = {}
-    rings = []
-    for i in range(n_rings):
+    cycles = []
+    for i in range(m):
         base = i * ln
-        rings.append(tuple(base + p for p in range(ln)))
+        cycles.append(tuple(base + p for p in range(ln)))
         for p in range(ln):
-            labels[base + p] = f"{tag}{i + 1}.{p + 1}"
+            labels[base + p] = f"c{i + 1}.{p + 1}"
             edges.append((base + p, base + (p + 1) % ln))
-        if i + 1 < n_rings:
-            for p in range(n_rails):
+        if i + 1 < m:
+            for p in range(n):
                 edges.append((base + p, base + ln + p))
-    rails = tuple(
-        tuple(i * ln + p for i in range(n_rings)) for p in range(n_rails)
+    rails = tuple(tuple(i * ln + p for i in range(m)) for p in range(n))
+    mesh = CylindricalMesh(
+        graph=Graph(m * ln, edges, labels), cycles=tuple(cycles), rails=rails
     )
-    return Graph(n_rings * ln, edges, labels), tuple(rings), rails
-
-
-def cylindrical_mesh(n, m):
-    """An n-by-m cylindrical mesh: n rails crossing m concentric cycles."""
-    g, cycles, rails = _ring_graph(n, m, "c")
-    mesh = CylindricalMesh(graph=g, cycles=cycles, rails=rails)
     _check_ring_structure(mesh.graph, mesh.cycles, mesh.rails)
     return mesh
-
-
-@dataclass(frozen=True)
-class RailedAnnulus:
-    """Circles C_1..C_w and rails R_1..R_r in annular position.
-
-    Each rail starts on circles[0], ends on circles[-1], meets every circle
-    in a (here: single-vertex) path, and visits the circles in order.
-    """
-
-    graph: Graph
-    circles: tuple
-    rails: tuple
-
-
-def railed_annulus(w, r):
-    """The canonical annulus with w circles and r rails."""
-    g, circles, rails = _ring_graph(r, w, "c")
-    ann = RailedAnnulus(graph=g, circles=circles, rails=rails)
-    _check_ring_structure(ann.graph, ann.circles, ann.rails)
-    return ann
 
 
 def _check_ring_structure(g, rings, rails):
@@ -328,9 +277,12 @@ def gamma_hat(k, vitality_budget=DEFAULT_VITALITY_BUDGET):
     t_k = u_{2**(k-1)}.
 
     The witness is validated structurally (pattern, disjointness, spanning)
-    for every k.  Uniqueness is checked exhaustively for k <= 3, under
-    vitality_budget search nodes; running out of budget defers the claim
-    rather than failing.  A provable non-vitality raises.
+    for every k.  For k <= 3 an exhaustive uniqueness search runs under
+    vitality_budget search nodes (DEFAULT_VITALITY_BUDGET, two million, by
+    default); running out of budget leaves vitality "deferred" rather than
+    failing.  At the default budget k = 2 comes back "proven" and k = 3
+    "deferred"; larger k are always "deferred".  A provable non-vitality
+    raises.
     """
     if k < 2:
         raise ParameterTooSmall(f"chorded-grid instance needs k >= 2, got {k}")

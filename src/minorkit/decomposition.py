@@ -7,13 +7,12 @@ eliminated-vertex sets. That search is exponential in the worst case, so it
 is reserved for graphs of at most twenty vertices. Larger structured graphs
 go through treewidth_certificates, which pins the width with a grid found as
 a subgraph (lower bound) and a column-sweep path decomposition (upper
-bound), falling back to a clique-minor bramble and an exact layout search
-when small.
+bound), falling back to a clique-minor bramble and exact_treewidth when
+small.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -33,7 +32,6 @@ from .graphs import (
 from .minors import find_minor
 
 EXACT_VERTEX_CAP = 20
-LAYOUT_VERTEX_CAP = 15
 
 
 @dataclass(frozen=True)
@@ -496,73 +494,13 @@ def _sweep_path_decomposition(g, cert):
     )
 
 
-def _exact_path_decomposition(g):
-    """Optimal vertex layout by subset search, turned into a path of bags."""
-    n = g.n
-    if n == 0:
-        return TreeDecomposition(Graph(1, []), (frozenset(),))
-    masks = neighbor_masks(g)
-    full = (1 << n) - 1
-    memo = {}
-    choice = {}
-
-    def f(placed):
-        if placed == full:
-            return 0
-        if placed in memo:
-            return memo[placed]
-        # the next bag is the new vertex plus the boundary of the prefix,
-        # whichever vertex comes next
-        size = 1
-        p = placed
-        while p:
-            pb = p & -p
-            p ^= pb
-            if masks[pb.bit_length() - 1] & ~placed:
-                size += 1
-        best = None
-        best_v = None
-        m = placed ^ full
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            cost = max(size, f(placed | b))
-            if best is None or cost < best:
-                best, best_v = cost, v
-        memo[placed] = best
-        choice[placed] = best_v
-        return best
-
-    f(0)
-    order = []
-    placed = 0
-    while placed != full:
-        v = choice[placed]
-        order.append(v)
-        placed |= 1 << v
-    pos_of = {v: i for i, v in enumerate(order)}
-    last_nbr = [
-        max((pos_of[w] for w in g.neighbors(v)), default=pos_of[v]) for v in range(n)
-    ]
-    bags = []
-    for i in range(n):
-        bag = {order[i]}
-        for j in range(i):
-            if last_nbr[order[j]] >= i:
-                bag.add(order[j])
-        bags.append(frozenset(bag))
-    edges = [(i, i + 1) for i in range(len(bags) - 1)]
-    return TreeDecomposition(Graph(len(bags), edges), tuple(bags))
-
-
 def treewidth_certificates(g, n):
     """Certificates pinning tw(g) = n without exhaustive search.
 
     Lower side: an n-by-n grid subgraph, else a clique minor giving a bramble
     of n+1 disjoint pairwise-touching sets. Upper side: a width-n path
-    decomposition, by column sweep when the grid spans the graph, else by
-    exact layout search on small graphs.
+    decomposition by column sweep when the grid spans the graph, else a
+    width-n decomposition from exact_treewidth, on at most twenty vertices.
     """
     grid_cert = find_grid_subgraph(g, n) if n >= 2 else None
     bramble = None
@@ -584,15 +522,15 @@ def treewidth_certificates(g, n):
         ):
             upper = None
     if upper is None:
-        if g.n > LAYOUT_VERTEX_CAP:
+        try:
+            found = exact_treewidth(g, upper=n)
+        except SearchCapExceeded as exc:
             raise CertificateNotFound(
-                f"no upper-bound certificate for width {n}: graph too large for layout search"
-            )
-        upper = _exact_path_decomposition(g)
-        if not validate_td(g, upper).valid or upper.width() != n:
-            raise CertificateNotFound(
-                f"no width-{n} path decomposition found (best {upper.width()})"
-            )
+                f"no upper-bound certificate for width {n}: {exc}"
+            ) from exc
+        if isinstance(found, AboveBound):
+            raise CertificateNotFound(f"treewidth exceeds {n}")
+        upper = found[1]
     return TreewidthCertificates(
         value=n, lower_grid=grid_cert, lower_bramble=bramble, upper=upper
     )
@@ -650,29 +588,35 @@ def nice_form(td):
                 parent[y] = x
                 order.append(y)
 
-    def build(node):
-        kids = [y for y in td.tree.neighbors(node) if parent.get(y) == node]
-        bag = td.bags[node]
-        if not kids:
-            return introduce_chain(bag)
-        branch_tops = []
-        for y in kids:
-            top = build(y)
-            branch_tops.append(chain_to(td.bags[y], top, bag))
-        acc = branch_tops[0]
-        for other in branch_tops[1:]:
-            join = new_node(bag)
-            edges_out.append((acc, join))
-            edges_out.append((other, join))
-            acc = join
-        return acc
+    def kids_reversed(node):
+        """node's children, last first, so that popping yields them in order."""
+        return [y for y in td.tree.neighbors(node) if parent.get(y) == node][::-1]
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * td.tree.n + 100))
-    try:
-        top = build(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # Post-order over the input tree. A frame holds a node, its children
+    # still to build and the tops of the branches built so far; each branch
+    # is chained to the node's bag as soon as it is built.
+    frames = [(0, kids_reversed(0), [])]
+    while True:
+        node, todo, branch_tops = frames[-1]
+        if todo:
+            y = todo.pop()
+            frames.append((y, kids_reversed(y), []))
+            continue
+        frames.pop()
+        bag = td.bags[node]
+        if not branch_tops:
+            top = introduce_chain(bag)
+        else:
+            top = branch_tops[0]
+            for other in branch_tops[1:]:
+                join = new_node(bag)
+                edges_out.append((top, join))
+                edges_out.append((other, join))
+                top = join
+        if not frames:
+            break
+        up = frames[-1]
+        up[2].append(chain_to(bag, top, td.bags[up[0]]))
     root = chain_to(td.bags[0], top, frozenset())
     # renumber so the root is node 0, children increasing outward
     adj = {}

@@ -115,10 +115,6 @@ class RootedGraph:
     def of(graph, roots):
         return RootedGraph(graph, tuple(roots))
 
-    @property
-    def root_set(self):
-        return frozenset(self.roots)
-
 
 @dataclass(frozen=True)
 class Separation:
@@ -170,11 +166,6 @@ def induced_subgraph(g, keep):
 def delete_vertex(g, v):
     """G - v with the index remapping of the survivors."""
     return induced_subgraph(g, (u for u in g.vertices() if u != v))
-
-
-def delete_vertices(g, vs):
-    drop = set(vs)
-    return induced_subgraph(g, (u for u in g.vertices() if u not in drop))
 
 
 def mask_bits(mask):

@@ -33,9 +33,6 @@ class MinorModel:
 
     branch_sets: tuple
 
-    def as_dict(self):
-        return dict(enumerate(self.branch_sets))
-
 
 def verify_minor_model(host, pattern, model):
     """All three invariants: disjoint connected non-empty sets, edges covered."""
@@ -270,18 +267,6 @@ def find_red_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
     )
 
 
-def _square_grid(k):
-    edges = []
-    for r in range(k):
-        for c in range(k):
-            v = r * k + c
-            if c + 1 < k:
-                edges.append((v, v + 1))
-            if r + 1 < k:
-                edges.append((v, v + k))
-    return Graph(k * k, edges)
-
-
 def bidim(host, cap, pattern_cap=None):
     """Largest k <= cap such that the k-by-k grid is a red minor of host.
 
@@ -289,13 +274,15 @@ def bidim(host, cap, pattern_cap=None):
     knows only a lower bound. The engine cap is raised to cap*cap so that the
     requested range is actually searchable.
     """
+    from .constructions import grid
+
     red = host.annotated
     if not red:
         return 0
     best = 0
     for k in range(1, cap + 1):
         pc = pattern_cap if pattern_cap is not None else max(DEFAULT_PATTERN_CAP, k * k)
-        if find_red_minor(host, _square_grid(k), pattern_cap=pc) is None:
+        if find_red_minor(host, grid(k, k), pattern_cap=pc) is None:
             break
         best = k
     return best

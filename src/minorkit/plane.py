@@ -119,11 +119,17 @@ class PlaneGraph:
         )
 
 
-def _cycle_edges(cycle):
-    out = set()
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        out.add((a, b) if a < b else (b, a))
-    return out
+def _edge_keys(walk):
+    """The edges between consecutive vertices of a walk, each as (low, high).
+    A cycle passes itself closed, `cycle + cycle[:1]`."""
+    return {(a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])}
+
+
+def _arc(cycle, i, j, step):
+    """The vertices of `cycle` from position i to position j, both ends
+    included, walking by step (1 or -1)."""
+    n = len(cycle)
+    return tuple(cycle[(i + step * d) % n] for d in range(((j - i) * step) % n + 1))
 
 
 def _is_cyclic_shift(a, b):
@@ -155,7 +161,7 @@ def inside_faces(pg, cycle):
     curve theorem and needs no geometry.
     """
     _check_cycle(pg.graph, cycle)
-    blocked = _cycle_edges(cycle)
+    blocked = _edge_keys(cycle + cycle[:1])
     return _faces_beyond(pg, blocked, (pg.outer,))
 
 
@@ -185,11 +191,6 @@ def vertex_in_closure(pg, v, region):
 def vertex_strictly_inside(pg, v, region):
     """Is v inside the region and not on its boundary?"""
     return all(f in region for f in pg._vertex_faces[v])
-
-
-def edge_in_closure(pg, u, v, region):
-    """Is edge uv inside the region or on its boundary?"""
-    return any(f in region for f in pg.edge_faces(u, v))
 
 
 def edge_strictly_inside(pg, u, v, region):
@@ -327,22 +328,10 @@ def _reroute(pg, cycle, short, keep_inside):
     contains every face of `keep_inside`."""
     u, v = short[0], short[-1]
     i, j = cycle.index(u), cycle.index(v)
-    fwd = []
-    k = i
-    while k != j:
-        fwd.append(cycle[k])
-        k = (k + 1) % len(cycle)
-    fwd.append(cycle[j])
-    bwd = []
-    k = i
-    while k != j:
-        bwd.append(cycle[k])
-        k = (k - 1) % len(cycle)
-    bwd.append(cycle[j])
     inner = tuple(short[1:-1])
     cand = []
-    for arc in (fwd, bwd):
-        new = tuple(arc) + tuple(reversed(inner))
+    for step in (1, -1):
+        new = _arc(cycle, i, j, step) + tuple(reversed(inner))
         if len(set(new)) == len(new) and len(new) >= 3:
             cand.append(new)
     best = None

@@ -26,6 +26,7 @@ from .errors import (
 from .linkages import Linkage, Pattern, pattern_of, validate_linkage
 from .plane import (
     ConcentricCycles,
+    _arc,
     _is_cyclic_shift,
     parse_plane,
     vertex_strictly_inside,
@@ -50,15 +51,18 @@ def feasible_on_disc(pattern, boundary_order):
             seen.append(term)
     if len(set(seen)) != len(seen):
         return False
-    pairs = pattern.pairs
-    for i in range(len(pairs)):
-        a, b = sorted((pos[pairs[i][0]], pos[pairs[i][1]]))
-        for j in range(i + 1, len(pairs)):
-            inside_c = a < pos[pairs[j][0]] < b
-            inside_d = a < pos[pairs[j][1]] < b
-            if inside_c != inside_d:
-                return False
-    return True
+    return not _chords_cross([(pos[a], pos[b]) for a, b in pattern.pairs])
+
+
+def _chords_cross(chords):
+    """Do two of the chords, each a pair of positions on a circle,
+    interleave?"""
+    for i, (a, b) in enumerate(chords):
+        a, b = sorted((a, b))
+        for c, d in chords[i + 1 :]:
+            if (a < c < b) != (a < d < b):
+                return True
+    return False
 
 
 def _normalize_radial(cc, paths):
@@ -109,14 +113,45 @@ def _normalize_radial(cc, paths):
     return norm, cross
 
 
-def _arc_between(cyc, cpos, u, v, step):
-    """Vertices strictly between u and v along the cycle, walking by step."""
-    out = []
-    k = (cpos[u] + step) % len(cyc)
-    while cyc[k] != v:
-        out.append(cyc[k])
-        k = (k + step) % len(cyc)
-    return tuple(out)
+def _peel(cc, norm, cross, pairs, wall_rails, level, step, seg_of):
+    """Close pairs of rails through cycle arcs, one cycle per round from
+    `level` on by `step`. A pair closes through whichever arc between its
+    two crossings misses every other open rail, every wall rail and every
+    arc already closed in the round; the route is the rails' segments
+    `seg_of(rail, level)` joined by that arc. Returns the routes, in
+    closing order, and the first level left untouched."""
+    routes = []
+    active = list(pairs)
+    while active:
+        cyc = cc.cycles[level]
+        cpos = {v: i for i, v in enumerate(cyc)}
+        walls = {norm[r][cross[r][level]] for r in wall_rails}
+        remaining = {r for pair in active for r in pair}
+        blocked = set()
+        still = []
+        for ra, rb in active:
+            u = norm[ra][cross[ra][level]]
+            v = norm[rb][cross[rb][level]]
+            others = {
+                norm[r][cross[r][level]] for r in remaining if r not in (ra, rb)
+            }
+            for direction in (1, -1):
+                arc = _arc(cyc, cpos[u], cpos[v], direction)[1:-1]
+                if set(arc) & (others | walls | blocked):
+                    continue
+                routes.append(
+                    seg_of(ra, level) + arc + tuple(reversed(seg_of(rb, level)))
+                )
+                blocked |= set(arc) | {u, v}
+                remaining.discard(ra)
+                remaining.discard(rb)
+                break
+            else:
+                still.append((ra, rb))
+        assert len(still) < len(active), "no pair closed at a level"
+        active = still
+        level += step
+    return routes, level
 
 
 def route_disc(cc, paths, pattern):
@@ -146,41 +181,16 @@ def route_disc(cc, paths, pattern):
         return None
 
     by_term = {p[0]: i for i, p in enumerate(norm)}
-    active = [(by_term[a], by_term[b]) for a, b in pattern.pairs]
-    routes = []
-    for level in range(t - 1, -1, -1):
-        if not active:
-            break
-        cyc = cc.cycles[level]
-        cpos = {v: i for i, v in enumerate(cyc)}
-        front = {}
-        remaining = set()
-        for ia, ib in active:
-            for i in (ia, ib):
-                front[i] = norm[i][cross[i][level]]
-                remaining.add(i)
-        blocked = set()
-        still = []
-        for ia, ib in active:
-            u, v = front[ia], front[ib]
-            others = {front[i] for i in remaining if i not in (ia, ib)}
-            closed = False
-            for step in (1, -1):
-                arc = _arc_between(cyc, cpos, u, v, step)
-                if set(arc) & (others | blocked):
-                    continue
-                seg_a = norm[ia][: cross[ia][level] + 1]
-                seg_b = norm[ib][: cross[ib][level] + 1]
-                routes.append(seg_a + arc + tuple(reversed(seg_b)))
-                blocked |= set(arc) | {u, v}
-                remaining.discard(ia)
-                remaining.discard(ib)
-                closed = True
-                break
-            if not closed:
-                still.append((ia, ib))
-        active = still
-    assert not active, "peeling ran out of cycles on a feasible pattern"
+    routes, _ = _peel(
+        cc,
+        norm,
+        cross,
+        [(by_term[a], by_term[b]) for a, b in pattern.pairs],
+        (),
+        t - 1,
+        -1,
+        lambda r, lv: norm[r][: cross[r][lv] + 1],
+    )
 
     linkage = Linkage.of(routes)
     assert validate_linkage(cc.plane.graph, linkage)
@@ -310,9 +320,9 @@ def route_cylinder(cc, paths, pattern):
     for pid, (a, b) in enumerate(pattern.pairs):
         ca, cb = cuff_of[a], cuff_of[b]
         if ca == 0 and cb == 0:
-            locals_out.append((pid, rail_of[a], rail_of[b]))
+            locals_out.append((rail_of[a], rail_of[b]))
         elif ca == 1 and cb == 1:
-            locals_in.append((pid, rail_of[a], rail_of[b]))
+            locals_in.append((rail_of[a], rail_of[b]))
         else:
             out_t, in_t = (a, b) if ca == 0 else (b, a)
             crossing.append((pid, rail_of[out_t], rail_of[in_t]))
@@ -335,70 +345,30 @@ def route_cylinder(cc, paths, pattern):
     if out_x and not _is_cyclic_shift(in_x, out_x):
         return None
 
-    routes = []
-    used = set()
-
-    def close_locals(local_pairs, wall_rails, start_level, step, seg_of):
-        """A crossing pair's route hugs its outer rail above the transfer
-        ring and its inner rail below, so each cuff's rounds only need to
-        steer around the rails on their own side."""
-        level = start_level
-        act = list(local_pairs)
-        while act:
-            cyc = cc.cycles[level]
-            cpos = {v: i for i, v in enumerate(cyc)}
-            walls = {norm[r][cross[r][level]] for r in wall_rails}
-            remaining = {r for _, ra, rb in act for r in (ra, rb)}
-            blocked = set()
-            still = []
-            for pid, ra, rb in act:
-                u = norm[ra][cross[ra][level]]
-                v = norm[rb][cross[rb][level]]
-                others = {
-                    norm[r][cross[r][level]]
-                    for r in remaining
-                    if r not in (ra, rb)
-                }
-                closed = False
-                for direction in (1, -1):
-                    arc = _arc_between(cyc, cpos, u, v, direction)
-                    if set(arc) & (others | walls | blocked):
-                        continue
-                    route = (
-                        seg_of(ra, level)
-                        + arc
-                        + tuple(reversed(seg_of(rb, level)))
-                    )
-                    routes.append(route)
-                    used.update(route)
-                    blocked |= set(arc) | {u, v}
-                    remaining.discard(ra)
-                    remaining.discard(rb)
-                    closed = True
-                    break
-                if not closed:
-                    still.append((pid, ra, rb))
-            assert len(still) < len(act), "no local pair closed at a level"
-            act = still
-            level += step
-        return level
-
-    out_rails = {ro for _, ro, _ in crossing}
-    in_rails = {ri for _, _, ri in crossing}
-    hi = close_locals(
+    # A crossing pair's route hugs its outer rail above the transfer ring
+    # and its inner rail below, so each cuff's rounds only need to steer
+    # around the rails on their own side.
+    routes, hi = _peel(
+        cc,
+        norm,
+        cross,
         locals_out,
-        out_rails,
+        [ro for _, ro, _ in crossing],
         t - 1,
         -1,
         lambda r, lv: norm[r][: cross[r][lv] + 1],
     )
-    lo = close_locals(
+    inner_routes, lo = _peel(
+        cc,
+        norm,
+        cross,
         locals_in,
-        in_rails,
+        [ri for _, _, ri in crossing],
         0,
         1,
-        lambda r, lv: tuple(reversed(norm[r][cross[r][lv]:])),
+        lambda r, lv: tuple(reversed(norm[r][cross[r][lv] :])),
     )
+    routes += inner_routes
 
     if crossing:
         n_slots = 2 * k
@@ -482,8 +452,7 @@ def route_cylinder(cc, paths, pattern):
                     va = norm[cur_rail[m]][cross[cur_rail[m]][level]]
                     vb = norm[new_rail][cross[new_rail][level]]
                     step = ring_steps[level] * (1 if a > 0 else -1)
-                    grown[m].extend(_arc_between(cyc, cpos, va, vb, step))
-                    grown[m].append(vb)
+                    grown[m].extend(_arc(cyc, cpos[va], cpos[vb], step)[1:])
                     cur[m] = new_slot
                     cur_rail[m] = new_rail
             if it + 1 < len(best):
@@ -534,13 +503,8 @@ class CurveSystem:
                 ends.append(x)
         if len(set(ends)) != len(ends):
             raise PreconditionViolated("curve endpoints must be distinct")
-        for i in range(len(chords)):
-            a, b = sorted(chords[i])
-            for j in range(i + 1, len(chords)):
-                in_c = a < chords[j][0] < b
-                in_d = a < chords[j][1] < b
-                if in_c != in_d:
-                    raise PreconditionViolated("curves cross on the disc")
+        if _chords_cross(chords):
+            raise PreconditionViolated("curves cross on the disc")
         return CurveSystem(
             "disc", (n_points,), chords, tuple(0 for _ in chords)
         )

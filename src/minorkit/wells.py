@@ -22,7 +22,8 @@ import json
 from .errors import MinorkitError, NotTight, PreconditionViolated
 from .plane import (
     ConcentricCycles,
-    _cycle_edges,
+    _arc,
+    _edge_keys,
     _is_cyclic_shift,
     edge_strictly_inside,
     inside_faces,
@@ -33,11 +34,14 @@ from .plane import (
 from .plane import is_tight as _cycles_tight
 
 
-def _path_edges(path):
-    out = set()
-    for a, b in zip(path, path[1:]):
-        out.add((a, b) if a < b else (b, a))
-    return out
+def _union_edges(cycles, paths):
+    """The edges of the well's graph: its cycles and paths together."""
+    union = set()
+    for c in cycles:
+        union |= _edge_keys(c + c[:1])
+    for p in paths:
+        union |= _edge_keys(p)
+    return union
 
 
 class Well:
@@ -142,19 +146,13 @@ class Well:
                 )
             touched.append(hit)
 
-        union = set()
-        for c in cycles:
-            union |= _cycle_edges(c)
-        for p in paths:
-            union |= _path_edges(p)
-
         self.plane = plane
         self.cycles = cycles
         self.paths = paths
         self.omega = omega
         self.nest = nest
         self.boundary = walk
-        self.union_edges = frozenset(union)
+        self.union_edges = frozenset(_union_edges(cycles, paths))
         self.touched = tuple(touched)
         self._pockets = {}
 
@@ -173,22 +171,13 @@ def pocket(w, i):
     p = w.paths[i]
     walk = w.boundary
     ia, ib = walk.index(p[0]), walk.index(p[-1])
-
-    def arc(start, stop):
-        out = [walk[start]]
-        j = start
-        while j != stop:
-            j = (j + 1) % len(walk)
-            out.append(walk[j])
-        return out
-
     sides = []
     for a0, a1 in ((ib, ia), (ia, ib)):
-        rim = arc(a0, a1)
+        rim = _arc(walk, a0, a1, 1)
         if a0 == ib:
-            cyc = list(p) + rim[1:-1]
+            cyc = p + rim[1:-1]
         else:
-            cyc = list(reversed(p)) + rim[1:-1]
+            cyc = tuple(reversed(p)) + rim[1:-1]
         if len(cyc) < 3:
             sides.append(frozenset())
         else:
@@ -197,7 +186,7 @@ def pocket(w, i):
 
     pv = set(p)
     inner = w.cycles[0]
-    inner_edges = _cycle_edges(inner)
+    inner_edges = _edge_keys(inner + inner[:1])
     clean = []
     for side in sides:
         touches = False
@@ -260,7 +249,7 @@ def _intersection_components(path, cycle):
     """Number of connected pieces of the path-cycle intersection, counting
     shared vertices joined by shared edges as one piece."""
     cset = set(cycle)
-    cedges = _cycle_edges(cycle)
+    cedges = _edge_keys(cycle + cycle[:1])
     pieces = 0
     prev_in = False
     prev_joined = False
@@ -303,15 +292,6 @@ def is_dry(w):
     return True
 
 
-def _union_count(cycles, paths):
-    union = set()
-    for c in cycles:
-        union |= _cycle_edges(c)
-    for p in paths:
-        union |= _path_edges(p)
-    return len(union)
-
-
 def _first_move(w):
     """The first valid rewrite that strictly shrinks the union edge count:
     replace a path segment between two visits to a cycle by a cycle arc.
@@ -331,17 +311,13 @@ def _first_move(w):
                     u, v = p[x], p[y]
                     iu, iv = cyc.index(u), cyc.index(v)
                     for step in (1, -1):
-                        arc = []
-                        k = iu
-                        while k != iv:
-                            k = (k + step) % len(cyc)
-                            arc.append(cyc[k])
-                        cand = p[: x + 1] + tuple(arc) + p[y + 1 :]
+                        arc = _arc(cyc, iu, iv, step)[1:]
+                        cand = p[: x + 1] + arc + p[y + 1 :]
                         if len(set(cand)) != len(cand):
                             continue
                         paths = list(w.paths)
                         paths[i] = cand
-                        if _union_count(w.cycles, paths) >= n_edges:
+                        if len(_union_edges(w.cycles, paths)) >= n_edges:
                             continue
                         try:
                             return Well(w.plane, w.cycles, paths, w.omega)

@@ -7,7 +7,6 @@ from minorkit.constructions import (
     CylindricalMesh,
     GadgetFamily,
     GammaInstance,
-    RailedAnnulus,
     WallSpec,
     _attachment_block,
     _five_regular_connected,
@@ -17,7 +16,6 @@ from minorkit.constructions import (
     gamma_hat,
     grid,
     h_graph,
-    railed_annulus,
     regular_gadgets,
     verify_hk_deletion,
     wall,
@@ -106,16 +104,33 @@ def test_wall_layers_partition_the_vertices():
         assert w.graph.has_edge(a, b)
 
 
-# --- cylindrical meshes and railed annuli ------------------------------------------
+def test_wall_perimeter_and_layers_are_pinned():
+    # exact order, not just the vertex sets: the walk starts at vertex 0
+    # and runs down the left side first, repeating the pendant corners
+    assert wall(2).perimeter == (0, 4, 5, 6, 7, 6, 2, 3, 2, 1)
+    assert wall(3).perimeter == (
+        0, 6, 7, 13, 12, 13, 14, 15, 16, 17, 11, 10, 4, 5, 4, 3, 2, 1
+    )
+    assert wall(3).layers == (
+        frozenset({0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17}),
+        frozenset({8, 9}),
+    )
 
 
-def test_mesh_3x3_rail_cycle_incidence():
-    mesh = cylindrical_mesh(3, 3)
+# --- cylindrical meshes ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (5, 4)])
+def test_mesh_rail_cycle_incidence(n, m):
+    mesh = cylindrical_mesh(n, m)
     assert isinstance(mesh, CylindricalMesh)
-    assert len(mesh.cycles) == 3 and len(mesh.rails) == 3
+    assert len(mesh.cycles) == m and len(mesh.rails) == n
     for rail in mesh.rails:
+        assert rail[0] in mesh.cycles[0] and rail[-1] in mesh.cycles[-1]
         for cyc, v in zip(mesh.cycles, rail):
             assert len(set(rail) & set(cyc)) == 1 and v in cyc
+    with pytest.raises(ParameterTooSmall):
+        cylindrical_mesh(0, m)
 
 
 def test_mesh_small_parameters_still_build():
@@ -124,18 +139,6 @@ def test_mesh_small_parameters_still_build():
     assert len(mesh.cycles[0]) == 3  # shortest simple cycle
     with pytest.raises(ParameterTooSmall):
         cylindrical_mesh(0, 3)
-
-
-def test_annulus_structure():
-    ann = railed_annulus(4, 5)
-    assert isinstance(ann, RailedAnnulus)
-    assert len(ann.circles) == 4 and len(ann.rails) == 5
-    for rail in ann.rails:
-        assert rail[0] in ann.circles[0] and rail[-1] in ann.circles[-1]
-        for cyc, v in zip(ann.circles, rail):
-            assert v in cyc
-    with pytest.raises(ParameterTooSmall):
-        railed_annulus(1, 0)
 
 
 # --- chorded-grid instances ---------------------------------------------------------

@@ -343,6 +343,22 @@ def test_certificates_on_gamma2_like():
     assert w == certs.value
 
 
+def test_certificates_past_the_grid_sweep_use_exact_treewidth():
+    # no spanning grid, so the upper side comes from exact_treewidth: a
+    # wall of order 3 (18 vertices, a K4 minor) and a 4x4 grid with one
+    # pendant vertex
+    w3 = wall(3).graph
+    certs = treewidth_certificates(w3, 3)
+    assert certs.lower_bramble is not None
+    check = validate_td(w3, certs.upper)
+    assert check.valid and check.width == 3
+    g = Graph(17, list(grid_graph(4, 4).edges) + [(15, 16)])
+    certs = treewidth_certificates(g, 4)
+    assert certs.lower_grid is not None
+    check = validate_td(g, certs.upper)
+    assert check.valid and check.width == 4
+
+
 def test_certificates_not_found_on_tree():
     with pytest.raises(CertificateNotFound):
         treewidth_certificates(path_graph(6), 2)
