@@ -14,12 +14,11 @@ Modules:
     cli            batch front end
 """
 
-from .graphs import AnnotatedGraph, Graph, RootedGraph, Separation, build_graph
+from .graphs import AnnotatedGraph, Graph, RootedGraph, Separation
 
 __all__ = [
     "AnnotatedGraph",
     "Graph",
     "RootedGraph",
     "Separation",
-    "build_graph",
 ]

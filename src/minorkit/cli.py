@@ -30,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .folios import dp_decomposition, folio_bruteforce, folio_dp, folio_to_json
-from .graphs import AnnotatedGraph, RootedGraph, build_graph, parse_edge_list, write_edge_list
+from .graphs import AnnotatedGraph, Graph, RootedGraph, parse_edge_list, write_edge_list
 from .linkages import disjoint_paths, is_vital, linkage_to_json, parse_pattern, write_pattern
 from .minors import bidim
 from .pipeline import PipelineConfig, reduce, trace_to_json
@@ -118,7 +118,7 @@ def _cmd_gen(args):
     elif args.kind == "random":
         rng = random.Random(args.seed)
         edges = [e for e in combinations(range(args.n), 2) if rng.random() < args.p]
-        g = build_graph(args.n, edges)
+        g = Graph(args.n, edges)
         out.write_text(write_edge_list(g))
         doc.update(vertices=g.n, edges=g.m, seed=args.seed)
     _emit(doc)

@@ -6,9 +6,10 @@ each width in between in turn by a pruned, memoized search over
 eliminated-vertex sets. That search is exponential in the worst case, so it
 is reserved for graphs of at most twenty vertices. Larger structured graphs
 go through treewidth_certificates, which pins the width with a grid found as
-a subgraph (lower bound) and a column-sweep path decomposition (upper
-bound), falling back to a clique-minor bramble and exact_treewidth when
-small.
+a subgraph (lower bound) and the decomposition of the grid's column-major
+elimination order (upper bound), falling back to a clique-minor bramble and
+exact_treewidth when small. Every decomposition the module builds comes from
+an elimination order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    connected_components,
     mask_bits,
     mask_neighborhood,
     mask_of,
@@ -99,69 +99,21 @@ def validate_td(g, td):
     for u, v in g.edges:
         if not any(u in b and v in b for b in td.bags):
             return TdCheck(False, width, adhesion)
-    # nodes holding each vertex must induce a subtree
-    holders = {}
-    for i, b in enumerate(td.bags):
+    # the nodes holding a vertex induce a forest of the tree, which is one
+    # subtree exactly when its node count exceeds its edge count by one
+    parts = {}
+    for b in td.bags:
         for v in b:
-            holders.setdefault(v, []).append(i)
-    for v, nodes in holders.items():
-        node_set = set(nodes)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in td.tree.neighbors(x):
-                if y in node_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != node_set:
-            return TdCheck(False, width, adhesion)
+            parts[v] = parts.get(v, 0) + 1
+    for x, y in td.tree.edges:
+        for v in td.bags[x] & td.bags[y]:
+            parts[v] -= 1
+    if any(count != 1 for count in parts.values()):
+        return TdCheck(False, width, adhesion)
     return TdCheck(True, width, adhesion)
 
 
 # --- exact treewidth ----------------------------------------------------------
-
-
-def _forest_decomposition(g):
-    bags = []
-    edges = []
-    parent = {}
-    seen = set()
-    node_of = {}
-    for r in range(g.n):
-        if r in seen:
-            continue
-        seen.add(r)
-        parent[r] = None
-        order = [r]
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    order.append(w)
-        for v in order:
-            if parent[v] is None:
-                bags.append(frozenset({v}))
-            else:
-                bags.append(frozenset({v, parent[v]}))
-            node_of[v] = len(bags) - 1
-            if parent[v] is not None:
-                edges.append((node_of[v], node_of[parent[v]]))
-    # stitch tree components together so the decomposition tree is connected
-    roots = [node_of[v] for v in parent if parent[v] is None]
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-    if not bags:
-        bags = [frozenset()]
-    return TreeDecomposition(Graph(len(bags), edges), tuple(bags))
-
-
-def _is_forest(g):
-    return g.m == g.n - len(connected_components(g))
 
 
 def _min_fill_order(masks):
@@ -310,33 +262,26 @@ def exact_treewidth(g, upper=None):
     """(width, decomposition), or an AboveBound marker when a bound is given
     and exceeded; capped at twenty vertices.
 
-    Forests are solved directly. Otherwise a min-fill order gives an upper
-    bound and minor-min-width a lower one; equal bounds return the min-fill
-    order at once. Between them, each target width from the lower bound up is
-    decided by a depth-first search over eliminated-vertex sets that skips
-    any vertex of elimination degree above the target; the first feasible
-    target is the treewidth. With `upper`, no target above it is searched,
-    and the answer is AboveBound as soon as the lower bound exceeds it. The
-    decomposition is built from the order and validated before return."""
+    A min-fill order gives an upper bound and minor-min-width a lower one;
+    equal bounds return the min-fill order at once. Between them, each target
+    width from the lower bound up is decided by a depth-first search over
+    eliminated-vertex sets that skips any vertex of elimination degree above
+    the target; the first feasible target is the treewidth. With `upper`, no
+    target above it is searched, and the answer is AboveBound as soon as the
+    lower bound exceeds it. The decomposition is built from the order and
+    validated before return. Forests and the empty graph need no search: on
+    a forest min-fill only eliminates vertices of degree at most one, so both
+    bounds meet."""
     if g.n > EXACT_VERTEX_CAP:
         raise SearchCapExceeded(
             f"{g.n} vertices; exact treewidth is capped at {EXACT_VERTEX_CAP}"
         )
-    if g.n == 0:
-        td = TreeDecomposition(Graph(1, []), (frozenset(),))
-        return (-1, td) if upper is None or upper >= -1 else AboveBound()
-    if _is_forest(g):
-        width = 1 if g.m else 0
-        td = _forest_decomposition(g)
-    else:
-        found = _elimination_width(g, upper)
-        if found is None:
-            return AboveBound()
-        width, order = found
-        td = _decomposition_from_order(g, order)
-    assert validate_td(g, td).valid and td.width() == width
-    if upper is not None and width > upper:
+    found = _elimination_width(g, upper)
+    if found is None:
         return AboveBound()
+    width, order = found
+    td = _decomposition_from_order(g, order)
+    assert validate_td(g, td).valid and td.width() == width
     return width, td
 
 
@@ -436,71 +381,14 @@ def find_grid_subgraph(g, side):
     return None
 
 
-def _sweep_path_decomposition(g, cert):
-    """Column sweep over a spanning grid placement. Endpoints of edges that
-    jump columns are retained in every intermediate bag so the edge lands in
-    a common bag without breaking per-vertex contiguity."""
-    side = cert.side
-    pos = {}
-    for r in range(side):
-        for c in range(side):
-            pos[cert.placement[r][c]] = (r, c)
-    if len(pos) != g.n:
-        return None
-    bag_index = {}
-    bags = []
-    for c in range(side - 1):
-        for r in range(side):
-            bag = {cert.placement[i][c] for i in range(r, side)}
-            bag |= {cert.placement[i][c + 1] for i in range(r + 1)}
-            bag_index[(c, r)] = len(bags)
-            bags.append(set(bag))
-    if side == 1:
-        bags = [set(pos)]
-        bag_index[(0, 0)] = 0
-    grid_pairs = set()
-    for r in range(side):
-        for c in range(side):
-            if c + 1 < side:
-                grid_pairs.add(
-                    frozenset({cert.placement[r][c], cert.placement[r][c + 1]})
-                )
-            if r + 1 < side:
-                grid_pairs.add(
-                    frozenset({cert.placement[r][c], cert.placement[r + 1][c]})
-                )
-    for u, v in sorted(g.edges):
-        if frozenset({u, v}) in grid_pairs:
-            continue
-        (ru, cu), (rv, cv) = pos[u], pos[v]
-        if cu > cv or (cu == cv and ru > rv):
-            (u, v), (ru, cu), (rv, cv) = (v, u), (rv, cv), (ru, cu)
-        if cu == cv:
-            c_full = cu if cu < side - 1 else side - 2
-            target = bag_index[(c_full, side - 1 if cu == side - 1 else 0)]
-            if not ({u, v} <= bags[target]):
-                last = max(i for i, b in enumerate(bags) if u in b)
-                lo, hi = min(last, target), max(last, target)
-                for i in range(lo, hi + 1):
-                    bags[i].add(u)
-            continue
-        target = bag_index[(cv - 1, rv)]
-        last_u = max(i for i, b in enumerate(bags) if u in b)
-        for i in range(min(last_u, target), max(last_u, target) + 1):
-            bags[i].add(u)
-    edges = [(i, i + 1) for i in range(len(bags) - 1)]
-    return TreeDecomposition(
-        Graph(len(bags), edges), tuple(frozenset(b) for b in bags)
-    )
-
-
 def treewidth_certificates(g, n):
     """Certificates pinning tw(g) = n without exhaustive search.
 
     Lower side: an n-by-n grid subgraph, else a clique minor giving a bramble
-    of n+1 disjoint pairwise-touching sets. Upper side: a width-n path
-    decomposition by column sweep when the grid spans the graph, else a
-    width-n decomposition from exact_treewidth, on at most twenty vertices.
+    of n+1 disjoint pairwise-touching sets. Upper side: when the grid spans
+    the graph, the decomposition of its column-major elimination order if
+    that has width n; else a width-n decomposition from exact_treewidth, on
+    at most twenty vertices.
     """
     grid_cert = find_grid_subgraph(g, n) if n >= 2 else None
     bramble = None
@@ -515,11 +403,10 @@ def treewidth_certificates(g, n):
         assert validate_bramble(g, bramble)
         assert bramble_order(g, bramble) == n + 1
     upper = None
-    if grid_cert is not None:
-        upper = _sweep_path_decomposition(g, grid_cert)
-        if upper is not None and (
-            not validate_td(g, upper).valid or upper.width() != n
-        ):
+    if grid_cert is not None and n * n == g.n:
+        columns = zip(*grid_cert.placement)
+        upper = _decomposition_from_order(g, [v for col in columns for v in col])
+        if upper.width() != n:
             upper = None
     if upper is None:
         try:

@@ -124,8 +124,7 @@ def candidate_patterns(k, d):
             for esize in range(d + 1):
                 for edges in itertools.combinations(pairs, esize):
                     rg = RootedGraph(Graph(nv, edges), tuple(roots))
-                    form, sig = canonical_form(rg)
-                    code = repr(sig).encode("ascii")
+                    form, code = canonical_form(rg)
                     if code in seen:
                         continue
                     seen.add(code)
@@ -395,6 +394,15 @@ def folio_dp(host, d, td, max_states=DEFAULT_STATE_BUDGET):
 # --- (k,d)-folio and strong irrelevance -----------------------------------------
 
 
+def _root_tuples(host, k, max_multisets):
+    """Every ordered k-multiset of annotated vertices, once their number is
+    checked against max_multisets."""
+    reds = sorted(host.annotated)
+    if len(reds) ** k > max_multisets:
+        raise BudgetExceeded(f"{len(reds) ** k} root multisets exceeds {max_multisets}")
+    return itertools.product(reds, repeat=k)
+
+
 def kd_folio(
     host,
     k,
@@ -405,15 +413,12 @@ def kd_folio(
 ):
     """Union of d-folios over all ordered k-multisets of annotated vertices.
     The DP engine builds one plan per host from dp_decomposition."""
-    reds = sorted(host.annotated)
-    total = len(reds) ** k if k else 1
-    if total > max_multisets:
-        raise BudgetExceeded(f"{total} root multisets exceeds {max_multisets}")
+    tuples = _root_tuples(host, k, max_multisets)
     if engine == "dp":
         plan = _dp_plan(host.graph, dp_decomposition(host.graph))
 
     entries = set()
-    for tup in itertools.product(reds, repeat=k):
+    for tup in tuples:
         rg = RootedGraph.of(host.graph, tup)
         if engine == "oracle":
             entries |= folio_bruteforce(rg, d).entries
@@ -431,12 +436,9 @@ def strongly_irrelevant(host, k, d, v, max_multisets=DEFAULT_MULTISET_BUDGET):
     searched for after it; the first one missing answers False."""
     if v in host.annotated:
         raise PreconditionViolated(f"vertex {v} is annotated; cannot test it")
-    reds = sorted(host.annotated)
-    total = len(reds) ** k if k else 1
-    if total > max_multisets:
-        raise BudgetExceeded(f"{total} root multisets exceeds {max_multisets}")
+    tuples = _root_tuples(host, k, max_multisets)
     smaller, remap = delete_vertex(host.graph, v)
-    for tup in itertools.product(reds, repeat=k):
+    for tup in tuples:
         before = folio_bruteforce(RootedGraph.of(host.graph, tup), d).codes()
         after = RootedGraph.of(smaller, tuple(remap[r] for r in tup))
         _, above = pattern_lattice(k, d)  # built by folio_bruteforce

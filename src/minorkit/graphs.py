@@ -132,11 +132,6 @@ class Separation:
         return Separation(frozenset(a), frozenset(b))
 
 
-def build_graph(n, edges, labels=None):
-    """Normalize an edge list into a Graph, rejecting bad input loudly."""
-    return Graph(n, edges, labels)
-
-
 def verify_separation(g, s):
     """Check both separation conditions: cover and no crossing edge."""
     if s.side_a | s.side_b != frozenset(g.vertices()):

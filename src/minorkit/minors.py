@@ -309,8 +309,8 @@ def _refine(g, colors):
 def canonical_form(rg, cap=20):
     """Canonical relabeling of a rooted graph.
 
-    Returns (canonical RootedGraph, signature tuple). Two rooted graphs get
-    the same signature exactly when a rooted isomorphism (roots fixed
+    Returns (canonical RootedGraph, code bytes). Two rooted graphs get the
+    same code exactly when a rooted isomorphism (roots fixed
     pointwise by position) exists between them. Individualization plus color
     refinement, exact, sized for folio members and gadget-scale graphs.
     """
@@ -355,13 +355,12 @@ def canonical_form(rg, cap=20):
 
     rec(colors0)
     n, roots_img, edges_img = best
-    return RootedGraph(Graph(n, edges_img), roots_img), best
+    return RootedGraph(Graph(n, edges_img), roots_img), repr(best).encode("ascii")
 
 
 def canonical_code(rg, cap=20):
     """Byte string; equal exactly for rooted-isomorphic inputs."""
-    _, sig = canonical_form(rg, cap=cap)
-    return repr(sig).encode("ascii")
+    return canonical_form(rg, cap)[1]
 
 
 def isomorphic(g1, g2, cap=20):
@@ -372,6 +371,6 @@ def isomorphic(g1, g2, cap=20):
         g2.degree(v) for v in g2.vertices()
     ):
         return False
-    return canonical_code(RootedGraph(g1, ())) == canonical_code(
-        RootedGraph(g2, ()), cap=cap
+    return canonical_code(RootedGraph(g1, ()), cap) == canonical_code(
+        RootedGraph(g2, ()), cap
     )

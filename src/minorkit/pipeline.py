@@ -28,11 +28,17 @@ from .graphs import (
     AnnotatedGraph,
     Graph,
     delete_vertex,
+    mask_bits,
+    mask_of,
+    mask_reach,
     min_vertex_cut,
+    neighbor_masks,
     parse_edge_list,
     write_edge_list,
 )
-from .minors import MinorModel, find_minor, verify_minor_model
+from .minors import DEFAULT_PATTERN_CAP, MinorModel, find_minor, verify_minor_model
+
+_RULES = ("clique-rule", "oracle")
 
 
 # --- dense clique minors -----------------------------------------------------
@@ -45,20 +51,6 @@ def _complete(t):
 def _meets_density(n, m, order):
     """Edge count at least 2^(order-3) times the vertex count, exactly."""
     return 8 * m >= (1 << order) * n
-
-
-def _cluster_state(g):
-    sets = [frozenset([v]) for v in g.vertices()]
-    adj = [set(g.neighbors(v)) for v in g.vertices()]
-    return sets, adj
-
-
-def _delete_cluster(sets, adj, i):
-    keep = [j for j in range(len(sets)) if j != i]
-    remap = {old: new for new, old in enumerate(keep)}
-    nsets = [sets[j] for j in keep]
-    nadj = [{remap[x] for x in adj[j] if x != i} for j in keep]
-    return nsets, nadj
 
 
 def _contract_clusters(sets, adj, i, j):
@@ -102,28 +94,18 @@ def _guaranteed_clique(sets, adj, order):
 
     while True:
         n, m = len(sets), _edge_count(adj)
-        step = None
-        for i in range(n):
-            if _meets_density(n - 1, m - len(adj[i]), order):
-                step = ("del", i)
-                break
-        if step is None:
-            for i in range(n):
-                for j in sorted(adj[i]):
-                    if j < i:
-                        continue
-                    lost = 1 + len(adj[i] & adj[j])
-                    if _meets_density(n - 1, m - lost, order):
-                        step = ("con", i, j)
-                        break
-                if step is not None:
-                    break
-        if step is None:
+        drops = (i for i in range(n) if _meets_density(n - 1, m - len(adj[i]), order))
+        drop = next(drops, None)
+        if drop is not None:
+            sets, adj = _induced_clusters(sets, adj, set(range(n)) - {drop})
+            continue
+        # contracting ij loses the edge and one edge per common neighbour
+        pairs = ((i, j) for i in range(n) for j in sorted(adj[i])
+                 if i < j and _meets_density(n - 1, m - 1 - len(adj[i] & adj[j]), order))
+        pair = next(pairs, None)
+        if pair is None:
             break
-        if step[0] == "del":
-            sets, adj = _delete_cluster(sets, adj, step[1])
-        else:
-            sets, adj = _contract_clusters(sets, adj, step[1], step[2])
+        sets, adj = _contract_clusters(sets, adj, *pair)
 
     # minimality forces every edge to share at least 2^(order-3) common
     # neighbours, so any neighbourhood is dense enough one level down
@@ -179,7 +161,8 @@ def dense_clique_minor(g, t):
         raise PreconditionViolated("clique order must be at least 1")
     if g.n == 0:
         return None, "the graph has no vertices"
-    sets, adj = _cluster_state(g)
+    sets = [frozenset([v]) for v in g.vertices()]
+    adj = [set(g.neighbors(v)) for v in g.vertices()]
     if _meets_density(g.n, g.m, t):
         found = _guaranteed_clique(sets, adj, t)
     else:
@@ -198,18 +181,9 @@ def dense_clique_minor(g, t):
 # --- the clique deletion rule ------------------------------------------------
 
 
-def _component_through(g, seeds, blocked):
-    seen = set(s for s in seeds if s not in blocked)
-    queue = sorted(seen)
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.neighbors(v):
-            if w not in blocked and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+def _clique_order(terms, d):
+    """The clique-minor order the clique rule needs for these terminals."""
+    return (5 * len(terms)) // 2 + 3 * d * d + 1
 
 
 def clique_irrelevant_vertex(host, d, model):
@@ -226,7 +200,7 @@ def clique_irrelevant_vertex(host, d, model):
     g = host.graph
     terms = set(host.annotated)
     t = len(model.branch_sets)
-    bound = (5 * len(terms)) // 2 + 3 * d * d + 1
+    bound = _clique_order(terms, d)
     if t < bound:
         raise CliqueTooSmall(
             f"clique order {t} is under the bound {bound} for "
@@ -235,20 +209,23 @@ def clique_irrelevant_vertex(host, d, model):
     if not verify_minor_model(g, _complete(t), model):
         raise PreconditionViolated("model is not a valid clique minor model")
 
+    masks = neighbor_masks(g)
     best = None
     for u, bset in enumerate(model.branch_sets):
         if set(bset) & terms:
             continue
-        # the cut nearest the branch set leaves the terminal side maximal
+        # the cut nearest the branch set leaves the terminal side maximal;
+        # the cut never holds a vertex of the branch set
         cut = min_vertex_cut(g, terms, bset)
-        far = _component_through(g, bset, cut)
-        assert not far & terms and not far & cut
-        key = (len(cut), len(far), u)
+        outside = (1 << g.n) - 1 & ~mask_of(cut)
+        far = mask_reach(mask_of(bset), outside, masks)
+        assert not far & mask_of(terms)
+        key = (len(cut), far.bit_count(), u)
         if best is None or key < best[0]:
             best = (key, far)
     if best is None:
         return None
-    return min(best[1])
+    return next(mask_bits(best[1]))
 
 
 # --- the reduction driver ----------------------------------------------------
@@ -263,7 +240,6 @@ class PipelineConfig:
     max_deletions: int = None
     max_multisets: int = DEFAULT_MULTISET_BUDGET
     max_states: int = DEFAULT_STATE_BUDGET
-    pattern_cap: int = 12
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -284,16 +260,22 @@ class ReductionTrace:
     status: str  # "met" | "stuck" | "capped"
 
 
+def _delete(cur, orig_of, v):
+    """cur - v, with the input numbering of its survivors."""
+    smaller, remap = delete_vertex(cur.graph, v)
+    annotated = {remap[r] for r in cur.annotated}
+    return AnnotatedGraph.of(smaller, annotated), orig_of[:v] + orig_of[v + 1 :]
+
+
 def _clique_step(cur, d, width, cfg):
     """One clique-rule attempt; returns a vertex of the current graph or
     None. Skipped outright when the treewidth already rules the order out."""
-    terms = cur.annotated
-    need = (5 * len(terms)) // 2 + 3 * d * d + 1
-    if width + 1 < need or need > cfg.pattern_cap:
+    need = _clique_order(cur.annotated, d)
+    if width + 1 < need or need > DEFAULT_PATTERN_CAP:
         return None
     model, _ = dense_clique_minor(cur.graph, need)
     if model is None:
-        model = find_minor(cur.graph, _complete(need), pattern_cap=cfg.pattern_cap)
+        model = find_minor(cur.graph, _complete(need))
     if model is None:
         return None
     return clique_irrelevant_vertex(cur, d, model)
@@ -319,8 +301,7 @@ def reduce(host, k, d, cfg=PipelineConfig()):
     needed on a host above its vertex cap, the deletions certified so far
     are returned with status "capped"; its root and detail caps still raise.
     """
-    cur = host
-    orig_of = list(host.graph.vertices())
+    cur, orig_of = host, list(host.graph.vertices())
     deletions = []
     while True:
         width, _ = exact_treewidth(cur.graph)
@@ -348,9 +329,7 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             )
         v, rule = found
         deletions.append((orig_of[v], rule))
-        smaller, remap = delete_vertex(cur.graph, v)
-        cur = AnnotatedGraph.of(smaller, {remap[r] for r in cur.annotated})
-        orig_of = [orig_of[old] for old in sorted(remap)]
+        cur, orig_of = _delete(cur, orig_of, v)
     trace = ReductionTrace(
         deletions=tuple(deletions),
         final=cur,
@@ -360,18 +339,25 @@ def reduce(host, k, d, cfg=PipelineConfig()):
     return cur, trace
 
 
+def _replay(host, trace):
+    """Walk the trace's deletions over the input: yields each graph with the
+    vertex, in its numbering, that the next deletion removes, then the last
+    graph with None. Raises PreconditionViolated when a deletion names a
+    vertex the graph does not have, or an annotated one."""
+    cur, orig_of = host, list(host.graph.vertices())
+    for orig_v, _ in trace.deletions:
+        v = orig_of.index(orig_v) if orig_v in orig_of else None
+        if v is None or v in cur.annotated:
+            raise PreconditionViolated(f"trace deletes {orig_v}, not a free vertex of the graph")
+        yield cur, v
+        cur, orig_of = _delete(cur, orig_of, v)
+    yield cur, None
+
+
 def replay_trace(host, trace):
     """Apply the trace's deletions to the input; must reproduce the final
     graph exactly."""
-    g = host.graph
-    annotated = set(host.annotated)
-    orig_of = list(g.vertices())
-    for orig_v, _ in trace.deletions:
-        v = orig_of.index(orig_v)
-        g, remap = delete_vertex(g, v)
-        annotated = {remap[r] for r in annotated}
-        orig_of = [orig_of[old] for old in sorted(remap)]
-    got = AnnotatedGraph.of(g, annotated)
+    *_, (got, _) = _replay(host, trace)
     if got != trace.final:
         raise PreconditionViolated("trace does not replay to its final graph")
     return got
@@ -380,16 +366,11 @@ def replay_trace(host, trace):
 def verify_trace(host, trace, k, d, max_multisets=DEFAULT_MULTISET_BUDGET):
     """Replay the trace, oracle-checking every deletion at its moment.
     True iff each deleted vertex was strongly irrelevant right then."""
-    cur = host
-    orig_of = list(host.graph.vertices())
-    for orig_v, _ in trace.deletions:
-        v = orig_of.index(orig_v)
+    for cur, v in _replay(host, trace):
+        if v is None:
+            return cur == trace.final
         if not strongly_irrelevant(cur, k, d, v, max_multisets=max_multisets):
             return False
-        smaller, remap = delete_vertex(cur.graph, v)
-        cur = AnnotatedGraph.of(smaller, {remap[r] for r in cur.annotated})
-        orig_of = [orig_of[old] for old in sorted(remap)]
-    return cur == trace.final
 
 
 def solve_folio(host, k, d, cfg=PipelineConfig()):
@@ -421,15 +402,22 @@ def trace_to_json(trace):
 
 
 def trace_from_json(text):
-    doc = json.loads(text)
-    if doc["status"] not in ("met", "stuck", "capped"):
-        raise PreconditionViolated(f"unknown status {doc['status']!r}")
-    final = AnnotatedGraph.of(
-        parse_edge_list(doc["final_graph"]), doc["final_annotated"]
-    )
-    return ReductionTrace(
-        deletions=tuple((int(v), rule) for v, rule in doc["deletions"]),
-        final=final,
-        final_width=int(doc["final_width"]),
-        status=doc["status"],
-    )
+    """Inverse of trace_to_json. Raises PreconditionViolated on a document
+    that is not a trace: a missing or ill-typed field, an unknown status or
+    an unknown rule."""
+    try:
+        doc = json.loads(text)
+        status = doc["status"]
+        deletions = tuple((int(v), rule) for v, rule in doc["deletions"])
+        final = AnnotatedGraph.of(
+            parse_edge_list(doc["final_graph"]), doc["final_annotated"]
+        )
+        final_width = int(doc["final_width"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionViolated(f"malformed trace: {exc!r}") from exc
+    if status not in ("met", "stuck", "capped"):
+        raise PreconditionViolated(f"unknown status {status!r}")
+    for _, rule in deletions:
+        if rule not in _RULES:
+            raise PreconditionViolated(f"unknown rule {rule!r}")
+    return ReductionTrace(deletions, final, final_width, status)

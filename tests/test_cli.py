@@ -13,7 +13,7 @@ import pytest
 
 from minorkit import cli
 from minorkit.constructions import cylindrical_mesh, gamma_hat, grid, wall, z_graph
-from minorkit.graphs import AnnotatedGraph, build_graph, parse_edge_list, write_edge_list
+from minorkit.graphs import AnnotatedGraph, Graph, parse_edge_list, write_edge_list
 from minorkit.linkages import parse_pattern
 from minorkit.minors import bidim
 
@@ -25,7 +25,7 @@ def run_cli(capsys, argv):
 
 
 def write_c4(tmp_path):
-    g = build_graph(
+    g = Graph(
         4,
         [(0, 1), (1, 2), (2, 3), (3, 0)],
         labels={0: "a", 1: "b", 2: "c", 3: "d"},
@@ -178,7 +178,7 @@ def write_blob(tmp_path):
 
     core = [(0, 1), (1, 2), (2, 3), (3, 0)]
     blob = list(itertools.combinations(range(4, 11), 2))
-    g = build_graph(11, core + blob + [(1, 4), (3, 5), (0, 6)])
+    g = Graph(11, core + blob + [(1, 4), (3, 5), (0, 6)])
     path = tmp_path / "blob.edg"
     path.write_text(write_edge_list(g))
     return path
@@ -229,7 +229,7 @@ def test_reduce_prints_the_partial_trace_and_exits_three_when_capped(tmp_path, c
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     clique = list(itertools.combinations(range(5, 16), 2))
     path = tmp_path / "cycle_clique.edg"
-    path.write_text(write_edge_list(build_graph(16, cycle + clique + [(4, 5)])))
+    path.write_text(write_edge_list(Graph(16, cycle + clique + [(4, 5)])))
     code, doc = run_cli(
         capsys,
         [

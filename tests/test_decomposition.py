@@ -8,6 +8,7 @@ and against a bound-free subset DP over eliminated sets up to ten vertices.
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from minorkit.decomposition import (
     bramble_order,
     exact_treewidth,
     find_grid_subgraph,
+    min_fill_decomposition,
     nice_form,
     nice_node_kind,
     parse_td,
@@ -158,6 +160,48 @@ def test_disconnected_tree_invalid():
     assert not validate_td(g, td).valid
 
 
+def nx_valid(g, td):
+    """The three decomposition conditions, checked with networkx: the nodes
+    holding each vertex must induce a connected subgraph of the tree."""
+    tree = nx.Graph()
+    tree.add_nodes_from(range(td.tree.n))
+    tree.add_edges_from(td.tree.edges)
+    if len(td.bags) != td.tree.n or not nx.is_tree(tree):
+        return False
+    if set().union(*td.bags) != set(range(g.n)):
+        return False
+    if not all(any({u, v} <= b for b in td.bags) for u, v in g.edges):
+        return False
+    return all(
+        nx.is_connected(tree.subgraph(i for i, b in enumerate(td.bags) if v in b))
+        for v in range(g.n)
+    )
+
+
+def test_validate_td_agrees_with_networkx():
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(300):
+        g = random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.7), rng)
+        td = exact_treewidth(g)[1] if rng.random() < 0.5 else min_fill_decomposition(g)
+        bags = [set(b) for b in td.bags]
+        edges = set(td.tree.edges)
+        how = rng.randrange(4)
+        if how == 1:  # drop a vertex from a bag
+            bag = rng.choice(bags)
+            bag.discard(rng.choice(sorted(bag) or [0]))
+        elif how == 2:  # add a vertex to a bag
+            rng.choice(bags).add(rng.randrange(g.n))
+        elif how == 3 and edges:  # move a tree edge
+            edges.discard(rng.choice(sorted(edges)))
+            edges.add(tuple(rng.sample(range(len(bags)), 2)))
+        bad = TreeDecomposition(Graph(len(bags), edges), tuple(frozenset(b) for b in bags))
+        verdict = validate_td(g, bad).valid
+        assert verdict == nx_valid(g, bad)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # --- exact treewidth ----------------------------------------------------------
 
 
@@ -173,6 +217,27 @@ def test_edgeless_and_empty():
     assert width == 0 and validate_td(Graph(3, []), td).valid
     width, td = exact_treewidth(Graph(0, []))
     assert width == -1
+
+
+@st.composite
+def forests(draw, max_n=20):
+    """Each vertex hangs from an earlier one or starts a new tree."""
+    n = draw(st.integers(0, max_n))
+    parents = [draw(st.integers(-1, v - 1)) for v in range(n)]
+    return Graph(n, [(p, v) for v, p in enumerate(parents) if p >= 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests())
+def test_forests_need_no_search(g):
+    width, td = exact_treewidth(g)
+    assert width == (1 if g.m else 0 if g.n else -1)
+    assert validate_td(g, td).valid and td.width() == width
+    bounded = exact_treewidth(g, upper=0)
+    if g.m:
+        assert isinstance(bounded, AboveBound)
+    else:
+        assert bounded[0] == width
 
 
 def test_3x3_grid_width_three():
@@ -357,6 +422,16 @@ def test_certificates_past_the_grid_sweep_use_exact_treewidth():
     assert certs.lower_grid is not None
     check = validate_td(g, certs.upper)
     assert check.valid and check.width == 4
+
+
+def test_certificates_on_a_chorded_grid_past_the_exact_cap():
+    # 25 vertices are past exact_treewidth's cap, so only the grid's
+    # column-major elimination order can give the upper side
+    g = Graph(25, list(grid(5, 5).edges) + [(0, 6)])
+    certs = treewidth_certificates(g, 5)
+    assert certs.lower_grid is not None and certs.lower_grid.side == 5
+    check = validate_td(g, certs.upper)
+    assert check.valid and check.width == 5
 
 
 def test_certificates_not_found_on_tree():

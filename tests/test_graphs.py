@@ -10,7 +10,6 @@ from minorkit.graphs import (
     RootedGraph,
     Separation,
     blocks,
-    build_graph,
     connected_components,
     delete_vertex,
     induced_subgraph,
@@ -48,33 +47,33 @@ def random_graph(n, p, rng):
 
 
 def test_build_one_vertex():
-    g = build_graph(1, [])
+    g = Graph(1, [])
     assert g.n == 1 and g.m == 0
 
 
 def test_build_cycle():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.m == 4
     assert g.neighbors(0) == (1, 3)
 
 
 def test_build_rejects_self_loop():
     with pytest.raises(SelfLoop):
-        build_graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
 
 
 def test_build_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
 
 
 def test_build_dedups_parallel_edges():
-    g = build_graph(2, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
 
 
 def test_rooted_and_annotated_validate():
-    g = build_graph(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     assert RootedGraph.of(g, (0, 0, 2)).roots == (0, 0, 2)
     assert AnnotatedGraph.of(g, [2, 1]).annotated == frozenset({1, 2})
     with pytest.raises(IndexOutOfRange):
@@ -84,7 +83,7 @@ def test_rooted_and_annotated_validate():
 
 
 def test_delete_vertex_remaps():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)], labels={3: "end"})
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)], labels={3: "end"})
     h, remap = delete_vertex(g, 1)
     assert h.n == 3 and h.m == 1
     assert h.labels[remap[3]] == "end"
@@ -95,26 +94,26 @@ def test_delete_vertex_remaps():
 
 
 def test_separation_full_overlap_is_valid():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     s = Separation.of({0, 1, 2}, {0, 1, 2})
     assert verify_separation(g, s)
     assert s.order == 3
 
 
 def test_separation_crossing_edge_invalid():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert not verify_separation(g, Separation.of({0}, {1}))
 
 
 def test_separation_star():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     s = Separation.of({0, 1}, {0, 2, 3})
     assert verify_separation(g, s)
     assert s.order == 1
 
 
 def test_separation_must_cover():
-    g = build_graph(3, [])
+    g = Graph(3, [])
     assert not verify_separation(g, Separation.of({0}, {1}))
 
 
@@ -122,14 +121,14 @@ def test_separation_must_cover():
 
 
 def test_blocks_triangle():
-    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     blks, brs = blocks(g)
     assert len(blks) == 1 and blks[0] == frozenset({0, 1, 2})
     assert brs == []
 
 
 def test_blocks_two_triangles_one_bridge():
-    g = build_graph(
+    g = Graph(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
     )
     blks, brs = blocks(g)
@@ -175,14 +174,14 @@ def test_blocks_match_networkx():
 
 
 def test_menger_single_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     kind, paths = menger(g, {0}, {2}, 1)
     assert kind == "paths"
     assert paths == [[0, 1, 2]]
 
 
 def test_menger_cut_through_middle():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionViolated):
         menger(g, {0}, {2}, 2)
     kind, sep = menger(g, {0, 1}, {1, 2}, 2)
@@ -206,7 +205,7 @@ def test_menger_grid_columns():
 
 
 def test_menger_shared_terminal_vertex():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     kind, paths = menger(g, {0, 1}, {1, 2}, 1)
     assert kind == "paths"
     assert paths == [[0, 1, 2]] or paths == [[1]] or paths == [[0, 1]]
@@ -303,7 +302,7 @@ def test_min_vertex_cut_matches_networkx_and_sits_nearest_the_sinks():
 
 
 def test_min_vertex_cut_rejects_a_source_that_is_a_sink():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert min_vertex_cut(g, {0}, {2}) == {1}
     assert min_vertex_cut(g, {0, 1}, {2}) == {1}
     with pytest.raises(PreconditionViolated):
@@ -314,7 +313,7 @@ def test_min_vertex_cut_rejects_a_source_that_is_a_sink():
 
 
 def test_edge_list_round_trip():
-    g = build_graph(5, [(0, 1), (2, 3), (1, 4)], labels={0: "v1", 4: "u2"})
+    g = Graph(5, [(0, 1), (2, 3), (1, 4)], labels={0: "v1", 4: "u2"})
     assert parse_edge_list(write_edge_list(g)) == g
 
 
@@ -335,19 +334,19 @@ def test_edge_list_rejects_repeated_edge():
 
 
 def test_dot_export_mentions_labels():
-    g = build_graph(2, [(0, 1)], labels={0: "v1"})
+    g = Graph(2, [(0, 1)], labels={0: "v1"})
     dot = to_dot(g)
     assert "0 -- 1;" in dot and 'label="v1"' in dot
 
 
 def test_components():
-    g = build_graph(5, [(0, 1), (2, 3)])
+    g = Graph(5, [(0, 1), (2, 3)])
     comps = connected_components(g)
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
 
 
 def test_induced_subgraph_keeps_edges():
-    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     h, remap = induced_subgraph(g, [1, 2, 3, 4])
     assert h.n == 4
     assert {tuple(sorted(e)) for e in h.edges} == {

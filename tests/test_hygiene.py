@@ -1,0 +1,84 @@
+"""Source hygiene, read from the syntax trees alone: no module imports a name
+it never uses, and no private module-level name of the library goes unused.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "minorkit"
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def loaded_names(node):
+    """Names a subtree reads: bare names, attribute names and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[0])
+    return out
+
+
+def unused_imports(tree):
+    """Names bound by an import statement and never read in the module;
+    a name listed in `__all__` counts as read."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def private_definitions(tree):
+    """(name, top-level node) for each module-level `_private` name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        for line, name in unused_imports(parse(path)):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_every_private_name_of_the_library_is_used():
+    trees = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    # the names each top-level statement reads, so that a definition's own
+    # body (a recursive call) does not count as a use of it
+    reads = [(node, loaded_names(node)) for tree in trees.values() for node in tree.body]
+    found = []
+    for path, tree in trees.items():
+        for name, home in private_definitions(tree):
+            if not any(name in names for node, names in reads if node is not home):
+                found.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not found, "private names nothing uses:\n" + "\n".join(found)

@@ -370,6 +370,12 @@ def test_canonical_cap():
         canonical_code(RootedGraph.of(Graph(21, []), ()))
 
 
+def test_isomorphic_applies_the_cap_to_both_graphs():
+    # 21 vertices, past the default cap of 20
+    p21 = path_graph(21)
+    assert isomorphic(p21, relabel(p21, [(2 * v) % 21 for v in range(21)]), cap=25)
+
+
 def test_isomorphic_basic():
     c5 = cycle_graph(5)
     shifted = relabel(c5, [2, 3, 4, 0, 1])

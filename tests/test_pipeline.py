@@ -18,7 +18,7 @@ from minorkit.errors import (
     SearchCapExceeded,
 )
 from minorkit.folios import kd_folio, strongly_irrelevant
-from minorkit.graphs import AnnotatedGraph, Graph, build_graph
+from minorkit.graphs import AnnotatedGraph, Graph
 from minorkit.minors import MinorModel, verify_minor_model
 from minorkit.pipeline import (
     PipelineConfig,
@@ -81,7 +81,7 @@ def test_dense_clique_subdivided_k4():
     for i, (a, b) in enumerate(pairs):
         edges.append((a, 4 + i))
         edges.append((4 + i, b))
-    g = build_graph(10, edges)
+    g = Graph(10, edges)
     model, reason = dense_clique_minor(g, 4)
     assert reason is None
     assert_clique_model(g, 4, model)
@@ -140,7 +140,7 @@ def lobe_host():
     is 9 - {0, 1} plus the pendant 10 - 9. Everything strictly beyond the
     terminal-side separation is deletable at detail 0."""
     edges = clique_edges(range(9)) + [(0, 9), (1, 9), (9, 10)]
-    return AnnotatedGraph.of(build_graph(11, edges), (9, 10))
+    return AnnotatedGraph.of(Graph(11, edges), (9, 10))
 
 
 def test_clique_rule_finds_irrelevant_vertex():
@@ -194,7 +194,7 @@ def test_clique_rule_none_when_terminals_meet_every_branch_set():
     # big enough that the bound is met yet every branch set is hit.
     # That is impossible below desk scale, so check the documented escape
     # on the smallest legal shape instead: one terminal, order bound 3.
-    g = build_graph(4, clique_edges(range(3)) + [(0, 3)])
+    g = Graph(4, clique_edges(range(3)) + [(0, 3)])
     host = AnnotatedGraph.of(g, (0, 1, 2))
     # bound = (5*3)//2 + 1 = 8 > 3, so the small model trips the gate.
     model, _ = dense_clique_minor(g, 3)
@@ -226,7 +226,7 @@ def blob_host():
     core = [(0, 1), (1, 2), (2, 3), (3, 0)]
     blob = clique_edges(range(4, 11))
     attach = [(1, 4), (3, 5), (0, 6)]
-    return AnnotatedGraph.of(build_graph(11, core + blob + attach), (0, 2))
+    return AnnotatedGraph.of(Graph(11, core + blob + attach), (0, 2))
 
 
 def test_reduce_blob_meets_threshold():
@@ -286,7 +286,7 @@ def test_reduce_oracle_rule_strips_free_component():
     # so the oracle rule eats it one vertex at a time.
     core = [(0, 1), (1, 2)]
     free = clique_edges(range(3, 9))
-    host = AnnotatedGraph.of(build_graph(9, core + free), (0, 2))
+    host = AnnotatedGraph.of(Graph(9, core + free), (0, 2))
     reduced, trace = reduce(host, 1, 0, PipelineConfig(threshold=2, engine="oracle"))
     assert trace.status == "met"
     assert all(rule == "oracle" for _, rule in trace.deletions)
@@ -369,7 +369,7 @@ def test_solve_folio_matches_direct_at_detail_one():
     core = [(0, 1), (1, 2), (2, 0), (0, 3)]
     blob = clique_edges(range(4, 10))
     host = AnnotatedGraph.of(
-        build_graph(10, core + blob + [(3, 4)]), (0, 2)
+        Graph(10, core + blob + [(3, 4)]), (0, 2)
     )
     cfg = PipelineConfig(threshold=3)
     assert solve_folio(host, 1, 1, cfg) == kd_folio(host, 1, 1, engine="dp")
@@ -402,6 +402,32 @@ def test_trace_json_rejects_unknown_status():
     doc["status"] = "maybe"
     with pytest.raises(PreconditionViolated):
         trace_from_json(json.dumps(doc))
+
+
+def test_trace_json_rejects_a_missing_field():
+    with pytest.raises(PreconditionViolated):
+        trace_from_json("{}")
+
+
+def test_trace_json_rejects_an_unknown_rule():
+    host = blob_host()
+    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    doc = json.loads(trace_to_json(trace))
+    doc["deletions"][0][1] = "magic"
+    with pytest.raises(PreconditionViolated):
+        trace_from_json(json.dumps(doc))
+
+
+def test_replay_and_verify_reject_a_vertex_the_graph_lacks():
+    # a vertex the input never had, one deleted twice, and an annotated one
+    host = blob_host()
+    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    for deletions in (((99, "oracle"),), trace.deletions[:1] * 2, ((0, "oracle"),)):
+        bad = ReductionTrace(deletions, trace.final, trace.final_width, trace.status)
+        with pytest.raises(PreconditionViolated):
+            replay_trace(host, bad)
+        with pytest.raises(PreconditionViolated):
+            verify_trace(host, bad, 2, 0)
 
 
 def test_replay_rejects_tampered_trace():

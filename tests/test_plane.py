@@ -4,7 +4,7 @@ systems, and the tightening rewrite."""
 import pytest
 
 from minorkit.errors import InvalidEmbedding, PreconditionViolated
-from minorkit.graphs import build_graph
+from minorkit.graphs import Graph
 from minorkit.plane import (
     ConcentricCycles,
     PlaneGraph,
@@ -54,13 +54,13 @@ def test_grid_outer_face_is_perimeter():
 
 
 def test_rotation_must_list_neighbors():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(InvalidEmbedding):
         PlaneGraph(g, [(1,), (2,), (1,)], (0, 1))
 
 
 def test_twisted_rotation_fails_euler():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     good = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1)]
     assert len(PlaneGraph(g, good, (0, 1)).faces) == 4
     bad = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)]
@@ -69,7 +69,7 @@ def test_twisted_rotation_fails_euler():
 
 
 def test_disconnected_graph_rejected():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(InvalidEmbedding):
         PlaneGraph(g, [(1,), (0,), (3,), (2,)], (0, 1))
 
