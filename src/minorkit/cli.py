@@ -79,48 +79,37 @@ def _emit(doc):
 def _cmd_gen(args):
     out = Path(args.output)
     doc = {"kind": args.kind, "out": str(out)}
+    text = None  # the edge list of g unless the kind writes another format
     if args.kind == "gamma-hat":
         inst = gamma_hat(args.k)
-        out.write_text(write_edge_list(inst.graph))
-        sidecar = out.with_suffix(".pat")
-        sidecar.write_text(write_pattern(inst.pattern))
+        g = inst.graph
         doc.update(
-            vertices=inst.graph.n,
-            edges=inst.graph.m,
             side=inst.side,
-            pattern=str(sidecar),
+            pattern=str(out.with_suffix(".pat")),
             vitality=inst.vitality,
         )
     elif args.kind == "z":
         host = z_graph(args.s)
-        out.write_text(write_edge_list(host.graph))
-        doc.update(
-            vertices=host.graph.n,
-            edges=host.graph.m,
-            annotated=sorted(host.annotated),
-        )
+        g = host.graph
+        doc["annotated"] = sorted(host.annotated)
     elif args.kind == "grid":
         g = grid(args.rows, args.cols)
-        out.write_text(write_edge_list(g))
-        doc.update(vertices=g.n, edges=g.m)
     elif args.kind == "wall":
         g = wall(args.n).graph
-        out.write_text(write_edge_list(g))
-        doc.update(vertices=g.n, edges=g.m)
     elif args.kind == "mesh":
         g = cylindrical_mesh(args.rails, args.rings).graph
-        out.write_text(write_edge_list(g))
-        doc.update(vertices=g.n, edges=g.m)
     elif args.kind == "annulus":
         mesh, _, cc, rails = mesh_nest(args.rails, args.rings)
-        out.write_text(annulus_to_json(cc, rails))
-        doc.update(vertices=mesh.graph.n, edges=mesh.graph.m)
+        g = mesh.graph
+        text = annulus_to_json(cc, rails)
     elif args.kind == "random":
         rng = random.Random(args.seed)
-        edges = [e for e in combinations(range(args.n), 2) if rng.random() < args.p]
-        g = Graph(args.n, edges)
-        out.write_text(write_edge_list(g))
-        doc.update(vertices=g.n, edges=g.m, seed=args.seed)
+        g = Graph(args.n, [e for e in combinations(range(args.n), 2) if rng.random() < args.p])
+        doc["seed"] = args.seed
+    out.write_text(write_edge_list(g) if text is None else text)
+    if args.kind == "gamma-hat":
+        Path(doc["pattern"]).write_text(write_pattern(inst.pattern))
+    doc.update(vertices=g.n, edges=g.m)
     _emit(doc)
     return 0
 

@@ -179,34 +179,9 @@ def cylindrical_mesh(n, m):
             for p in range(n):
                 edges.append((base + p, base + ln + p))
     rails = tuple(tuple(i * ln + p for i in range(m)) for p in range(n))
-    mesh = CylindricalMesh(
+    return CylindricalMesh(
         graph=Graph(m * ln, edges, labels), cycles=tuple(cycles), rails=rails
     )
-    _check_ring_structure(mesh.graph, mesh.cycles, mesh.rails)
-    return mesh
-
-
-def _check_ring_structure(g, rings, rails):
-    seen = set()
-    for ring in rings:
-        for v in ring:
-            if v in seen:
-                raise ParameterTooSmall("rings share a vertex")
-            seen.add(v)
-        if len(ring) >= 3:
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                assert g.has_edge(a, b)
-    rail_seen = set()
-    for rail in rails:
-        assert len(rail) == len(rings)
-        for v in rail:
-            if v in rail_seen:
-                raise ParameterTooSmall("rails share a vertex")
-            rail_seen.add(v)
-        for a, b in zip(rail, rail[1:]):
-            assert g.has_edge(a, b)
-        for ring, v in zip(rings, rail):
-            assert v in ring  # one crossing point per ring, in listed order
 
 
 # --- the chorded-grid linkage instances ------------------------------------------
@@ -559,93 +534,69 @@ def h_graph(k, fam):
 class GammaDecoration:
     """A chorded-grid instance with gadget blocks hung on each terminal.
 
-    Per pair i, a copy of gadget i plus a fresh twin vertex is attached to
-    each of the two terminals: the terminal and the twin both dominate the
-    copy, and nothing else is added (in particular the two terminals of a
-    pair stay non-adjacent in the decoration).  gadget_s_ids[i][j] is the
-    decoration id of the j-th vertex of the copy at s_i; twins_s[i] is the
-    twin's id; likewise on the t side.
+    The decoration is the target h_graph(k, fam) glued onto the core: block
+    (i, s)'s attachment point is s_i, block (i, t)'s is t_i, and the bridges
+    are dropped (the two terminals of a pair stay non-adjacent in the
+    decoration).  Every other target vertex gets a fresh id after the
+    core's, in target order, and keeps its label.  image[x] is the
+    decoration vertex of target vertex x.
     """
 
     core: GammaInstance
     graph: Graph
     gadget_order: int
-    twins_s: tuple
-    twins_t: tuple
-    gadget_s_ids: tuple
-    gadget_t_ids: tuple
+    image: tuple
 
     def block_vertices(self, i, side):
         """Vertex set of attachment block i on side "s" or "t"."""
-        s, t = self.core.pairs[i]
-        if side == "s":
-            return frozenset((s, self.twins_s[i], *self.gadget_s_ids[i]))
-        return frozenset((t, self.twins_t[i], *self.gadget_t_ids[i]))
+        f = self.gadget_order
+        base = i * (2 * f + 4) + (0 if side == "s" else f + 2)
+        return frozenset(self.image[base : base + f + 2])
 
 
 def decorate_gamma(k, fam, vitality_budget=DEFAULT_VITALITY_BUDGET):
     """Attach two copies of gadget i at the i-th terminal pair of the core."""
-    members = _sorted_members(fam, k)
+    target = h_graph(k, fam)
     core = gamma_hat(k, vitality_budget=vitality_budget)
     f = fam.n_vertices
+    span = 2 * f + 4
+    attach = {}
+    for i, (s, t) in enumerate(core.pairs):
+        attach[i * span] = s
+        attach[i * span + f + 2] = t
     n = core.graph.n
-    edges = list(core.graph.edges)
     labels = dict(core.graph.labels)
-    twins = {"s": [], "t": []}
-    gadget_ids = {"s": [], "t": []}
-    for i, gadget in enumerate(members):
-        s, t = core.pairs[i]
-        for tag, attach in (("s", s), ("t", t)):
-            twin = n
-            copy = tuple(range(n + 1, n + 1 + f))
-            n += 1 + f
-            labels[twin] = f"{tag}{i + 1}'"
-            for j, cv in enumerate(copy):
-                labels[cv] = f"a{i + 1}{tag}.{j + 1}"
-            edges.extend((copy[u], copy[v]) for u, v in gadget.edges)
-            edges.extend((attach, cv) for cv in copy)
-            edges.extend((twin, cv) for cv in copy)
-            twins[tag].append(twin)
-            gadget_ids[tag].append(copy)
+    image = []
+    for x in range(target.n):
+        if x in attach:
+            image.append(attach[x])
+        else:
+            image.append(n)
+            labels[n] = target.labels[x]
+            n += 1
+    edges = list(core.graph.edges)
+    for u, v in target.edges:
+        if not (u in attach and v in attach):  # not a bridge
+            edges.append((image[u], image[v]))
     return GammaDecoration(
-        core=core,
-        graph=Graph(n, edges, labels),
-        gadget_order=f,
-        twins_s=tuple(twins["s"]),
-        twins_t=tuple(twins["t"]),
-        gadget_s_ids=tuple(gadget_ids["s"]),
-        gadget_t_ids=tuple(gadget_ids["t"]),
+        core=core, graph=Graph(n, edges, labels), gadget_order=f, image=tuple(image)
     )
 
 
 # --- the deletion checker ---------------------------------------------------------
 
 
-def _presence_model(deco, fam, k):
+def _presence_model(deco):
     """Explicit branch sets placing the target inside the decoration.
 
-    Block vertices map to themselves.  The witness path of pair i realizes
-    the bridge: its interior is absorbed into the near attachment's branch
-    set, so the path's last step supplies the bridge edge.
+    Each target vertex maps to the set holding its image.  The witness path
+    of pair i realizes the bridge: s_i's set is the whole path minus t_i, so
+    the path's last step supplies the bridge edge.
     """
-    f = fam.n_vertices
-    span = 2 * f + 4
-    sets = [None] * (k * span)
-    for i in range(k):
-        s, t = deco.core.pairs[i]
-        path = deco.core.witness.paths[i]
-        if path[0] != s:
-            path = tuple(reversed(path))
-        base = i * span
-        sets[base] = frozenset(path[:-1])  # s_i plus the path interior
-        sets[base + 1] = frozenset({deco.twins_s[i]})
-        for j in range(f):
-            sets[base + 2 + j] = frozenset({deco.gadget_s_ids[i][j]})
-        far = base + f + 2
-        sets[far] = frozenset({t})
-        sets[far + 1] = frozenset({deco.twins_t[i]})
-        for j in range(f):
-            sets[far + 2 + j] = frozenset({deco.gadget_t_ids[i][j]})
+    sets = [frozenset({v}) for v in deco.image]
+    span = 2 * deco.gadget_order + 4
+    for i, (s, t) in enumerate(deco.core.pairs):
+        sets[i * span] = frozenset(deco.core.witness.paths[i]) - {t}
     return MinorModel(branch_sets=tuple(sets))
 
 
@@ -705,7 +656,7 @@ def verify_hk_deletion(k, fam=None, per_vertex=False):
     deco = decorate_gamma(k, fam)
     target = h_graph(k, fam)
 
-    model = _presence_model(deco, fam, k)
+    model = _presence_model(deco)
     present = verify_minor_model(deco.graph, target, model)
 
     type_codes = [

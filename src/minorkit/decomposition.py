@@ -429,7 +429,8 @@ def treewidth_certificates(g, n):
 def nice_form(td):
     """Rooted normal form: node 0 is an empty root; every node is an empty
     leaf, an introduce (child bag plus one vertex), a forget (child bag minus
-    one vertex), or a join of two children with identical bags."""
+    one vertex), or a join of two children with identical bags. Every parent
+    is numbered below its children."""
     if not _tree_ok(td.tree) or len(td.bags) != td.tree.n:
         raise InvalidDecomposition("input tree is not a connected tree")
     bags_out = []
@@ -448,16 +449,6 @@ def nice_form(td):
             edges_out.append((cur, nxt))
             cur = nxt
         for v in sorted(bag_to - cur_bag):
-            cur_bag.add(v)
-            nxt = new_node(cur_bag)
-            edges_out.append((cur, nxt))
-            cur = nxt
-        return cur
-
-    def introduce_chain(bag):
-        cur = new_node(frozenset())
-        cur_bag = set()
-        for v in sorted(bag):
             cur_bag.add(v)
             nxt = new_node(cur_bag)
             edges_out.append((cur, nxt))
@@ -492,7 +483,7 @@ def nice_form(td):
         frames.pop()
         bag = td.bags[node]
         if not branch_tops:
-            top = introduce_chain(bag)
+            top = chain_to(frozenset(), new_node(frozenset()), bag)
         else:
             top = branch_tops[0]
             for other in branch_tops[1:]:
@@ -504,28 +495,12 @@ def nice_form(td):
             break
         up = frames[-1]
         up[2].append(chain_to(bag, top, td.bags[up[0]]))
-    root = chain_to(td.bags[0], top, frozenset())
-    # renumber so the root is node 0, children increasing outward
-    adj = {}
-    for a, b in edges_out:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    rank = {root: 0}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in adj.get(x, []):
-            if y not in rank:
-                rank[y] = len(rank)
-                queue.append(y)
+    chain_to(td.bags[0], top, frozenset())
+    # nodes are created children first and the root last, so numbering them
+    # backwards puts the root at 0 and every parent below its children
     n_out = len(bags_out)
-    bags_final = [frozenset()] * n_out
-    for old, new in rank.items():
-        bags_final[new] = bags_out[old]
-    edges_final = [(rank[a], rank[b]) for a, b in edges_out]
-    return TreeDecomposition(Graph(n_out, edges_final), tuple(bags_final))
+    edges = [(n_out - 1 - a, n_out - 1 - b) for a, b in edges_out]
+    return TreeDecomposition(Graph(n_out, edges), tuple(reversed(bags_out)))
 
 
 def nice_node_kind(td, node, parent_of):

@@ -231,7 +231,7 @@ def _dp_plan(g, td):
     if not validate_td(g, td).valid:
         raise InvalidDecomposition("decomposition does not validate for host")
     nice = nice_form(td)
-    # nice_form numbers nodes outward from the root 0: a node's parent is
+    # nice_form numbers every parent below its children: a node's parent is
     # its one smaller neighbour, and descending order visits children first
     parent = {x: min(nice.tree.neighbors(x)) for x in range(1, nice.tree.n)}
     plan = []

@@ -77,13 +77,11 @@ def _placement_order(pattern, required):
     return order
 
 
-def _exists_constraint_auto(pattern, required, a, b):
-    """Is there an automorphism of pattern with a -> b preserving `required`?"""
+def _exists_constraint_auto(pattern, a, b):
+    """Is there an automorphism of pattern with a -> b?"""
     n = pattern.n
 
     def compatible(v, w, img):
-        if required[v] != required[w]:
-            return False
         if pattern.degree(v) != pattern.degree(w):
             return False
         for u in range(n):
@@ -150,12 +148,13 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
         suffix_req[i] = suffix_req[i + 1] | req_at[i]
 
     # symmetry: the branch set of the first placed vertex takes the smallest
-    # seed among its automorphism orbit
+    # seed among its automorphism orbit; required vertices are placed first,
+    # so when the first one is free no vertex is required
     orbit_rule = set()
     if req_at[0] == 0:
         v0 = order[0]
         for w in range(hp):
-            if w != v0 and _exists_constraint_auto(pattern, required, v0, w):
+            if w != v0 and _exists_constraint_auto(pattern, v0, w):
                 orbit_rule.add(pos[w])
 
     sets_ = [0] * hp
@@ -267,7 +266,7 @@ def find_red_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
     )
 
 
-def bidim(host, cap, pattern_cap=None):
+def bidim(host, cap):
     """Largest k <= cap such that the k-by-k grid is a red minor of host.
 
     Returns cap itself when the search still succeeds there; the caller then
@@ -281,8 +280,7 @@ def bidim(host, cap, pattern_cap=None):
         return 0
     best = 0
     for k in range(1, cap + 1):
-        pc = pattern_cap if pattern_cap is not None else max(DEFAULT_PATTERN_CAP, k * k)
-        if find_red_minor(host, grid(k, k), pattern_cap=pc) is None:
+        if find_red_minor(host, grid(k, k), pattern_cap=max(DEFAULT_PATTERN_CAP, k * k)) is None:
             break
         best = k
     return best

@@ -325,7 +325,7 @@ def is_tight(cc, allowed_edges=None):
 def _reroute(pg, cycle, short, keep_inside):
     """Replace one arc of `cycle` by the path `short` (endpoints on the
     cycle). Of the two candidate cycles, return the one whose disc still
-    contains every face of `keep_inside`."""
+    contains every face of `keep_inside`, with that disc."""
     u, v = short[0], short[-1]
     i, j = cycle.index(u), cycle.index(v)
     inner = tuple(short[1:-1])
@@ -342,7 +342,7 @@ def _reroute(pg, cycle, short, keep_inside):
                 best = (new, disc)
     if best is None:
         raise PreconditionViolated("no valid rerouting keeps the nest")
-    return best[0]
+    return best
 
 
 def tighten(cc):
@@ -350,23 +350,25 @@ def tighten(cc):
 
     Levels are processed innermost first; a level is final before the next
     one starts, and later reroutes only shrink outer cycles, so one pass
-    suffices. The host graph never changes, only the designated cycles.
+    suffices. Each level probes the band between its current disc and the
+    finished disc below it. The host graph never changes, only the
+    designated cycles.
     """
     pg = cc.plane
     cycles = list(cc.cycles)
+    below = frozenset()  # the finished disc of the level below
     for i in range(len(cycles)):
         forbidden = frozenset(cycles[i - 1]) if i > 0 else frozenset()
+        disc = cc.discs[i]
         while True:
-            cur = ConcentricCycles(pg, cycles)
-            found = _band_path(pg, cycles[i], _band_faces(cur, i), forbidden)
+            found = _band_path(pg, cycles[i], disc - below, forbidden)
             if found is None:
                 break
-            keep = cur.discs[i - 1] if i > 0 else frozenset()
-            before = len(cur.discs[i])
-            cycles[i] = _reroute(pg, cycles[i], found, keep)
-            after = len(inside_faces(pg, cycles[i]))
-            if after >= before:
+            cycles[i], smaller = _reroute(pg, cycles[i], found, below)
+            if len(smaller) >= len(disc):
                 raise PreconditionViolated("rerouting failed to shrink")
+            disc = smaller
+        below = disc
     out = ConcentricCycles(pg, cycles)
     if not is_tight(out):
         raise PreconditionViolated("tightening did not converge")
@@ -426,24 +428,12 @@ def embed_mesh(n, m):
         if ring_i > 0 and pos < n:
             order.append(v - ln)  # inward
         order.append(ring_i * ln + (pos - 1) % ln)  # previous around
-        seen = []
-        for u in order:
-            if u not in seen:
-                seen.append(u)
-        rotation.append(seen)
+        rotation.append(order)
+    # rings have at least three vertices, so the four neighbours above are
+    # distinct, and the dart from position 1 back to 0 of the last ring runs
+    # along the outer face
     base = (m - 1) * ln
-    pg = PlaneGraph(mesh.graph, rotation, (base + 1, base))
-    outer_ring = set(mesh.cycles[-1])
-    f1, f2 = pg.edge_faces(base, base + 1)
-    chosen = None
-    for f in (pg.outer, f1 if f1 != pg.outer else f2):
-        verts = {d[0] for d in pg.faces[f]}
-        if verts <= outer_ring:
-            chosen = f
-            break
-    if chosen != pg.outer:
-        pg = PlaneGraph(mesh.graph, rotation, pg.faces[chosen][0])
-    return mesh, pg
+    return mesh, PlaneGraph(mesh.graph, rotation, (base + 1, base))
 
 
 def mesh_nest(n, m):

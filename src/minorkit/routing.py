@@ -4,9 +4,10 @@ Terminals sit on the outermost cycle of a nested system (disc case) or on
 both the innermost and outermost cycles (cylinder case), attached through
 vertex-disjoint paths that cross every cycle exactly once. Routing peels
 cycles one at a time: a pair whose boundary arc is free of other active
-paths is closed through that arc, everyone else keeps descending. The
-cylinder adds a half-depth transfer for the first crossing pair and solves
-the remaining crossing pairs exactly in what is left of the host.
+paths is closed through that arc, everyone else keeps descending. On the
+cylinder the local pairs close this way from both cuffs; the crossing pairs
+then descend the band left between them in lockstep, one ring per round,
+each sweeping along its ring toward the rail of its inner terminal.
 
 Curve systems are the purely combinatorial shadow of the same picture:
 endpoints on boundary circles, curves pairwise disjoint, and on the

@@ -26,6 +26,7 @@ from .plane import (
     _edge_keys,
     _is_cyclic_shift,
     edge_strictly_inside,
+    embed_mesh,
     inside_faces,
     parse_plane,
     vertex_strictly_inside,
@@ -391,8 +392,6 @@ def random_well(rng, n_rails=None, n_rings=None):
     shallow arcs. Cycles are the mesh rings except the outermost, which
     serves as the boundary.
     """
-    from .plane import embed_mesh
-
     n = n_rails if n_rails is not None else rng.randrange(6, 11)
     m = n_rings if n_rings is not None else rng.randrange(3, 6)
     mesh, pg = embed_mesh(n, m)

@@ -11,6 +11,7 @@ from minorkit.constructions import (
     _attachment_block,
     _five_regular_connected,
     _FIVE_REGULAR_CACHE,
+    _presence_model,
     cylindrical_mesh,
     decorate_gamma,
     gamma_hat,
@@ -40,7 +41,7 @@ from minorkit.graphs import (
     write_edge_list,
 )
 from minorkit.linkages import Pattern, disjoint_paths, is_vital, pattern_of, validate_linkage
-from minorkit.minors import canonical_code, find_minor, isomorphic
+from minorkit.minors import canonical_code, find_minor, isomorphic, verify_minor_model
 
 
 def code_of(g):
@@ -388,6 +389,33 @@ def test_decoration_treewidth_is_the_blockwise_maximum():
     assert max(block_widths) > w_central
 
 
+def test_decoration_is_the_core_plus_the_target_without_its_bridges():
+    for k in (2, 3):
+        fam = regular_gadgets(k)
+        deco = decorate_gamma(k, fam, vitality_budget=1000)
+        target = h_graph(k, fam)
+        _, bridges = blocks(target)
+        image = deco.image
+        expected = set(deco.core.graph.edges)
+        for u, v in target.edges:
+            if (u, v) not in bridges:
+                expected.add(tuple(sorted((image[u], image[v]))))
+        assert deco.graph.edges == frozenset(expected)
+        attached = {v for pair in deco.core.pairs for v in pair}
+        fresh = [v for v in image if v not in attached]
+        assert fresh == list(range(deco.core.graph.n, deco.graph.n))
+        for x, v in enumerate(image):
+            if v not in attached:
+                assert deco.graph.label_of(v) == target.label_of(x)
+
+
+def test_presence_model_places_the_target_at_k3():
+    # verify_hk_deletion stops at k = 2; the presence half alone is cheap
+    fam = regular_gadgets(3)
+    deco = decorate_gamma(3, fam, vitality_budget=1000)
+    assert verify_minor_model(deco.graph, h_graph(3, fam), _presence_model(deco))
+
+
 def test_deletion_checker_full_run():
     rep = verify_hk_deletion(2, per_vertex=True)
     assert rep["minor_present"] is True
@@ -399,7 +427,7 @@ def test_deletion_checker_stage_arguments():
     fam = regular_gadgets(2)
     deco = decorate_gamma(2, fam)
     # deleting a gadget-internal vertex destroys one attachment block's size
-    v_gadget = deco.gadget_s_ids[0][0]
+    v_gadget = deco.image[2]
     g, _ = delete_vertex(deco.graph, v_gadget)
     intact = [b for b in blocks(g)[0] if len(b) == 10]
     assert len(intact) == 3

@@ -518,6 +518,17 @@ def test_nice_form_preserves_width_on_random_inputs():
         assert set(kinds) <= {"leaf", "introduce", "forget", "join"}
 
 
+def test_nice_form_numbers_every_parent_below_its_children():
+    # the folio DP reads a node's parent as its one smaller neighbour
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 11), rng.uniform(0.2, 0.8), rng)
+        for td in (exact_treewidth(g)[1], min_fill_decomposition(g)):
+            nice = nice_form(td)
+            for x in range(1, nice.tree.n):
+                assert sum(1 for y in nice.tree.neighbors(x) if y < x) == 1
+
+
 # --- text format -------------------------------------------------------------------
 
 

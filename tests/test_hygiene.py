@@ -1,5 +1,6 @@
 """Source hygiene, read from the syntax trees alone: no module imports a name
-it never uses, and no private module-level name of the library goes unused.
+it never uses, no private module-level name of the library goes unused, and
+an import inside a function only ever breaks an import cycle.
 """
 
 import ast
@@ -82,3 +83,26 @@ def test_every_private_name_of_the_library_is_used():
             if not any(name in names for node, names in reads if node is not home):
                 found.append(f"{path.relative_to(ROOT)}: {name}")
     assert not found, "private names nothing uses:\n" + "\n".join(found)
+
+
+def package_imports_at_top(tree):
+    """The package modules a module imports at top level."""
+    return {
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_function_level_imports_only_break_cycles():
+    # `from .x import ...` inside a function is allowed only when module x
+    # imports this module at top level, the cycle a top-level import would close
+    trees = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    found = []
+    for name, tree in trees.items():
+        top = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node not in top:
+                if name not in package_imports_at_top(trees[node.module]):
+                    found.append(f"src/minorkit/{name}.py:{node.lineno}: from .{node.module}")
+    assert not found, "function-level imports that break no cycle:\n" + "\n".join(found)

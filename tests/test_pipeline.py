@@ -9,7 +9,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minorkit import pipeline
 from minorkit.constructions import wall
 from minorkit.errors import (
     BudgetExceeded,
@@ -71,6 +74,50 @@ def test_dense_clique_k5_order4_meets_density():
     model, reason = dense_clique_minor(g, 4)
     assert reason is None
     assert_clique_model(g, 4, model)
+
+
+def test_dense_clique_contracts_on_the_density_bound(monkeypatch):
+    # 8m = 160 equals 2^4 * n: the guaranteed branch runs, can drop no
+    # vertex without going under the bound, and must contract instead
+    g = Graph(10, [(0, 1), (0, 5), (0, 6), (0, 8), (1, 2), (1, 6), (2, 3), (2, 4),
+                   (2, 8), (3, 4), (3, 6), (3, 8), (4, 5), (4, 7), (5, 7), (5, 8),
+                   (6, 8), (6, 9), (7, 9), (8, 9)])
+    assert 8 * g.m == (1 << 4) * g.n
+    contract = pipeline._contract_clusters
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(pipeline, "_contract_clusters", counted)
+    model, reason = dense_clique_minor(g, 4)
+    assert reason is None
+    assert_clique_model(g, 4, model)
+    assert calls
+
+
+@st.composite
+def dense_hosts(draw):
+    """A graph on at most ten vertices meeting the density bound of order t."""
+    t = draw(st.sampled_from((3, 4, 5)))
+
+    def need(n):
+        return ((1 << t) * n + 7) // 8
+
+    n = draw(st.integers(1, 10).filter(lambda n: n * (n - 1) // 2 >= need(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    m = draw(st.integers(need(n), len(pairs)))
+    return Graph(n, draw(st.permutations(pairs))[:m]), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_hosts())
+def test_dense_clique_never_fails_above_the_density_bound(case):
+    g, t = case
+    model, reason = dense_clique_minor(g, t)
+    assert reason is None
+    assert_clique_model(g, t, model)
 
 
 def test_dense_clique_subdivided_k4():

@@ -1,6 +1,8 @@
 """Rotation-system embeddings: face tracing, disc regions, nested cycle
 systems, and the tightening rewrite."""
 
+import random
+
 import pytest
 
 from minorkit.errors import InvalidEmbedding, PreconditionViolated
@@ -141,6 +143,24 @@ def test_tighten_pulls_skipped_ring():
     assert out.cycles[0] == r0
     assert sorted(out.cycles[1]) == sorted(r1)
     assert out.discs[-1] <= cc.discs[-1]
+
+
+def test_tighten_is_tight_nested_and_idempotent_on_ring_subnests():
+    rng = random.Random(29)
+    for _ in range(60):
+        mesh, pg = embed_mesh(rng.randint(3, 7), rng.randint(2, 6))
+        cycles = []
+        for i in sorted(rng.sample(range(len(mesh.cycles)), rng.randint(1, len(mesh.cycles)))):
+            ring = list(mesh.cycles[i])
+            start = rng.randrange(len(ring))
+            ring = ring[start:] + ring[:start]
+            cycles.append(ring[::-1] if rng.random() < 0.5 else ring)
+        cc = ConcentricCycles(pg, cycles)
+        out = tighten(cc)
+        assert is_tight(out)
+        assert all(a < b for a, b in zip(out.discs, out.discs[1:]))
+        assert all(a <= b for a, b in zip(out.discs, cc.discs))
+        assert tighten(out).cycles == out.cycles
 
 
 def test_plane_text_roundtrip():
