@@ -23,6 +23,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    is_connected,
     mask_bits,
     mask_neighborhood,
     mask_of,
@@ -70,17 +71,7 @@ class AboveBound:
 
 
 def _tree_ok(t):
-    if t.n == 0 or t.m != t.n - 1:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in t.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == t.n
+    return t.n > 0 and t.m == t.n - 1 and is_connected(t)
 
 
 def validate_td(g, td):

@@ -99,16 +99,10 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-_PATTERN_CACHE = {}
-_LATTICE_CACHE = {}
-
-
+@functools.cache
 def candidate_patterns(k, d):
     """All rooted patterns with k root positions and detail at most d, one
     per canonical code. Cached by (k, d)."""
-    key = (k, d)
-    if key in _PATTERN_CACHE:
-        return _PATTERN_CACHE[key]
     out = []
     seen = set()
     for partition in _set_partitions(list(range(k))):
@@ -129,9 +123,7 @@ def candidate_patterns(k, d):
                         continue
                     seen.add(code)
                     out.append((form, code))
-    result = tuple(out)
-    _PATTERN_CACHE[key] = result
-    return result
+    return tuple(out)
 
 
 def _one_step_minors(n, edges, roots):
@@ -152,28 +144,26 @@ def _one_step_minors(n, edges, roots):
         ), tuple(to[r] for r in roots)
 
 
+@functools.cache
 def pattern_lattice(k, d):
     """The rooted-minor order among candidate_patterns(k, d), as two dicts
     (below, above) from each candidate's code to the codes of the candidates
     below and above it, itself included: the transitive closure of
     _one_step_minors, whose steps stay within the candidates. No minor
     search is made. Built on first use and cached by (k, d)."""
-    if (k, d) not in _LATTICE_CACHE:
-        below, above = {}, {}
+    below, above = {}, {}
 
-        @functools.cache  # one step is reached from many candidates
-        def code_of(n, edges, roots):
-            return canonical_code(RootedGraph(Graph(n, edges), roots))
+    @functools.cache  # one step is reached from many candidates
+    def code_of(n, edges, roots):
+        return canonical_code(RootedGraph(Graph(n, edges), roots))
 
-        # a step lowers vertices plus edges, so its result is already done
-        for form, code in sorted(candidate_patterns(k, d), key=_size):
-            steps = _one_step_minors(form.graph.n, form.graph.edges, form.roots)
-            below[code] = frozenset([code]).union(*(below[code_of(*s)] for s in steps))
-            for small in below[code]:
-                above.setdefault(small, set()).add(code)
-        above = {code: frozenset(bigs) for code, bigs in above.items()}
-        _LATTICE_CACHE[k, d] = (below, above)
-    return _LATTICE_CACHE[k, d]
+    # a step lowers vertices plus edges, so its result is already done
+    for form, code in sorted(candidate_patterns(k, d), key=_size):
+        steps = _one_step_minors(form.graph.n, form.graph.edges, form.roots)
+        below[code] = frozenset([code]).union(*(below[code_of(*s)] for s in steps))
+        for small in below[code]:
+            above.setdefault(small, set()).add(code)
+    return below, {code: frozenset(bigs) for code, bigs in above.items()}
 
 
 def _size(candidate):

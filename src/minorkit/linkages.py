@@ -96,9 +96,9 @@ def _check_cap(g, p):
         )
 
 
-def _enumerate_linkages(g, p, spanning_only, limit, max_nodes, collect_first):
-    """Count linkages matching p, saturating at limit. Optionally also return
-    the first witness found in the deterministic order."""
+def _enumerate_linkages(g, p, spanning_only, limit, max_nodes):
+    """Count linkages matching p, saturating at limit, and return the first
+    witness found in the deterministic order."""
     for a, b in p.pairs:
         if not (0 <= a < g.n and 0 <= b < g.n):
             raise IndexOutOfRange(f"terminal outside graph: {(a, b)}")
@@ -124,7 +124,7 @@ def _enumerate_linkages(g, p, spanning_only, limit, max_nodes, collect_first):
         if spanning_only and used != full:
             return
         state["count"] += 1
-        if collect_first and state["first"] is None:
+        if state["first"] is None:
             state["first"] = Linkage.of(list(prefix))
 
     def extend(i, t, cur, used, path):
@@ -153,7 +153,7 @@ def _enumerate_linkages(g, p, spanning_only, limit, max_nodes, collect_first):
                     if not (mask_reach(sb, free, masks) & tb):
                         return
         blocked = future_terms[i + 1]
-        for w in sorted_neighbors(cur):
+        for w in g.neighbors(cur):  # sorted, so the order is deterministic
             wb = 1 << w
             if used & wb:
                 continue
@@ -169,9 +169,6 @@ def _enumerate_linkages(g, p, spanning_only, limit, max_nodes, collect_first):
                 path.pop()
             if state["count"] >= limit:
                 return
-
-    def sorted_neighbors(v):
-        return g.neighbors(v)  # adjacency tuples are already sorted
 
     def pair_start(i, used):
         if state["count"] >= limit:
@@ -199,7 +196,7 @@ def count_linkages(g, p, spanning_only=False, limit=2, max_nodes=None):
     _check_cap(g, p)
     if limit <= 0:
         return 0
-    count, _ = _enumerate_linkages(g, p, spanning_only, limit, max_nodes, False)
+    count, _ = _enumerate_linkages(g, p, spanning_only, limit, max_nodes)
     return count
 
 
@@ -215,7 +212,7 @@ def disjoint_paths(g, p, engine="auto", max_nodes=None):
     _check_cap(g, p)
     if engine not in ("auto", "dfs"):
         raise UsageError(f"unknown engine {engine!r}")
-    _, linkage = _enumerate_linkages(g, p, False, 1, max_nodes, True)
+    _, linkage = _enumerate_linkages(g, p, False, 1, max_nodes)
     if linkage is None:
         return None
     assert validate_linkage(g, linkage) and pattern_of(linkage) == Pattern.of(p.pairs)
@@ -292,7 +289,7 @@ def restrict_linkage(g, spec, l):
     return Linkage.of(pieces)
 
 
-def vital_after_delete(g, l, v, check=True):
+def vital_after_delete(g, l, v):
     """Delete v, split the path through it, enlarge the terminal set.
 
     Returns (G - v, terminals, linkage) in the deleted graph's numbering. A
@@ -300,7 +297,7 @@ def vital_after_delete(g, l, v, check=True):
     """
     if not (0 <= v < g.n):
         raise IndexOutOfRange(f"vertex {v} outside graph")
-    if check and not is_vital(g, l):
+    if not is_vital(g, l):
         raise PreconditionViolated("linkage is not vital; deletion rule needs vitality")
     sub, remap = induced_subgraph(g, (u for u in g.vertices() if u != v))
     pieces = []

@@ -267,7 +267,7 @@ def _delete(cur, orig_of, v):
     return AnnotatedGraph.of(smaller, annotated), orig_of[:v] + orig_of[v + 1 :]
 
 
-def _clique_step(cur, d, width, cfg):
+def _clique_step(cur, d, width):
     """One clique-rule attempt; returns a vertex of the current graph or
     None. Skipped outright when the treewidth already rules the order out."""
     need = _clique_order(cur.annotated, d)
@@ -310,7 +310,7 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             break
         found = None
         if cfg.engine in ("clique-rule", "both"):
-            v = _clique_step(cur, d, width, cfg)
+            v = _clique_step(cur, d, width)
             if v is not None:
                 found = (v, "clique-rule")
         if found is None and cfg.engine in ("oracle", "both"):

@@ -23,19 +23,12 @@ class PlaneGraph:
     `rotation[v]` is the cyclic order of v's neighbors. The orbit count of
     the face walk must satisfy Euler's formula n - m + f = 2, which is
     exactly the statement that the rotation system describes a sphere
-    embedding; anything else raises InvalidEmbedding. One face is
-    designated as the outer face.
+    embedding; anything else raises InvalidEmbedding. The face traced by
+    `outer_dart` is the outer face; a lone vertex has one face, which is
+    the outer one, and ignores `outer_dart`.
     """
 
-    __slots__ = (
-        "graph",
-        "rotation",
-        "faces",
-        "outer",
-        "_prev",
-        "_face_of",
-        "_vertex_faces",
-    )
+    __slots__ = ("graph", "rotation", "faces", "outer", "_face_of", "_vertex_faces")
 
     def __init__(self, graph, rotation, outer_dart):
         if not is_connected(graph):
@@ -55,9 +48,6 @@ class PlaneGraph:
             prev.append(
                 {u: ring[i - 1] for i, u in enumerate(ring)}
             )
-        self.graph = graph
-        self.rotation = rotation
-        self._prev = prev
 
         faces = []
         face_of = {}
@@ -73,32 +63,25 @@ class PlaneGraph:
                     a, b = dart
                     dart = (b, prev[b][a])
                 faces.append(tuple(walk))
-        if graph.n == 1:
-            faces = [()]
-        if graph.n - graph.m + len(faces) != 2:
+        # a face that enters u by one dart leaves it by the next one
+        vertex_faces = [{face_of[(u, v)] for v in rotation[u]} for u in range(graph.n)]
+        if graph.n == 1:  # a lone vertex has no darts and one face
+            faces, vertex_faces, outer = [()], [{0}], 0
+        elif graph.n - graph.m + len(faces) != 2:
             raise InvalidEmbedding(
                 f"rotation system is not planar: {graph.n} - {graph.m} + "
                 f"{len(faces)} != 2"
             )
-        self.faces = tuple(faces)
-        self._face_of = face_of
-
-        vertex_faces = [set() for _ in range(graph.n)]
-        for u in range(graph.n):
-            for v in rotation[u]:
-                vertex_faces[u].add(face_of[(u, v)])
-                vertex_faces[u].add(face_of[(v, u)])
-        if graph.n == 1:
-            vertex_faces[0].add(0)
-        self._vertex_faces = tuple(frozenset(s) for s in vertex_faces)
-
-        if graph.n == 1:
-            self.outer = 0
+        elif tuple(outer_dart) not in face_of:
+            raise IndexOutOfRange(f"outer dart {tuple(outer_dart)} is not a dart")
         else:
-            u, v = outer_dart
-            if (u, v) not in face_of:
-                raise IndexOutOfRange(f"outer dart {(u, v)} is not a dart")
-            self.outer = face_of[(u, v)]
+            outer = face_of[tuple(outer_dart)]
+        self.graph = graph
+        self.rotation = rotation
+        self.faces = tuple(faces)
+        self.outer = outer
+        self._face_of = face_of
+        self._vertex_faces = tuple(frozenset(s) for s in vertex_faces)
 
     def face_of(self, u, v):
         """Index of the face traced by the dart u -> v."""
@@ -162,19 +145,13 @@ def inside_faces(pg, cycle):
     """
     _check_cycle(pg.graph, cycle)
     blocked = _edge_keys(cycle + cycle[:1])
-    return _faces_beyond(pg, blocked, (pg.outer,))
-
-
-def _faces_beyond(pg, blocked_edges, seed_faces):
-    """Faces not reachable in the dual from `seed_faces` without crossing
-    a blocked edge. Returns the unreached set."""
-    seen = set(seed_faces)
-    stack = list(seed_faces)
+    seen = {pg.outer}
+    stack = [pg.outer]
     while stack:
         f = stack.pop()
         for u, v in pg.faces[f]:
             key = (u, v) if u < v else (v, u)
-            if key in blocked_edges:
+            if key in blocked:
                 continue
             g = pg._face_of[(v, u)]
             if g not in seen:
@@ -234,14 +211,6 @@ class ConcentricCycles:
 
     def __repr__(self):
         return f"ConcentricCycles(s={len(self.cycles)})"
-
-
-def _band_faces(cc, i):
-    """Faces of the open band between cycle i-1 and cycle i (0-indexed);
-    for i == 0 this is the whole inner disc."""
-    if i == 0:
-        return cc.discs[0]
-    return cc.discs[i] - cc.discs[i - 1]
 
 
 def _band_path(pg, cycle, band, forbidden=frozenset(), allowed_edges=None):
@@ -310,8 +279,9 @@ def tight_violation(cc, allowed_edges=None):
     """
     for i in range(len(cc.cycles)):
         forbidden = frozenset(cc.cycles[i - 1]) if i > 0 else frozenset()
+        below = cc.discs[i - 1] if i > 0 else frozenset()
         found = _band_path(
-            cc.plane, cc.cycles[i], _band_faces(cc, i), forbidden, allowed_edges
+            cc.plane, cc.cycles[i], cc.discs[i] - below, forbidden, allowed_edges
         )
         if found is not None:
             return (i, found)
@@ -402,8 +372,6 @@ def embed_grid(n, m):
             if c > 0:
                 ring.append(vid(r, c - 1))
             rotation.append(ring)
-    if n == 1 and m == 1:
-        return PlaneGraph(g, rotation, (0, 0))
     outer = (vid(0, 1), vid(0, 0)) if m > 1 else (vid(1, 0), vid(0, 0))
     return PlaneGraph(g, rotation, outer)
 
@@ -478,8 +446,6 @@ def parse_plane(text):
             plain.append(raw)
     g = parse_edge_list("\n".join(plain))
     rotation = [rot_lines.get(v, []) for v in range(g.n)]
-    if outer is None:
-        if g.n != 1:
-            raise PreconditionViolated("plane text lacks an outer line")
-        outer = (0, 0)
+    if outer is None and g.n != 1:
+        raise PreconditionViolated("plane text lacks an outer line")
     return PlaneGraph(g, rotation, outer)

@@ -11,7 +11,10 @@ each sweeping along its ring toward the rail of its inner terminal.
 
 Curve systems are the purely combinatorial shadow of the same picture:
 endpoints on boundary circles, curves pairwise disjoint, and on the
-cylinder an integer winding shared by every crossing curve.
+cylinder an integer winding shared by every crossing curve. A cylinder
+pattern is routable exactly when its curve system exists, with each
+terminal at its rail's slot on its cuff and winding 0, so `route_cylinder`
+asks `CurveSystem.on_cylinder` and does not test the pattern itself.
 """
 
 from __future__ import annotations
@@ -260,9 +263,10 @@ def _slot_frames(cc, norm, cross):
 
 def route_cylinder(cc, paths, pattern):
     """Route local and crossing pairs between the two cuffs of an annulus
-    whose innermost cycle bounds a single empty face, or None if the
-    pattern traps a terminal on its cuff or pairs the cuffs in
-    incompatibly rotated orders.
+    whose innermost cycle bounds a single empty face, or None when the
+    pattern has no curve system on the cylinder: a local pair traps a
+    terminal on its cuff, or the crossing pairs meet the two cuffs in
+    orders that are not rotations of each other.
 
     Local pairs close through cuff-side arcs round by round, exactly as on
     the disc. Crossing pairs then descend the untouched middle band in
@@ -300,10 +304,6 @@ def route_cylinder(cc, paths, pattern):
         term = p[0] if at_outer else p[-1]
         rail_of[term] = i
         cuff_of[term] = 0 if at_outer else 1
-    if set(rail_of) != terminals:
-        raise PreconditionViolated(
-            "pattern terminals must be rail endpoints"
-        )
 
     framed = _slot_frames(cc, norm, cross)
     if framed is None:
@@ -311,40 +311,25 @@ def route_cylinder(cc, paths, pattern):
     slot_order, ring_steps = framed
     slot_of = {rail: s for s, rail in enumerate(slot_order)}
 
-    pair_id = {}
-    for pid, (a, b) in enumerate(pattern.pairs):
-        pair_id[a] = pid
-        pair_id[b] = pid
-    locals_out = []
-    locals_in = []
+    try:
+        CurveSystem.on_cylinder(
+            2 * k,
+            2 * k,
+            [
+                ((cuff_of[a], slot_of[rail_of[a]]), (cuff_of[b], slot_of[rail_of[b]]), 0)
+                for a, b in pattern.pairs
+            ],
+        )
+    except PreconditionViolated:
+        return None
+    local = ([], [])  # per cuff
     crossing = []
     for pid, (a, b) in enumerate(pattern.pairs):
-        ca, cb = cuff_of[a], cuff_of[b]
-        if ca == 0 and cb == 0:
-            locals_out.append((rail_of[a], rail_of[b]))
-        elif ca == 1 and cb == 1:
-            locals_in.append((rail_of[a], rail_of[b]))
+        if cuff_of[a] == cuff_of[b]:
+            local[cuff_of[a]].append((rail_of[a], rail_of[b]))
         else:
-            out_t, in_t = (a, b) if ca == 0 else (b, a)
+            out_t, in_t = (a, b) if cuff_of[a] == 0 else (b, a)
             crossing.append((pid, rail_of[out_t], rail_of[in_t]))
-
-    crossing_rails = {r for _, ro, ri in crossing for r in (ro, ri)}
-    outer_tokens = [
-        (pair_id[norm[r][0]], r in crossing_rails)
-        for r in slot_order
-        if norm[r][0] in terminals
-    ]
-    inner_tokens = [
-        (pair_id[norm[r][-1]], r in crossing_rails)
-        for r in slot_order
-        if norm[r][-1] in terminals
-    ]
-    if not _brackets_ok(outer_tokens) or not _brackets_ok(inner_tokens):
-        return None
-    out_x = [pid for pid, is_wall in outer_tokens if is_wall]
-    in_x = [pid for pid, is_wall in inner_tokens if is_wall]
-    if out_x and not _is_cyclic_shift(in_x, out_x):
-        return None
 
     # A crossing pair's route hugs its outer rail above the transfer ring
     # and its inner rail below, so each cuff's rounds only need to steer
@@ -353,7 +338,7 @@ def route_cylinder(cc, paths, pattern):
         cc,
         norm,
         cross,
-        locals_out,
+        local[0],
         [ro for _, ro, _ in crossing],
         t - 1,
         -1,
@@ -363,7 +348,7 @@ def route_cylinder(cc, paths, pattern):
         cc,
         norm,
         cross,
-        locals_in,
+        local[1],
         [ri for _, _, ri in crossing],
         0,
         1,
@@ -405,17 +390,10 @@ def route_cylinder(cc, paths, pattern):
             while any(rem):
                 if len(rounds) >= band:
                     return None
-                snap = list(pos)
-                if c == 1:
-                    gaps = [n_slots - 1]
-                else:
-                    gaps = [
-                        snap[(m + 1) % c]
-                        + (n_slots if m == c - 1 else 0)
-                        - snap[m]
-                        - 1
-                        for m in range(c)
-                    ]
+                gaps = [
+                    pos[(m + 1) % c] + (n_slots if m == c - 1 else 0) - pos[m] - 1
+                    for m in range(c)
+                ]
                 plus = [
                     min(rem[m], gaps[m]) if rem[m] > 0 else 0
                     for m in range(c)
@@ -440,7 +418,6 @@ def route_cylinder(cc, paths, pattern):
         assert best is not None, "crossing pairs do not fit the band"
 
         cur = list(xs)
-        cur_rail = [ro for _, ro, _ in nets]
         grown = [list(norm[ro][: cross[ro][hi] + 1]) for _, ro, _ in nets]
         level = hi
         for it, moves in enumerate(best):
@@ -449,22 +426,21 @@ def route_cylinder(cc, paths, pattern):
             for m, a in enumerate(moves):
                 if a:
                     new_slot = (cur[m] + a) % n_slots
-                    new_rail = slot_order[new_slot]
-                    va = norm[cur_rail[m]][cross[cur_rail[m]][level]]
-                    vb = norm[new_rail][cross[new_rail][level]]
+                    ra, rb = slot_order[cur[m]], slot_order[new_slot]
+                    va = norm[ra][cross[ra][level]]
+                    vb = norm[rb][cross[rb][level]]
                     step = ring_steps[level] * (1 if a > 0 else -1)
                     grown[m].extend(_arc(cyc, cpos[va], cpos[vb], step)[1:])
                     cur[m] = new_slot
-                    cur_rail[m] = new_rail
             if it + 1 < len(best):
                 for m in range(c):
-                    r = cur_rail[m]
+                    r = slot_order[cur[m]]
                     grown[m].extend(
                         norm[r][cross[r][level] + 1 : cross[r][level - 1] + 1]
                     )
                 level -= 1
         for m in range(c):
-            r = cur_rail[m]
+            r = slot_order[cur[m]]
             assert r == nets[m][2], "net ended on the wrong rail"
             grown[m].extend(norm[r][cross[r][level] + 1 :])
             routes.append(tuple(grown[m]))

@@ -166,49 +166,26 @@ class Well:
 
 def pocket(w, i):
     """The faces of the region cut off by path i that avoids the innermost
-    cycle: everything between the path and its stretch of the boundary."""
+    cycle: everything between the path and its stretch of the boundary.
+
+    The path and either boundary arc between its ends close a cycle, and the
+    two discs of these cycles split every face but the outer one. `Well`
+    keeps every path vertex and edge out of the innermost cycle's open disc,
+    and the boundary arcs border the outer face, so no edge of either cycle
+    is drawn inside that disc: its faces, joined through the edges drawn
+    inside it, all fall on one side. The pocket is the other side."""
     if i in w._pockets:
         return w._pockets[i]
     p = w.paths[i]
     walk = w.boundary
     ia, ib = walk.index(p[0]), walk.index(p[-1])
     sides = []
-    for a0, a1 in ((ib, ia), (ia, ib)):
-        rim = _arc(walk, a0, a1, 1)
-        if a0 == ib:
-            cyc = p + rim[1:-1]
-        else:
-            cyc = tuple(reversed(p)) + rim[1:-1]
-        if len(cyc) < 3:
-            sides.append(frozenset())
-        else:
-            sides.append(inside_faces(w.plane, cyc))
+    for path, rim in ((p, _arc(walk, ib, ia, 1)), (p[::-1], _arc(walk, ia, ib, 1))):
+        cyc = path + rim[1:-1]
+        sides.append(inside_faces(w.plane, cyc) if len(cyc) >= 3 else frozenset())
     assert len(sides[0]) + len(sides[1]) + 1 == len(w.plane.faces)
-
-    pv = set(p)
-    inner = w.cycles[0]
-    inner_edges = _edge_keys(inner + inner[:1])
-    clean = []
-    for side in sides:
-        touches = False
-        for v in inner:
-            if v not in pv and w.plane.vertex_faces(v) & side:
-                touches = True
-                break
-        if not touches:
-            for u, v in inner_edges:
-                f1, f2 = w.plane.edge_faces(u, v)
-                if f1 in side and f2 in side:
-                    touches = True
-                    break
-        if not touches:
-            clean.append(side)
-    if len(clean) != 1:
-        raise PreconditionViolated(
-            "path does not leave the innermost cycle on one side"
-        )
-    w._pockets[i] = clean[0]
-    return clean[0]
+    w._pockets[i] = sides[1] if sides[0] & w.nest.discs[0] else sides[0]
+    return w._pockets[i]
 
 
 def is_tight(w):
@@ -248,27 +225,14 @@ def is_drained(w):
 
 def _intersection_components(path, cycle):
     """Number of connected pieces of the path-cycle intersection, counting
-    shared vertices joined by shared edges as one piece."""
-    cset = set(cycle)
-    cedges = _edge_keys(cycle + cycle[:1])
-    pieces = 0
-    prev_in = False
-    prev_joined = False
-    for idx, v in enumerate(path):
-        if v in cset:
-            if not prev_in:
-                pieces += 1
-            elif not prev_joined:
-                pieces += 1
-            prev_in = True
-            if idx + 1 < len(path):
-                a, b = v, path[idx + 1]
-                key = (a, b) if a < b else (b, a)
-                prev_joined = key in cedges
-        else:
-            prev_in = False
-            prev_joined = False
-    return pieces
+    shared vertices joined by shared edges as one piece: a path vertex on
+    the cycle starts a piece unless the path reached it by a cycle edge."""
+    on_cycle = set(cycle)
+    cycle_edges = _edge_keys(cycle + cycle[:1])
+    return (path[0] in on_cycle) + sum(
+        v in on_cycle and not _edge_keys((u, v)) <= cycle_edges
+        for u, v in zip(path, path[1:])
+    )
 
 
 def is_dry(w):

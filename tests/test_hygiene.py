@@ -1,6 +1,6 @@
 """Source hygiene, read from the syntax trees alone: no module imports a name
-it never uses, no private module-level name of the library goes unused, and
-an import inside a function only ever breaks an import cycle.
+it never uses, no private module-level name or slot of the library goes
+unused, and an import inside a function only ever breaks an import cycle.
 """
 
 import ast
@@ -83,6 +83,37 @@ def test_every_private_name_of_the_library_is_used():
             if not any(name in names for node, names in reads if node is not home):
                 found.append(f"{path.relative_to(ROOT)}: {name}")
     assert not found, "private names nothing uses:\n" + "\n".join(found)
+
+
+def private_slots(tree):
+    """(class name, slot) for each `_private` entry of a class's `__slots__`."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                for elt in node.value.elts:
+                    if elt.value.startswith("_"):
+                        yield cls.name, elt.value
+
+
+def test_every_private_slot_of_the_library_is_read():
+    trees = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = [
+        f"{path.relative_to(ROOT)}: {cls}.{slot}"
+        for path, tree in trees.items()
+        for cls, slot in private_slots(tree)
+        if slot not in read
+    ]
+    assert not found, "private slots nothing reads:\n" + "\n".join(found)
 
 
 def package_imports_at_top(tree):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from minorkit.errors import InvalidEmbedding, PreconditionViolated
+from minorkit.errors import IndexOutOfRange, InvalidEmbedding, PreconditionViolated
 from minorkit.graphs import Graph
 from minorkit.plane import (
     ConcentricCycles,
@@ -68,6 +68,21 @@ def test_twisted_rotation_fails_euler():
     bad = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)]
     with pytest.raises(InvalidEmbedding):
         PlaneGraph(g, bad, (0, 1))
+
+
+def test_outer_dart_must_be_a_dart():
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    good = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1)]
+    bad = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)]
+    for dart in [(0, 0), (0, 9), (9, 0)]:
+        with pytest.raises(IndexOutOfRange):
+            PlaneGraph(g, good, dart)
+        # the embedding is checked first
+        with pytest.raises(InvalidEmbedding):
+            PlaneGraph(g, bad, dart)
+    # a lone vertex has one face and needs no outer dart
+    lone = parse_plane(write_plane(embed_grid(1, 1)))
+    assert lone.outer == 0 and lone.faces == ((),)
 
 
 def test_disconnected_graph_rejected():

@@ -114,19 +114,24 @@ def test_route_disc_preconditions():
 
 
 def test_route_cylinder_exhaustive_against_solver():
-    # every end assignment and matching, checked against the exact
-    # disjoint-paths engine on the underlying graph
+    # every rotation and reversal of the rail list, every end assignment and
+    # every matching, checked against the exact disjoint-paths engine on the
+    # underlying graph
     for k in (1, 2):
         mesh, pg, cc, rails = mesh_nest(2 * k, 2 * k)
-        for assign in product((0, -1), repeat=2 * k):
-            terms = [rails[i][a] for i, a in enumerate(assign)]
-            for pairs in matchings(terms):
-                pat = Pattern.of(pairs)
-                lk = route_cylinder(cc, rails, pat)
-                oracle = disjoint_paths(mesh.graph, pat)
-                assert (lk is None) == (oracle is None)
-                if lk is not None:
-                    assert pattern_of(lk) == pat
+        rotations = [rails[s:] + rails[:s] for s in range(2 * k)]
+        oracle = {}
+        for order in rotations + [r[::-1] for r in rotations]:
+            for assign in product((0, -1), repeat=2 * k):
+                terms = [order[i][a] for i, a in enumerate(assign)]
+                for pairs in matchings(terms):
+                    pat = Pattern.of(pairs)
+                    if pat not in oracle:
+                        oracle[pat] = disjoint_paths(mesh.graph, pat)
+                    lk = route_cylinder(cc, order, pat)
+                    assert (lk is None) == (oracle[pat] is None)
+                    if lk is not None:
+                        assert pattern_of(lk) == pat
 
 
 def test_route_cylinder_mixed_k3():

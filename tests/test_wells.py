@@ -6,9 +6,10 @@ import random
 import pytest
 
 from minorkit.errors import NotTight, PreconditionViolated
-from minorkit.plane import embed_mesh
+from minorkit.plane import embed_mesh, inside_faces
 from minorkit.wells import (
     Well,
+    _intersection_components,
     drain,
     dry,
     is_drained,
@@ -160,6 +161,42 @@ def test_drained_pockets_form_laminar_family():
             for j in range(i + 1, len(pockets)):
                 a, b = pockets[i], pockets[j]
                 assert a <= b or b <= a or not (a & b)
+
+
+def _sides(w, p):
+    """The discs of the two cycles that path p closes with the boundary."""
+    walk, n = w.boundary, len(w.boundary)
+    out = []
+    for path in (p, p[::-1]):
+        a, b = walk.index(path[-1]), walk.index(path[0])
+        cyc = tuple(walk[(a + s) % n] for s in range((b - a) % n + 1)) + path[1:-1]
+        out.append(inside_faces(w.plane, cyc) if len(cyc) >= 3 else frozenset())
+    return out
+
+
+def test_pocket_is_the_side_that_misses_the_innermost_disc():
+    rng = random.Random(314)
+    for _ in range(20):
+        w = random_well(rng)
+        for v in (w, drain(w)):
+            faces = frozenset(range(len(v.plane.faces))) - {v.plane.outer}
+            disc = v.nest.discs[0]
+            for i, p in enumerate(v.paths):
+                mine = pocket(v, i)
+                sides = _sides(v, p)
+                assert mine in sides
+                other = sides[1] if mine == sides[0] else sides[0]
+                assert not mine & disc and disc <= other
+                assert not mine & other and mine | other == faces
+
+
+def test_intersection_components_small_cases():
+    cycle = (0, 1, 2, 3, 4, 5)
+    assert _intersection_components((6, 0, 1, 2, 7), cycle) == 1  # one stretch
+    assert _intersection_components((6, 5, 0, 7), cycle) == 1  # across the closing edge
+    assert _intersection_components((0, 3), cycle) == 2  # a chord is not a cycle edge
+    assert _intersection_components((0, 1, 7, 2, 3), cycle) == 2  # leaves and comes back
+    assert _intersection_components((6, 7), cycle) == 0
 
 
 def test_well_json_roundtrip():
