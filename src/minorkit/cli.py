@@ -31,7 +31,7 @@ from .errors import (
 )
 from .folios import dp_decomposition, folio_bruteforce, folio_dp, folio_to_json
 from .graphs import AnnotatedGraph, Graph, RootedGraph, parse_edge_list, write_edge_list
-from .linkages import disjoint_paths, is_vital, linkage_to_json, parse_pattern, write_pattern
+from .linkages import disjoint_paths, is_vital, parse_pattern, write_pattern
 from .minors import bidim
 from .pipeline import PipelineConfig, reduce, trace_to_json
 from .plane import mesh_nest
@@ -140,7 +140,7 @@ def _cmd_dp(args):
     linkage = disjoint_paths(g, p, engine=args.engine, max_nodes=args.max_nodes)
     doc = {
         "found": linkage is not None,
-        "linkage": None if linkage is None else json.loads(linkage_to_json(linkage)),
+        "linkage": None if linkage is None else [list(p) for p in linkage.paths],
     }
     _emit(doc)
     return 0
@@ -170,7 +170,7 @@ def _cmd_vital(args):
     vital = linkage is not None and is_vital(g, linkage, max_nodes=args.max_nodes)
     doc = {
         "vital": vital,
-        "linkage": None if linkage is None else json.loads(linkage_to_json(linkage)),
+        "linkage": None if linkage is None else [list(p) for p in linkage.paths],
     }
     _emit(doc)
     return 0 if vital else 1
@@ -193,7 +193,7 @@ def _cmd_route(args):
     doc = {
         "surface": args.surface,
         "routed": linkage is not None,
-        "linkage": None if linkage is None else json.loads(linkage_to_json(linkage)),
+        "linkage": None if linkage is None else [list(p) for p in linkage.paths],
     }
     _emit(doc)
     return 0

@@ -30,7 +30,7 @@ from .graphs import (
     mask_reach,
     neighbor_masks,
 )
-from .minors import find_minor
+from .minors import DEFAULT_PATTERN_CAP, dense_clique_minor
 
 EXACT_VERTEX_CAP = 20
 
@@ -375,19 +375,16 @@ def find_grid_subgraph(g, side):
 def treewidth_certificates(g, n):
     """Certificates pinning tw(g) = n without exhaustive search.
 
-    Lower side: an n-by-n grid subgraph, else a clique minor giving a bramble
-    of n+1 disjoint pairwise-touching sets. Upper side: when the grid spans
-    the graph, the decomposition of its column-major elimination order if
-    that has width n; else a width-n decomposition from exact_treewidth, on
-    at most twenty vertices.
+    Lower side: an n-by-n grid subgraph, else the branch sets of a K_{n+1}
+    minor (dense_clique_minor, within its cap) as a bramble. Upper side:
+    when the grid spans the graph, the decomposition of its column-major
+    elimination order if that has width n; else a width-n decomposition
+    from exact_treewidth, on at most twenty vertices.
     """
     grid_cert = find_grid_subgraph(g, n) if n >= 2 else None
     bramble = None
     if grid_cert is None:
-        model = None
-        if n + 1 <= 12:
-            clique = Graph(n + 1, [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)])
-            model = find_minor(g, clique)
+        model = dense_clique_minor(g, n + 1) if n < DEFAULT_PATTERN_CAP else None
         if model is None:
             raise CertificateNotFound(f"no lower-bound certificate for width {n}")
         bramble = Bramble(tuple(model.branch_sets))

@@ -38,6 +38,7 @@ from .errors import (
     InvalidDecomposition,
     PreconditionViolated,
     SearchCapExceeded,
+    UsageError,
 )
 from .graphs import Graph, RootedGraph, delete_vertex
 from .minors import canonical_code, canonical_form, find_rooted_minor
@@ -401,8 +402,11 @@ def kd_folio(
     max_multisets=DEFAULT_MULTISET_BUDGET,
     max_states=DEFAULT_STATE_BUDGET,
 ):
-    """Union of d-folios over all ordered k-multisets of annotated vertices.
-    The DP engine builds one plan per host from dp_decomposition."""
+    """Union of d-folios over all ordered k-multisets of annotated vertices,
+    by engine "oracle" or "dp" (UsageError otherwise). The DP engine builds
+    one plan per host from dp_decomposition."""
+    if engine not in ("oracle", "dp"):
+        raise UsageError(f"unknown engine {engine!r}")
     tuples = _root_tuples(host, k, max_multisets)
     if engine == "dp":
         plan = _dp_plan(host.graph, dp_decomposition(host.graph))

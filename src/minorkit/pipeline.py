@@ -1,15 +1,14 @@
 """The reduce-then-solve loop: certified irrelevant-vertex deletion.
 
-Two deletion rules run under one driver. The clique rule finds a large
-clique minor, computes a minimum-order separation pushing the terminals
-away from one branch set, and deletes a vertex from the far side. The
-oracle rule simply re-computes folios with and without a vertex. Every
-deletion is recorded in a replayable trace.
+Two deletion rules run under one driver. The clique rule takes a clique
+minor of the order its bound needs from dense_clique_minor, cuts the
+terminals off one branch set by a minimum-order separation, and deletes a
+vertex beyond the cut. The oracle rule computes each root tuple's folio and
+searches G - v only for its maximal members. Deletions are replayable.
 """
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 from .decomposition import exact_treewidth
 from .errors import (
@@ -26,7 +25,6 @@ from .folios import (
 )
 from .graphs import (
     AnnotatedGraph,
-    Graph,
     delete_vertex,
     mask_bits,
     mask_of,
@@ -36,146 +34,9 @@ from .graphs import (
     parse_edge_list,
     write_edge_list,
 )
-from .minors import DEFAULT_PATTERN_CAP, MinorModel, find_minor, verify_minor_model
+from .minors import DEFAULT_PATTERN_CAP, complete_graph, dense_clique_minor, verify_minor_model
 
 _RULES = ("clique-rule", "oracle")
-
-
-# --- dense clique minors -----------------------------------------------------
-
-
-def _complete(t):
-    return Graph(t, combinations(range(t), 2))
-
-
-def _meets_density(n, m, order):
-    """Edge count at least 2^(order-3) times the vertex count, exactly."""
-    return 8 * m >= (1 << order) * n
-
-
-def _contract_clusters(sets, adj, i, j):
-    """Merge cluster j into cluster i; they must be adjacent."""
-    keep = [x for x in range(len(sets)) if x != j]
-    remap = {old: new for new, old in enumerate(keep)}
-    nsets = [sets[x] if x != i else sets[i] | sets[j] for x in keep]
-    nadj = []
-    for x in keep:
-        nbrs = adj[x] if x != i else (adj[i] | adj[j]) - {i, j}
-        nadj.append({remap[y if y != j else i] for y in nbrs if (y if y != j else i) != x})
-    return nsets, nadj
-
-
-def _induced_clusters(sets, adj, keep):
-    keep = sorted(keep)
-    remap = {old: new for new, old in enumerate(keep)}
-    nsets = [sets[x] for x in keep]
-    nadj = [{remap[y] for y in adj[x] if y in remap} for x in keep]
-    return nsets, nadj
-
-
-def _edge_count(adj):
-    return sum(len(a) for a in adj) // 2
-
-
-def _guaranteed_clique(sets, adj, order):
-    """Branch sets of a complete minor of the given order, assuming the
-    density bound holds for this order.
-
-    Repeatedly shrinks to a minor that is minimal subject to keeping the
-    density, which forces every edge to have many common neighbours; one
-    vertex plus a recursive call on its neighbourhood then does the rest.
-    """
-    assert _meets_density(len(sets), _edge_count(adj), order)
-    if order <= 1:
-        return [sets[0]]
-    if order == 2:
-        i = min(x for x in range(len(sets)) if adj[x])
-        return [sets[i], sets[min(adj[i])]]
-
-    while True:
-        n, m = len(sets), _edge_count(adj)
-        drops = (i for i in range(n) if _meets_density(n - 1, m - len(adj[i]), order))
-        drop = next(drops, None)
-        if drop is not None:
-            sets, adj = _induced_clusters(sets, adj, set(range(n)) - {drop})
-            continue
-        # contracting ij loses the edge and one edge per common neighbour
-        pairs = ((i, j) for i in range(n) for j in sorted(adj[i])
-                 if i < j and _meets_density(n - 1, m - 1 - len(adj[i] & adj[j]), order))
-        pair = next(pairs, None)
-        if pair is None:
-            break
-        sets, adj = _contract_clusters(sets, adj, *pair)
-
-    # minimality forces every edge to share at least 2^(order-3) common
-    # neighbours, so any neighbourhood is dense enough one level down
-    v = min(x for x in range(len(sets)) if adj[x])
-    nsets, nadj = _induced_clusters(sets, adj, adj[v])
-    return [sets[v]] + _guaranteed_clique(nsets, nadj, order - 1)
-
-
-def _find_adjacent_clusters(adj, order):
-    """Indices of `order` pairwise adjacent clusters, or None."""
-    n = len(adj)
-
-    def grow(chosen, cand):
-        if len(chosen) == order:
-            return chosen
-        if len(chosen) + len(cand) < order:
-            return None
-        for x in cand:
-            got = grow(chosen + [x], [y for y in cand if y > x and y in adj[x]])
-            if got is not None:
-                return got
-        return None
-
-    return grow([], list(range(n)))
-
-
-def _greedy_clique(sets, adj, order):
-    """Absorb a minimum-degree cluster into its best neighbour until
-    `order` pairwise adjacent clusters appear, or give up.
-
-    Merging along the most shared neighbours keeps the contraction from
-    spending edges, so sparse hosts densify instead of collapsing."""
-    while True:
-        pick = _find_adjacent_clusters(adj, order)
-        if pick is not None:
-            return [sets[i] for i in pick]
-        with_edges = [i for i in range(len(sets)) if adj[i]]
-        if not with_edges:
-            return None
-        v = min(with_edges, key=lambda i: (len(adj[i]), i))
-        u = min(adj[v], key=lambda j: (-len(adj[v] & adj[j]), j))
-        sets, adj = _contract_clusters(sets, adj, min(u, v), max(u, v))
-
-
-def dense_clique_minor(g, t):
-    """A complete minor of order t, or (None, reason).
-
-    When the graph meets the density bound the search cannot fail; below
-    the bound a greedy contraction pass still often finds the minor, and
-    the reason string reports both shortfalls when it does not.
-    """
-    if t < 1:
-        raise PreconditionViolated("clique order must be at least 1")
-    if g.n == 0:
-        return None, "the graph has no vertices"
-    sets = [frozenset([v]) for v in g.vertices()]
-    adj = [set(g.neighbors(v)) for v in g.vertices()]
-    if _meets_density(g.n, g.m, t):
-        found = _guaranteed_clique(sets, adj, t)
-    else:
-        found = _greedy_clique(sets, adj, t)
-        if found is None:
-            need = ((1 << t) * g.n + 7) // 8
-            return None, (
-                f"edge count {g.m} is under the density bound {need} for "
-                f"order {t} and greedy contraction stalled"
-            )
-    model = MinorModel(tuple(frozenset(s) for s in found))
-    assert verify_minor_model(g, _complete(t), model)
-    return model, None
 
 
 # --- the clique deletion rule ------------------------------------------------
@@ -190,10 +51,11 @@ def clique_irrelevant_vertex(host, d, model):
     """A vertex whose deletion preserves every folio of detail d, found
     by separating the terminals from one branch set of a clique minor.
 
-    The separation has minimum order with the terminal side maximal,
-    taken over all branch sets disjoint from the terminals; any vertex
-    strictly beyond it is safe to delete. Returns None when no branch
-    set avoids the terminals.
+    The model must be a valid clique minor of order at least
+    floor(5|T|/2) + 3d^2 + 1 for terminals T. Of the minimum-order cuts
+    nearest each branch set that avoids T, the least order wins, then the
+    smaller far side; its lowest vertex beyond the cut is returned, or None
+    when every branch set meets T.
     """
     if d < 0:
         raise PreconditionViolated("detail must be non-negative")
@@ -206,26 +68,22 @@ def clique_irrelevant_vertex(host, d, model):
             f"clique order {t} is under the bound {bound} for "
             f"{len(terms)} terminals at detail {d}"
         )
-    if not verify_minor_model(g, _complete(t), model):
+    if not verify_minor_model(g, complete_graph(t), model):
         raise PreconditionViolated("model is not a valid clique minor model")
 
     masks = neighbor_masks(g)
-    best = None
-    for u, bset in enumerate(model.branch_sets):
-        if set(bset) & terms:
-            continue
+
+    def separate(u, bset):
         # the cut nearest the branch set leaves the terminal side maximal;
         # the cut never holds a vertex of the branch set
         cut = min_vertex_cut(g, terms, bset)
-        outside = (1 << g.n) - 1 & ~mask_of(cut)
-        far = mask_reach(mask_of(bset), outside, masks)
+        far = mask_reach(mask_of(bset), (1 << g.n) - 1 & ~mask_of(cut), masks)
         assert not far & mask_of(terms)
-        key = (len(cut), far.bit_count(), u)
-        if best is None or key < best[0]:
-            best = (key, far)
-    if best is None:
-        return None
-    return next(mask_bits(best[1]))
+        return len(cut), far.bit_count(), u, far
+
+    best = min((separate(u, bset) for u, bset in enumerate(model.branch_sets)
+                if not set(bset) & terms), default=None)
+    return None if best is None else next(mask_bits(best[3]))
 
 
 # --- the reduction driver ----------------------------------------------------
@@ -269,13 +127,11 @@ def _delete(cur, orig_of, v):
 
 def _clique_step(cur, d, width):
     """One clique-rule attempt; returns a vertex of the current graph or
-    None. Skipped outright when the treewidth already rules the order out."""
+    None. Skipped when the treewidth or the minor search's cap rules it out."""
     need = _clique_order(cur.annotated, d)
     if width + 1 < need or need > DEFAULT_PATTERN_CAP:
         return None
-    model, _ = dense_clique_minor(cur.graph, need)
-    if model is None:
-        model = find_minor(cur.graph, _complete(need))
+    model = dense_clique_minor(cur.graph, need)
     if model is None:
         return None
     return clique_irrelevant_vertex(cur, d, model)

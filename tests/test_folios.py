@@ -21,6 +21,7 @@ from minorkit.errors import (
     InvalidDecomposition,
     PreconditionViolated,
     SearchCapExceeded,
+    UsageError,
 )
 from minorkit.folios import (
     Folio,
@@ -414,6 +415,12 @@ def test_kd_folio_dp_engine_matches_oracle():
     a = kd_folio(host, 2, 1, engine="oracle")
     b = kd_folio(host, 2, 1, engine="dp")
     assert a.entries == b.entries
+
+
+def test_kd_folio_rejects_an_unknown_engine():
+    host = AnnotatedGraph.of(grid_graph(2, 3), {0, 5})
+    with pytest.raises(UsageError):
+        kd_folio(host, 2, 1, engine="dpp")
 
 
 # --- consistency with the linkage solver --------------------------------------

@@ -9,10 +9,10 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minorkit import pipeline
+from minorkit import minors
 from minorkit.constructions import wall
 from minorkit.errors import (
     BudgetExceeded,
@@ -22,7 +22,7 @@ from minorkit.errors import (
 )
 from minorkit.folios import kd_folio, strongly_irrelevant
 from minorkit.graphs import AnnotatedGraph, Graph
-from minorkit.minors import MinorModel, verify_minor_model
+from minorkit.minors import MinorModel, find_minor, verify_minor_model
 from minorkit.pipeline import (
     PipelineConfig,
     ReductionTrace,
@@ -55,44 +55,40 @@ def assert_clique_model(g, t, model):
 
 
 def test_dense_clique_k8_order5():
-    model, reason = dense_clique_minor(complete_graph(8), 5)
-    assert reason is None
+    model = dense_clique_minor(complete_graph(8), 5)
     assert_clique_model(complete_graph(8), 5, model)
 
 
 def test_dense_clique_k12_order6():
-    model, reason = dense_clique_minor(complete_graph(12), 6)
-    assert reason is None
+    model = dense_clique_minor(complete_graph(12), 6)
     assert_clique_model(complete_graph(12), 6, model)
 
 
 def test_dense_clique_k5_order4_meets_density():
-    # 8m = 80 equals 2^4 * n = 80, so the guaranteed branch runs, not the
-    # greedy one.
+    # 8m = 80 equals 2^4 * n = 80: the density bound holds exactly, and
+    # the greedy pass finds four pairwise adjacent vertices at once.
     g = complete_graph(5)
     assert 8 * g.m >= (1 << 4) * g.n
-    model, reason = dense_clique_minor(g, 4)
-    assert reason is None
+    model = dense_clique_minor(g, 4)
     assert_clique_model(g, 4, model)
 
 
 def test_dense_clique_contracts_on_the_density_bound(monkeypatch):
-    # 8m = 160 equals 2^4 * n: the guaranteed branch runs, can drop no
-    # vertex without going under the bound, and must contract instead
+    # 8m = 160 equals 2^4 * n, yet the graph has no K_4 subgraph, so the
+    # greedy pass must contract clusters to find the K_4 minor
     g = Graph(10, [(0, 1), (0, 5), (0, 6), (0, 8), (1, 2), (1, 6), (2, 3), (2, 4),
                    (2, 8), (3, 4), (3, 6), (3, 8), (4, 5), (4, 7), (5, 7), (5, 8),
                    (6, 8), (6, 9), (7, 9), (8, 9)])
     assert 8 * g.m == (1 << 4) * g.n
-    contract = pipeline._contract_clusters
+    contract = minors._contract_clusters
     calls = []
 
     def counted(*args):
         calls.append(args)
         return contract(*args)
 
-    monkeypatch.setattr(pipeline, "_contract_clusters", counted)
-    model, reason = dense_clique_minor(g, 4)
-    assert reason is None
+    monkeypatch.setattr(minors, "_contract_clusters", counted)
+    model = dense_clique_minor(g, 4)
     assert_clique_model(g, 4, model)
     assert calls
 
@@ -115,9 +111,30 @@ def dense_hosts(draw):
 @given(dense_hosts())
 def test_dense_clique_never_fails_above_the_density_bound(case):
     g, t = case
-    model, reason = dense_clique_minor(g, t)
-    assert reason is None
+    model = dense_clique_minor(g, t)
     assert_clique_model(g, t, model)
+
+
+@st.composite
+def small_hosts(draw):
+    """A graph on at most nine vertices, sparse ones included, and an
+    order t <= 5."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k]), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hosts())
+@example((Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]), 4))
+def test_dense_clique_agrees_with_the_exact_search(case):
+    # the example has a K_4 minor on which the greedy pass stalls
+    g, t = case
+    model = dense_clique_minor(g, t)
+    assert (model is None) == (find_minor(g, complete_graph(t)) is None)
+    if model is not None:
+        assert_clique_model(g, t, model)
 
 
 def test_dense_clique_subdivided_k4():
@@ -129,29 +146,25 @@ def test_dense_clique_subdivided_k4():
         edges.append((a, 4 + i))
         edges.append((4 + i, b))
     g = Graph(10, edges)
-    model, reason = dense_clique_minor(g, 4)
-    assert reason is None
+    model = dense_clique_minor(g, 4)
     assert_clique_model(g, 4, model)
 
 
 def test_dense_clique_wall():
     w = wall(3).graph
-    model, reason = dense_clique_minor(w, 4)
-    assert reason is None
+    model = dense_clique_minor(w, 4)
     assert_clique_model(w, 4, model)
 
 
 def test_dense_clique_absent_on_path():
     g = Graph(10, [(i, i + 1) for i in range(9)])
-    model, reason = dense_clique_minor(g, 4)
+    model = dense_clique_minor(g, 4)
     assert model is None
-    assert "density" in reason
 
 
 def test_dense_clique_absent_on_empty_graph():
-    model, reason = dense_clique_minor(Graph(0), 3)
+    model = dense_clique_minor(Graph(0), 3)
     assert model is None
-    assert reason
 
 
 def test_dense_clique_rejects_bad_order():
@@ -160,17 +173,15 @@ def test_dense_clique_rejects_bad_order():
 
 
 def test_dense_clique_trivial_orders():
-    model, reason = dense_clique_minor(complete_graph(3), 1)
-    assert reason is None
+    model = dense_clique_minor(complete_graph(3), 1)
     assert_clique_model(complete_graph(3), 1, model)
-    model, reason = dense_clique_minor(Graph(3, [(0, 1)]), 2)
-    assert reason is None
+    model = dense_clique_minor(Graph(3, [(0, 1)]), 2)
     assert_clique_model(Graph(3, [(0, 1)]), 2, model)
 
 
 def test_dense_clique_branch_sets_are_disjoint_and_connected():
     g = complete_graph(9)
-    model, _ = dense_clique_minor(g, 5)
+    model = dense_clique_minor(g, 5)
     seen = set()
     for bset in model.branch_sets:
         assert not seen & set(bset)
@@ -192,8 +203,7 @@ def lobe_host():
 
 def test_clique_rule_finds_irrelevant_vertex():
     host = lobe_host()
-    model, reason = dense_clique_minor(host.graph, 6)
-    assert reason is None
+    model = dense_clique_minor(host.graph, 6)
     v = clique_irrelevant_vertex(host, 0, model)
     assert v is not None
     assert v not in host.annotated
@@ -204,7 +214,7 @@ def test_clique_rule_agrees_with_oracle_on_lobe():
     # The rule must never name a vertex the oracle would keep, at any of
     # the parameter pairs the bound covers.
     host = lobe_host()
-    model, _ = dense_clique_minor(host.graph, 6)
+    model = dense_clique_minor(host.graph, 6)
     v = clique_irrelevant_vertex(host, 0, model)
     for k in (1, 2):
         assert strongly_irrelevant(host, k, 0, v)
@@ -213,7 +223,7 @@ def test_clique_rule_agrees_with_oracle_on_lobe():
 def test_clique_rule_requires_big_enough_clique():
     host = lobe_host()
     # Two terminals at detail 0 demand order 6; hand it a K_5 model.
-    model, _ = dense_clique_minor(host.graph, 5)
+    model = dense_clique_minor(host.graph, 5)
     with pytest.raises(CliqueTooSmall):
         clique_irrelevant_vertex(host, 0, model)
 
@@ -230,7 +240,7 @@ def test_clique_rule_rejects_invalid_model():
 
 def test_clique_rule_rejects_negative_detail():
     host = lobe_host()
-    model, _ = dense_clique_minor(host.graph, 6)
+    model = dense_clique_minor(host.graph, 6)
     with pytest.raises(PreconditionViolated):
         clique_irrelevant_vertex(host, -1, model)
 
@@ -244,7 +254,7 @@ def test_clique_rule_none_when_terminals_meet_every_branch_set():
     g = Graph(4, clique_edges(range(3)) + [(0, 3)])
     host = AnnotatedGraph.of(g, (0, 1, 2))
     # bound = (5*3)//2 + 1 = 8 > 3, so the small model trips the gate.
-    model, _ = dense_clique_minor(g, 3)
+    model = dense_clique_minor(g, 3)
     with pytest.raises(CliqueTooSmall):
         clique_irrelevant_vertex(host, 0, model)
 
