@@ -3,7 +3,7 @@
 Modules:
     graphs         immutable graphs, separations, blocks, Menger flows and cuts
     minors         minor models (plain / rooted / red), canonical codes, bidim
-    decomposition  tree decompositions, exact solver, certificates, nice form
+    decomposition  tree decompositions, exact solver, certificates
     linkages       patterns, disjoint paths, linkage counting, vitality
     folios         detail, rooted folios, the decomposition DP, irrelevance
     plane          rotation-system plane graphs, concentric cycles, tightening

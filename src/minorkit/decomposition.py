@@ -70,33 +70,25 @@ class AboveBound:
         return "AboveBound()"
 
 
-def _tree_ok(t):
-    return t.n > 0 and t.m == t.n - 1 and is_connected(t)
-
-
 def validate_td(g, td):
     """Check the three decomposition conditions; always report width/adhesion."""
     width = td.width()
     adhesion = td.adhesion()
-    if not _tree_ok(td.tree) or len(td.bags) != td.tree.n:
+    t = td.tree
+    if not (t.n > 0 and t.m == t.n - 1 and is_connected(t)) or len(td.bags) != t.n:
         return TdCheck(False, width, adhesion)
-    union = set()
-    for b in td.bags:
-        if any(not (0 <= v < g.n) for v in b):
-            return TdCheck(False, width, adhesion)
-        union |= b
-    if union != set(range(g.n)):
+    nodes_of = {}
+    for x, b in enumerate(td.bags):
+        for v in b:
+            nodes_of.setdefault(v, set()).add(x)
+    if set(nodes_of) != set(range(g.n)):
         return TdCheck(False, width, adhesion)
-    for u, v in g.edges:
-        if not any(u in b and v in b for b in td.bags):
-            return TdCheck(False, width, adhesion)
+    if any(not nodes_of[u] & nodes_of[v] for u, v in g.edges):
+        return TdCheck(False, width, adhesion)
     # the nodes holding a vertex induce a forest of the tree, which is one
     # subtree exactly when its node count exceeds its edge count by one
-    parts = {}
-    for b in td.bags:
-        for v in b:
-            parts[v] = parts.get(v, 0) + 1
-    for x, y in td.tree.edges:
+    parts = {v: len(xs) for v, xs in nodes_of.items()}
+    for x, y in t.edges:
         for v in td.bags[x] & td.bags[y]:
             parts[v] -= 1
     if any(count != 1 for count in parts.values()):
@@ -409,104 +401,6 @@ def treewidth_certificates(g, n):
     return TreewidthCertificates(
         value=n, lower_grid=grid_cert, lower_bramble=bramble, upper=upper
     )
-
-
-# --- nice form ------------------------------------------------------------------
-
-
-def nice_form(td):
-    """Rooted normal form: node 0 is an empty root; every node is an empty
-    leaf, an introduce (child bag plus one vertex), a forget (child bag minus
-    one vertex), or a join of two children with identical bags. Every parent
-    is numbered below its children."""
-    if not _tree_ok(td.tree) or len(td.bags) != td.tree.n:
-        raise InvalidDecomposition("input tree is not a connected tree")
-    bags_out = []
-    edges_out = []
-
-    def new_node(bag):
-        bags_out.append(frozenset(bag))
-        return len(bags_out) - 1
-
-    def chain_to(bag_from, node_from, bag_to):
-        cur_bag = set(bag_from)
-        cur = node_from
-        for v in sorted(bag_from - bag_to, reverse=True):
-            cur_bag.discard(v)
-            nxt = new_node(cur_bag)
-            edges_out.append((cur, nxt))
-            cur = nxt
-        for v in sorted(bag_to - cur_bag):
-            cur_bag.add(v)
-            nxt = new_node(cur_bag)
-            edges_out.append((cur, nxt))
-            cur = nxt
-        return cur
-
-    parent = {0: None}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for y in td.tree.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-
-    def kids_reversed(node):
-        """node's children, last first, so that popping yields them in order."""
-        return [y for y in td.tree.neighbors(node) if parent.get(y) == node][::-1]
-
-    # Post-order over the input tree. A frame holds a node, its children
-    # still to build and the tops of the branches built so far; each branch
-    # is chained to the node's bag as soon as it is built.
-    frames = [(0, kids_reversed(0), [])]
-    while True:
-        node, todo, branch_tops = frames[-1]
-        if todo:
-            y = todo.pop()
-            frames.append((y, kids_reversed(y), []))
-            continue
-        frames.pop()
-        bag = td.bags[node]
-        if not branch_tops:
-            top = chain_to(frozenset(), new_node(frozenset()), bag)
-        else:
-            top = branch_tops[0]
-            for other in branch_tops[1:]:
-                join = new_node(bag)
-                edges_out.append((top, join))
-                edges_out.append((other, join))
-                top = join
-        if not frames:
-            break
-        up = frames[-1]
-        up[2].append(chain_to(bag, top, td.bags[up[0]]))
-    chain_to(td.bags[0], top, frozenset())
-    # nodes are created children first and the root last, so numbering them
-    # backwards puts the root at 0 and every parent below its children
-    n_out = len(bags_out)
-    edges = [(n_out - 1 - a, n_out - 1 - b) for a, b in edges_out]
-    return TreeDecomposition(Graph(n_out, edges), tuple(reversed(bags_out)))
-
-
-def nice_node_kind(td, node, parent_of):
-    """Classify a node of a nice decomposition: leaf / introduce / forget / join."""
-    kids = [y for y in td.tree.neighbors(node) if parent_of.get(node) != y]
-    if not kids:
-        return ("leaf", None)
-    if len(kids) == 2:
-        return ("join", None)
-    (child,) = kids
-    cb, b = td.bags[child], td.bags[node]
-    if len(b) == len(cb) + 1 and cb < b:
-        (v,) = tuple(b - cb)
-        return ("introduce", v)
-    if len(b) == len(cb) - 1 and b < cb:
-        (v,) = tuple(cb - b)
-        return ("forget", v)
-    raise InvalidDecomposition(f"node {node} is not in nice form")
 
 
 # --- text format -----------------------------------------------------------------

@@ -9,9 +9,10 @@ the candidates, which is found from the patterns alone (deletions and
 contractions), with no minor search. Candidates are taken largest first; a member makes every
 candidate below it a member, a non-member makes every candidate above it a
 non-member, and only candidates still open are decided. The oracle decides
-one by rooted-minor search in the host. The dynamic program decides one over
-a nice tree decomposition, tracking per bag how branch sets touch the
-boundary. The oracle is ground truth; the DP must agree exactly.
+one by rooted-minor search in the host. The dynamic program decides one by
+introduce, forget and join steps over a tree decomposition, tracking per
+bag how branch sets touch the boundary. The oracle is ground truth; the DP
+must agree exactly.
 
 Folio members carry a tag: the equality pattern of the generating root
 tuple (first-occurrence normalized), since the same canonical member can
@@ -21,18 +22,13 @@ facts about the host.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
 from dataclasses import dataclass
 
-from .decomposition import (
-    exact_treewidth,
-    min_fill_decomposition,
-    nice_form,
-    nice_node_kind,
-    validate_td,
-)
+from .decomposition import exact_treewidth, min_fill_decomposition, validate_td
 from .errors import (
     BudgetExceeded,
     InvalidDecomposition,
@@ -205,7 +201,7 @@ def folio_bruteforce(host, d):
     return _lattice_folio(host, d, lambda form: find_rooted_minor(host, form) is not None)
 
 
-# --- dynamic program over a nice tree decomposition ---------------------------
+# --- dynamic program over a tree decomposition --------------------------------
 
 
 def _relabel(keys):
@@ -215,29 +211,54 @@ def _relabel(keys):
 
 
 def _dp_plan(g, td):
-    """The nice form of `td` as bottom-up steps, root last: (kind, node,
-    children, vertex, its position in the sorted bag that holds it, and for
-    an introduce the positions of its neighbours in the child's bag). It
+    """The DP's steps for `td`, rooted at node 0, in the order they run on a
+    stack of state sets. A node without children gives ("leaf",) and then
+    introduces up to its bag. Each child's result is brought to its parent's
+    bag by forgets, largest vertex first, then introduces, smallest first;
+    every child after the first is followed by ("join",), which merges the
+    top two results. The root is forgotten down to the empty bag last.
+
+    A forget is ("forget", i), i the vertex's position in the sorted bag; an
+    introduce is ("introduce", v, i, nbrs), i v's position in the new bag
+    and nbrs the positions of its neighbours in the old one. The plan
     depends on the host graph only, so it is built once per host."""
     if not validate_td(g, td).valid:
         raise InvalidDecomposition("decomposition does not validate for host")
-    nice = nice_form(td)
-    # nice_form numbers every parent below its children: a node's parent is
-    # its one smaller neighbour, and descending order visits children first
-    parent = {x: min(nice.tree.neighbors(x)) for x in range(1, nice.tree.n)}
     plan = []
-    for node in reversed(range(nice.tree.n)):
-        kind, v = nice_node_kind(nice, node, parent)
-        kids = [y for y in nice.tree.neighbors(node) if y > node]
-        vi, nbrs = None, ()
-        if kind == "introduce":
-            bag = sorted(nice.bags[node])
-            vi = bag.index(v)
-            nbrs = tuple(i for i, u in enumerate(bag[:vi] + bag[vi + 1 :]) if g.has_edge(u, v))
-        elif kind == "forget":
-            vi = sorted(nice.bags[kids[0]]).index(v)
-        plan.append((kind, node, kids, v, vi, nbrs))
-    return plan
+
+    def move(bag, to):
+        cur = sorted(bag)
+        for v in sorted(bag - to, reverse=True):
+            i = cur.index(v)
+            plan.append(("forget", i))
+            del cur[i]
+        for v in sorted(to - bag):
+            i = bisect.bisect(cur, v)
+            nbrs = tuple(j for j, u in enumerate(cur) if g.has_edge(u, v))
+            plan.append(("introduce", v, i, nbrs))
+            cur.insert(i, v)
+
+    # a frame is a node, its parent, its neighbours still to visit and the
+    # number of its children already done
+    frames = [[0, None, iter(td.tree.neighbors(0)), 0]]
+    while True:
+        x, up, todo, done = frames[-1]
+        y = next((y for y in todo if y != up), None)
+        if y is not None:
+            frames.append([y, x, iter(td.tree.neighbors(y)), 0])
+            continue
+        frames.pop()
+        if not done:
+            plan.append(("leaf",))
+            move(frozenset(), td.bags[x])
+        if not frames:
+            move(td.bags[x], frozenset())
+            return plan
+        parent = frames[-1]
+        move(td.bags[x], td.bags[parent[0]])
+        if parent[3]:
+            plan.append(("join",))
+        parent[3] += 1
 
 
 def _run_membership_dp(host, pattern, plan, budget):
@@ -247,10 +268,11 @@ def _run_membership_dp(host, pattern, plan, budget):
     bag vertex the pattern vertex whose branch set it joined (or FREE) and
     the id of its connected fragment of that branch set; a bitmask of the
     finished pattern vertices; and a bitmask of the pattern edges already
-    witnessed by a host edge. Bottom-up over the nice tree; a fragment that
-    loses its last bag vertex either finishes the branch set or kills the
-    state. An introduce or forget moves a state by its (labels, fragments)
-    part alone, so each move is worked out once per node and part.
+    witnessed by a host edge. The steps of `plan` run in order on a stack of
+    state sets; a fragment that loses its last bag vertex either finishes
+    the branch set or kills the state. An introduce or forget moves a state
+    by its (labels, fragments) part alone, so each move is worked out once
+    per step and part.
     """
     pn = pattern.graph.n
     edge_bit = [[0] * pn for _ in range(pn)]
@@ -314,17 +336,17 @@ def _run_membership_dp(host, pattern, plan, budget):
         return _relabel([FREE if f == FREE else find((0, f)) for f in frags1])
 
     state_count = 0
-    states_at = {}
-    for kind, node, kids, v, vi, nbrs in plan:
+    stack = []
+    for kind, *args in plan:
         out = set()
         if kind == "leaf":
             out.add((((), ()), 0, 0))
         elif kind == "join":
             by_labs = {}
-            for state in states_at.pop(kids[1]):
+            for state in stack.pop():
                 by_labs.setdefault(state[0][0], []).append(state)
             merged = {}
-            for (labs, frags1), closed1, realized1 in states_at.pop(kids[0]):
+            for (labs, frags1), closed1, realized1 in stack.pop():
                 for (_, frags2), closed2, realized2 in by_labs.get(labs, ()):
                     # a branch set finished on both sides would be two
                     # disjoint pieces; equal labels rule out every other
@@ -336,21 +358,18 @@ def _run_membership_dp(host, pattern, plan, budget):
                         merged[key] = (labs, join_fragments(frags1, frags2))
                     out.add((merged[key], closed1 | closed2, realized1 | realized2))
         else:
+            step = introduce_moves if kind == "introduce" else forget_moves
             moves = {}
-            for part, closed, realized in states_at.pop(kids[0]):
+            for part, closed, realized in stack.pop():
                 if part not in moves:
-                    moves[part] = (
-                        introduce_moves(part, v, vi, nbrs)
-                        if kind == "introduce"
-                        else forget_moves(part, vi)
-                    )
+                    moves[part] = step(part, *args)
                 for new, blocked, close, add in moves[part]:
                     if not closed & blocked:
                         out.add((new, closed | close, realized | add))
         state_count += len(out)
         if state_count > budget:
             raise BudgetExceeded(f"folio DP exceeded {budget} states")
-        states_at[node] = out
+        stack.append(out)
     done = (1 << pn) - 1
     target = (1 << pattern.graph.m) - 1
     # `out` holds the states of the root, whose bag is empty

@@ -98,7 +98,8 @@ def _check_cap(g, p):
 
 def _enumerate_linkages(g, p, spanning_only, limit, max_nodes):
     """Count linkages matching p, saturating at limit, and return the first
-    witness found in the deterministic order."""
+    witness found in the deterministic order. SearchCapExceeded when a path
+    grows deeper than the interpreter's recursion limit."""
     for a, b in p.pairs:
         if not (0 <= a < g.n and 0 <= b < g.n):
             raise IndexOutOfRange(f"terminal outside graph: {(a, b)}")
@@ -187,7 +188,10 @@ def _enumerate_linkages(g, p, spanning_only, limit, max_nodes):
             return
         extend(i, t, s, used | (1 << s), [s])
 
-    pair_start(0, 0)
+    try:
+        pair_start(0, 0)
+    except RecursionError as exc:
+        raise SearchCapExceeded("linkage search is deeper than the recursion limit") from exc
     return state["count"], state["first"]
 
 

@@ -120,7 +120,8 @@ def _exists_constraint_auto(pattern, a, b):
 def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAULT_PATTERN_CAP):
     """Core engine. `required[p]` is a host mask that branch set p must contain;
     `red_mask`, when not None, forces every branch set to intersect it.
-    Returns a MinorModel or None."""
+    Returns a MinorModel or None. SearchCapExceeded when the pattern is over
+    `pattern_cap` or the search runs deeper than the recursion limit."""
     hp = pattern.n
     if hp > pattern_cap:
         raise SearchCapExceeded(f"pattern has {hp} vertices, cap is {pattern_cap}")
@@ -232,8 +233,11 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
         nb_[i] = 0
         return False
 
-    full = (1 << host.n) - 1
-    if not place(0, full):
+    try:
+        found = place(0, (1 << host.n) - 1)
+    except RecursionError as exc:
+        raise SearchCapExceeded("minor search is deeper than the recursion limit") from exc
+    if not found:
         return None
     model_sets = [frozenset()] * hp
     for i, v in enumerate(order):

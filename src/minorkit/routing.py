@@ -206,36 +206,18 @@ def route_disc(cc, paths, pattern):
     return linkage
 
 
-def _brackets_ok(tokens):
-    """tokens = (pair_id, is_wall). Local pairs must match away from walls
-    and nest; walls are never removed. Cyclic when no wall is present."""
-    walls = [i for i, (_, is_wall) in enumerate(tokens) if is_wall]
-    if not walls:
-        seq = [pid for pid, _ in tokens]
-        changed = True
-        while seq and changed:
-            changed = False
-            n = len(seq)
-            for i in range(n):
-                j = (i + 1) % n
-                if i != j and seq[i] == seq[j]:
-                    for idx in sorted((i, j), reverse=True):
-                        seq.pop(idx)
-                    changed = True
-                    break
-        return not seq
-    n = len(tokens)
-    stack = []
-    for off in range(1, n + 1):
-        pid, is_wall = tokens[(walls[0] + off) % n]
-        if is_wall:
-            if stack:
-                return False
-        elif stack and stack[-1] == pid:
-            stack.pop()
-        else:
-            stack.append(pid)
-    return not stack
+def _cuff_ok(n_points, chords, walls):
+    """Can the local chords on a cuff of n_points positions be drawn
+    disjointly, with crossing curves leaving at the walls? Positions are
+    read from the first wall on, so no chord may hold a wall inside it."""
+    start = min(walls, default=0)
+
+    def at(p):
+        return (p - start) % n_points
+
+    return not _chords_cross(chords) and not any(
+        min(at(a), at(b)) < at(w) < max(at(a), at(b)) for a, b in chords for w in walls
+    )
 
 
 def _slot_frames(cc, norm, cross):
@@ -515,26 +497,19 @@ class CurveSystem:
             raise PreconditionViolated(
                 "crossing curves must share one winding"
             )
+        seqs = []
         for cuff in (0, 1):
-            tokens = []
+            chords, marks = [], []
             for pid, ((c1, p1), (c2, p2)) in enumerate(canon):
-                for c, p in (((c1, p1)), ((c2, p2))):
-                    if c == cuff:
-                        tokens.append((p, pid, c1 != c2))
-            tokens.sort()
-            if not _brackets_ok([(pid, x) for _, pid, x in tokens]):
+                if c1 == c2 == cuff:
+                    chords.append((p1, p2))
+                elif c1 != c2:
+                    marks.append((p1 if c1 == cuff else p2, pid))
+            if not _cuff_ok(sizes[cuff], chords, [p for p, _ in marks]):
                 raise PreconditionViolated(
                     "local curves trap endpoints on a cuff"
                 )
-        seqs = []
-        for cuff in (0, 1):
-            marks = []
-            for pid, ((c1, p1), (c2, p2)) in enumerate(canon):
-                if c1 != c2:
-                    pos = p1 if c1 == cuff else p2
-                    marks.append((pos, pid))
-            marks.sort()
-            seqs.append([pid for _, pid in marks])
+            seqs.append([pid for _, pid in sorted(marks)])
         if seqs[0] and not _is_cyclic_shift(seqs[0], seqs[1]):
             raise PreconditionViolated("crossing curves are misaligned")
         return CurveSystem(

@@ -379,6 +379,17 @@ def test_dp_default_engine_honours_node_budget(tmp_path, capsys):
     assert code == 2
 
 
+def test_dp_past_the_recursion_limit_exits_3(tmp_path, capsys):
+    # exit 1 would claim a failed verification
+    g = tmp_path / "ladder.edg"
+    g.write_text(write_edge_list(grid(2, 1500)))
+    pat = tmp_path / "p.pat"
+    pat.write_text("pair 0 2999\n")
+    code, doc = run_cli(capsys, ["dp", "--graph", str(g), "--pattern", str(pat)])
+    assert code == 3
+    assert "error" in doc
+
+
 def test_error_message_goes_to_stderr(tmp_path, capsys):
     cli.main(["tw", "--graph", str(tmp_path / "nope.edg")])
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, exact width, certificates, nice form.
+"""Tree decompositions: validation, exact width, certificates, text format.
 
 exact_treewidth is cross-checked against a brute-force oracle that tries
 every elimination order, which is the definitional route at tiny sizes,
@@ -26,8 +26,6 @@ from minorkit.decomposition import (
     exact_treewidth,
     find_grid_subgraph,
     min_fill_decomposition,
-    nice_form,
-    nice_node_kind,
     parse_td,
     treewidth_certificates,
     validate_bramble,
@@ -452,81 +450,6 @@ def test_grid_subgraph_finder():
             if r + 1 < 3:
                 assert g.has_edge(cert.placement[r][c], cert.placement[r + 1][c])
     assert find_grid_subgraph(path_graph(9), 2) is None
-
-
-# --- nice form -------------------------------------------------------------------
-
-
-def _assert_nice(g, nice):
-    assert validate_td(g, nice).valid
-    # node 0 is an empty root; all nodes classify
-    assert nice.bags[0] == frozenset()
-    parent_of = {0: None}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for y in nice.tree.neighbors(x):
-            if y not in parent_of:
-                parent_of[y] = x
-                order.append(y)
-    kinds = []
-    for node in range(nice.tree.n):
-        kinds.append(nice_node_kind(nice, node, parent_of)[0])
-    leaves = [i for i, k in enumerate(kinds) if k == "leaf"]
-    assert leaves and all(nice.bags[i] == frozenset() for i in leaves)
-    return kinds
-
-
-def test_nice_form_of_single_triangle_bag():
-    g = complete_graph(3)
-    td = TreeDecomposition(Graph(1, []), (frozenset({0, 1, 2}),))
-    nice = nice_form(td)
-    kinds = _assert_nice(g, nice)
-    assert kinds.count("introduce") == 3
-    assert nice.width() == td.width()
-
-
-def test_nice_form_of_path_decomposition():
-    g = path_graph(4)
-    td = TreeDecomposition(
-        path_graph(3),
-        (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})),
-    )
-    nice = nice_form(td)
-    kinds = _assert_nice(g, nice)
-    assert "introduce" in kinds and "forget" in kinds
-    assert nice.width() == 1
-
-
-def test_nice_form_rejects_broken_tree():
-    td = TreeDecomposition(Graph(2, []), (frozenset({0}), frozenset({1})))
-    with pytest.raises(InvalidDecomposition):
-        nice_form(td)
-
-
-def test_nice_form_preserves_width_on_random_inputs():
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.randint(1, 9)
-        g = random_graph(n, rng.uniform(0.2, 0.8), rng)
-        width, td = exact_treewidth(g)
-        nice = nice_form(td)
-        kinds = _assert_nice(g, nice)
-        assert nice.width() == td.width()
-        assert set(kinds) <= {"leaf", "introduce", "forget", "join"}
-
-
-def test_nice_form_numbers_every_parent_below_its_children():
-    # the folio DP reads a node's parent as its one smaller neighbour
-    rng = random.Random(23)
-    for _ in range(60):
-        g = random_graph(rng.randint(1, 11), rng.uniform(0.2, 0.8), rng)
-        for td in (exact_treewidth(g)[1], min_fill_decomposition(g)):
-            nice = nice_form(td)
-            for x in range(1, nice.tree.n):
-                assert sum(1 for y in nice.tree.neighbors(x) if y < x) == 1
 
 
 # --- text format -------------------------------------------------------------------

@@ -311,6 +311,68 @@ def test_dp_rejects_invalid_decomposition():
         folio_dp(host, 0, bad)
 
 
+def replay_plan(g, plan):
+    """Run the plan on bags instead of states, checking each step, and
+    return (the final stack, forgets per vertex, edges seen, widest bag)."""
+    stack, forgets, seen, widest = [], {}, set(), 0
+    for kind, *args in plan:
+        if kind == "leaf":
+            stack.append([])
+        elif kind == "join":
+            right, left = stack.pop(), stack.pop()
+            assert left == right
+            stack.append(left)
+        elif kind == "forget":
+            (i,) = args
+            bag = stack.pop()
+            forgets[bag[i]] = forgets.get(bag[i], 0) + 1
+            stack.append(bag[:i] + bag[i + 1 :])
+        else:
+            v, i, nbrs = args
+            bag = stack.pop()
+            assert v not in bag and bag[:i] + [v] + bag[i:] == sorted(bag + [v])
+            assert nbrs == tuple(j for j, u in enumerate(bag) if g.has_edge(u, v))
+            seen |= {(min(bag[j], v), max(bag[j], v)) for j in nbrs}
+            stack.append(bag[:i] + [v] + bag[i:])
+        widest = max(widest, len(stack[-1]))
+    return stack, forgets, seen, widest
+
+
+def test_dp_plan_is_a_nice_program():
+    triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert _dp_plan(triangle, single_bag_td(triangle)) == [
+        ("leaf",),
+        ("introduce", 0, 0, ()),
+        ("introduce", 1, 1, (0,)),
+        ("introduce", 2, 2, (0, 1)),
+        ("forget", 2),
+        ("forget", 1),
+        ("forget", 0),
+    ]
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 11), rng.uniform(0.2, 0.8), rng)
+        for td in (exact_treewidth(g)[1], min_fill_decomposition(g)):
+            stack, forgets, seen, widest = replay_plan(g, _dp_plan(g, td))
+            assert stack == [[]]
+            assert forgets == {v: 1 for v in range(g.n)}
+            assert seen == set(g.edges)
+            assert widest == td.width() + 1
+    # a path decomposition gives one leaf, no join and two steps a bag
+    g = grid_graph(2, 1500)
+    plan = _dp_plan(g, ladder_path_decomposition(1500))
+    assert len(plan) == 6001 and plan[0] == ("leaf",)
+    assert all(kind != "join" for kind, *_ in plan)
+
+
+def test_dp_plan_rejects_a_broken_tree():
+    g = Graph(3, [])
+    bags = (frozenset({0}), frozenset({1}), frozenset({2}))
+    for tree in (Graph(3, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)])):
+        with pytest.raises(InvalidDecomposition):
+            _dp_plan(g, TreeDecomposition(tree, bags))
+
+
 def test_dp_state_budget_raises():
     host = RootedGraph(grid_graph(2, 3), (0, 5))
     _, td = exact_treewidth(host.graph)

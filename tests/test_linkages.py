@@ -232,6 +232,12 @@ def test_search_cap():
         disjoint_paths(g, p)
 
 
+def test_a_path_past_the_recursion_limit_raises_the_cap_error():
+    # the search recurses once per path vertex, and this path has 3000
+    with pytest.raises(SearchCapExceeded):
+        disjoint_paths(grid_graph(2, 1500), Pattern.of([(0, 2999)]))
+
+
 def test_node_budget():
     g = grid_graph(4, 4)
     with pytest.raises(BudgetExceeded):

@@ -165,6 +165,14 @@ def test_pattern_cap_enforced():
         find_minor(complete_graph(13), complete_graph(13))
 
 
+def test_a_search_past_the_recursion_limit_raises_the_cap_error():
+    # the branch set grows one vertex per level along the 1200-vertex path
+    host = RootedGraph(path_graph(1200), (0, 1199))
+    pattern = RootedGraph(Graph(2, [(0, 1)]), (0, 1))
+    with pytest.raises(SearchCapExceeded):
+        find_rooted_minor(host, pattern)
+
+
 def test_empty_pattern_always_present():
     assert find_minor(Graph(0, []), Graph(0, [])) is not None
     assert find_minor(path_graph(3), Graph(0, [])) is not None
