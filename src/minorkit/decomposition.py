@@ -326,41 +326,44 @@ class TreewidthCertificates:
 
 
 def find_grid_subgraph(g, side):
-    """Rigid backtracking placement of a side-by-side grid as a subgraph."""
-    if side * side > g.n:
+    """Rigid backtracking placement of a side-by-side grid as a subgraph,
+    cell by cell in row-major order. An explicit stack holds each placed
+    cell's remaining candidates, so a large grid needs no deep recursion."""
+    if side < 1 or side * side > g.n:
         return None
-    deg_need = [[0] * side for _ in range(side)]
-    for r in range(side):
-        for c in range(side):
-            deg_need[r][c] = (0 < r) + (r < side - 1) + (0 < c) + (c < side - 1)
-    place = [[-1] * side for _ in range(side)]
+    place = [-1] * (side * side)
     used = [False] * g.n
 
-    def rec(idx):
-        if idx == side * side:
-            return True
+    def candidates(idx):
+        """Unused host vertices that fit cell idx next to the cells placed."""
         r, c = divmod(idx, side)
+        need = (0 < r) + (r < side - 1) + (0 < c) + (c < side - 1)
         cands = None
         if c > 0:
-            cands = set(g.neighbors(place[r][c - 1]))
+            cands = set(g.neighbors(place[idx - 1]))
         if r > 0:
-            up = set(g.neighbors(place[r - 1][c]))
+            up = set(g.neighbors(place[idx - side]))
             cands = up if cands is None else cands & up
         if cands is None:
             cands = range(g.n)
-        for v in sorted(cands):
-            if used[v] or g.degree(v) < deg_need[r][c]:
-                continue
-            place[r][c] = v
-            used[v] = True
-            if rec(idx + 1):
-                return True
-            used[v] = False
-            place[r][c] = -1
-        return False
+        return iter([v for v in sorted(cands) if not used[v] and g.degree(v) >= need])
 
-    if side >= 1 and rec(0):
-        return GridCertificate(side, tuple(tuple(row) for row in place))
+    stack = [candidates(0)]
+    while stack:
+        idx = len(stack) - 1
+        if place[idx] != -1:
+            used[place[idx]] = False
+            place[idx] = -1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        place[idx] = v
+        used[v] = True
+        if idx + 1 == side * side:
+            rows = (tuple(place[r * side:(r + 1) * side]) for r in range(side))
+            return GridCertificate(side, tuple(rows))
+        stack.append(candidates(idx + 1))
     return None
 
 

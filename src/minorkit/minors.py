@@ -7,6 +7,12 @@ vertices in a fixed placement order, and prunes on reachability, liveness of
 future pattern edges, and red-vertex counting. Rooted and red searches are
 the same engine with per-branch-set admissibility constraints. The one
 clique-minor search, dense_clique_minor, tries a greedy contraction first.
+find_minor alone first compares treewidth bounds and answers None when the
+host is too thin for the pattern.
+
+Canonical codes come from individualisation and colour refinement over a
+search tree pruned by the automorphisms that equal leaves reveal, under a
+fixed node budget.
 """
 
 from __future__ import annotations
@@ -14,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import PreconditionViolated, RootCountMismatch, SearchCapExceeded
+from .errors import (
+    BudgetExceeded,
+    PreconditionViolated,
+    RootCountMismatch,
+    SearchCapExceeded,
+)
 from .graphs import (
     Graph,
     RootedGraph,
@@ -27,6 +38,7 @@ from .graphs import (
 )
 
 DEFAULT_PATTERN_CAP = 12
+CANONICAL_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -246,7 +258,21 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
 
 
 def find_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
-    """A minor model of pattern in host, or None. Exhaustive under the cap."""
+    """A minor model of pattern in host, or None. Exhaustive under the cap.
+
+    Treewidth is minor-monotone, so when the host's min-fill width (an upper
+    bound on its treewidth) is below the pattern's minor-min-width (a lower
+    bound on the pattern's) the answer is None with no search; a pattern
+    over the cap still raises SearchCapExceeded. find_rooted_minor has no
+    such cut: reduce calls it thousands of times a round on hosts of about
+    twelve vertices, where the two bounds take about 0.2 ms a call."""
+    from .decomposition import _min_fill_order, _minor_min_width
+
+    # the empty pattern, of treewidth -1, is in every host
+    if 0 < pattern.n <= pattern_cap and (
+        _min_fill_order(neighbor_masks(host))[0] < _minor_min_width(neighbor_masks(pattern))
+    ):
+        return None
     return _search_model(host, pattern, pattern_cap=pattern_cap)
 
 
@@ -378,6 +404,25 @@ def _refine(g, colors):
         colors = fresh
 
 
+def _orbits(n, perms):
+    """The least vertex of each vertex's orbit under the group that the
+    permutations (tuples, vertex -> image) generate."""
+    rep = list(range(n))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    for perm in perms:
+        for u in range(n):
+            a, b = find(u), find(perm[u])
+            if a != b:
+                rep[max(a, b)] = min(a, b)
+    return [find(u) for u in range(n)]
+
+
 def canonical_form(rg, cap=20):
     """Canonical relabeling of a rooted graph.
 
@@ -385,19 +430,36 @@ def canonical_form(rg, cap=20):
     same code exactly when a rooted isomorphism (roots fixed
     pointwise by position) exists between them. Individualization plus color
     refinement, exact, sized for folio members and gadget-scale graphs.
+
+    The search tree is pruned by automorphisms (McKay & Piperno 2014). A
+    leaf with the signature of the first leaf or of the least one so far
+    gives a root-fixing automorphism that maps that earlier leaf's path onto
+    its own, so the rest of its subtree below the node where the two paths
+    part repeats leaves already seen and is left. At each node, a cell
+    vertex in the orbit of an explored sibling, under the automorphisms
+    found so far that fix the node's individualised vertices, is skipped:
+    its subtree holds the same leaf signatures. The least signature, and so
+    the code and the form, is the one the full tree gives. More than
+    CANONICAL_NODE_BUDGET tree nodes raise BudgetExceeded, and a tree
+    deeper than the recursion limit (only past the default cap) raises
+    SearchCapExceeded.
     """
     g = rg.graph
-    if g.n > cap:
-        raise SearchCapExceeded(f"{g.n} vertices, canonical cap is {cap}")
+    n = g.n
+    if n > cap:
+        raise SearchCapExceeded(f"{n} vertices, canonical cap is {cap}")
     position_sig = [
-        tuple(i for i, r in enumerate(rg.roots) if r == v) for v in range(g.n)
+        tuple(i for i, r in enumerate(rg.roots) if r == v) for v in range(n)
     ]
     ranking = {k: i for i, k in enumerate(sorted(set(position_sig)))}
-    colors0 = [ranking[position_sig[v]] for v in range(g.n)]
-    best = None
+    colors0 = [ranking[position_sig[v]] for v in range(n)]
+    first = least = None  # (signature, path, colors) of the first and the least leaf
+    autos = []  # automorphisms found, as tuples vertex -> image
+    nodes = 0
 
-    def leaf(colors):
-        nonlocal best
+    def leaf(colors, path):
+        """None, or the depth to return to when an earlier leaf matches."""
+        nonlocal first, least
         roots_img = tuple(colors[r] for r in rg.roots)
         edges_img = tuple(
             sorted(
@@ -405,27 +467,66 @@ def canonical_form(rg, cap=20):
                 for u, v in g.edges
             )
         )
-        sig = (g.n, roots_img, edges_img)
-        if best is None or sig < best:
-            best = sig
+        sig = (n, roots_img, edges_img)
+        match = next((k for k in (first, least) if k is not None and k[0] == sig), None)
+        if match is None:
+            if first is None:
+                first = (sig, path, colors)
+            if least is None or sig < least[0]:
+                least = (sig, path, colors)
+            return None
+        _, other_path, other = match
+        vertex_of = [0] * n
+        for v in range(n):
+            vertex_of[colors[v]] = v
+        autos.append(tuple(vertex_of[other[u]] for u in range(n)))
+        depth = 0
+        while other_path[depth] == path[depth]:
+            depth += 1
+        return depth
 
-    def rec(colors):
+    def rec(colors, path):
+        """None, or the depth of the ancestor that the search returns to."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > CANONICAL_NODE_BUDGET:
+            raise BudgetExceeded(
+                f"canonical form stopped after {nodes - 1} search nodes "
+                f"on {n} vertices, budget is {CANONICAL_NODE_BUDGET}"
+            )
         colors = _refine(g, colors)
         cell = None
         for c in sorted(set(colors)):
-            members = [v for v in range(g.n) if colors[v] == c]
+            members = [v for v in range(n) if colors[v] == c]
             if len(members) > 1:
                 cell = members
                 break
         if cell is None:
-            leaf(colors)
-            return
+            return leaf(colors, path)
+        explored = []
+        orbit = None
+        known = 0
         for v in cell:
-            keyed = [(colors[u], 0 if u == v else 1) for u in range(g.n)]
+            if explored and autos:
+                if known != len(autos):
+                    known = len(autos)
+                    fixing = [a for a in autos if all(a[p] == p for p in path)]
+                    orbit = _orbits(n, fixing)
+                if any(orbit[v] == orbit[w] for w in explored):
+                    continue
+            keyed = [(colors[u], 0 if u == v else 1) for u in range(n)]
             rk = {k: i for i, k in enumerate(sorted(set(keyed)))}
-            rec([rk[keyed[u]] for u in range(g.n)])
+            back = rec([rk[keyed[u]] for u in range(n)], path + (v,))
+            if back is not None and back < len(path):
+                return back
+            explored.append(v)
+        return None
 
-    rec(colors0)
+    try:
+        rec(colors0, ())
+    except RecursionError as exc:
+        raise SearchCapExceeded("canonical search is deeper than the recursion limit") from exc
+    best = least[0]
     n, roots_img, edges_img = best
     return RootedGraph(Graph(n, edges_img), roots_img), repr(best).encode("ascii")
 

@@ -109,6 +109,14 @@ def test_tw_certify_reports_both_certificates(tmp_path, capsys):
     assert doc["grid_side"] == 3 or doc["bramble_sets"]
 
 
+def test_tw_certify_on_a_grid_past_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "g35.edg"
+    path.write_text(write_edge_list(grid(35, 35)))
+    code, doc = run_cli(capsys, ["tw", "--graph", str(path), "--certify", "35"])
+    assert code == 0
+    assert doc["value"] == 35 and doc["grid_side"] == 35
+
+
 # --- dp and vital ----------------------------------------------------------------
 
 

@@ -432,6 +432,16 @@ def test_certificates_on_a_chorded_grid_past_the_exact_cap():
     assert check.valid and check.width == 5
 
 
+def test_certificates_on_a_grid_past_the_recursion_limit():
+    # the placement visits all 1225 cells, more than the default recursion
+    # limit of 1000 frames
+    g = grid(35, 35)
+    certs = treewidth_certificates(g, 35)
+    assert certs.lower_grid is not None and certs.lower_grid.side == 35
+    check = validate_td(g, certs.upper)
+    assert check.valid and check.width == 35
+
+
 def test_certificates_not_found_on_tree():
     with pytest.raises(CertificateNotFound):
         treewidth_certificates(path_graph(6), 2)

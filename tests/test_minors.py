@@ -8,10 +8,17 @@ agreement on random instances checks both presence and absence answers.
 
 import itertools
 import random
+import sys
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minorkit.errors import RootCountMismatch, SearchCapExceeded
+from minorkit import minors
+from minorkit.constructions import wall
+from minorkit.errors import BudgetExceeded, RootCountMismatch, SearchCapExceeded
+from minorkit.folios import candidate_patterns
 from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph
 from minorkit.minors import (
     MinorModel,
@@ -40,6 +47,10 @@ def complete_graph(n):
 
 def star_graph(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def grid_graph(rows, cols):
@@ -171,6 +182,55 @@ def test_a_search_past_the_recursion_limit_raises_the_cap_error():
     pattern = RootedGraph(Graph(2, [(0, 1)]), (0, 1))
     with pytest.raises(SearchCapExceeded):
         find_rooted_minor(host, pattern)
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(8), graphs(6))
+def test_the_treewidth_cut_keeps_every_answer(host, pattern):
+    assert find_minor(host, pattern) == minors._search_model(host, pattern)
+
+
+def count_searches(monkeypatch):
+    calls = []
+    search = minors._search_model
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "_search_model", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "host, pattern",
+    [
+        (grid_graph(3, 4), complete_graph(5)),
+        (grid_graph(2, 6), complete_graph(4)),
+        (grid_graph(2, 6), complete_bipartite(3, 3)),
+        (grid_graph(2, 6), grid_graph(3, 3)),
+        (grid_graph(2, 5), complete_graph(4)),
+        (wall(2).graph, complete_bipartite(3, 3)),
+    ],
+)
+def test_a_host_of_lower_treewidth_is_answered_without_a_search(monkeypatch, host, pattern):
+    calls = count_searches(monkeypatch)
+    assert find_minor(host, pattern) is None
+    assert calls == []
+
+
+def test_k33_in_a_3x4_grid_is_still_searched(monkeypatch):
+    # min-fill width 3 and minor-min-width 3: the bounds cannot decide
+    calls = count_searches(monkeypatch)
+    assert find_minor(grid_graph(3, 4), complete_bipartite(3, 3)) is None
+    assert len(calls) == 1
 
 
 def test_empty_pattern_always_present():
@@ -373,6 +433,157 @@ def test_canonical_form_is_a_fixed_point():
         assert form.graph == form2.graph and form.roots == form2.roots
 
 
+def reference_canonical_form(rg):
+    """canonical_form without automorphism pruning: every child of every
+    node of the individualisation tree is searched."""
+    g = rg.graph
+
+    def refine(colors):
+        while True:
+            keys = [
+                (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+                for v in range(g.n)
+            ]
+            ranking = {k: i for i, k in enumerate(sorted(set(keys)))}
+            fresh = [ranking[keys[v]] for v in range(g.n)]
+            if fresh == colors:
+                return colors
+            colors = fresh
+
+    position_sig = [
+        tuple(i for i, r in enumerate(rg.roots) if r == v) for v in range(g.n)
+    ]
+    ranking = {k: i for i, k in enumerate(sorted(set(position_sig)))}
+    best = None
+
+    def rec(colors):
+        nonlocal best
+        colors = refine(colors)
+        cell = None
+        for c in sorted(set(colors)):
+            members = [v for v in range(g.n) if colors[v] == c]
+            if len(members) > 1:
+                cell = members
+                break
+        if cell is None:
+            edges = tuple(sorted(
+                (min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges
+            ))
+            sig = (g.n, tuple(colors[r] for r in rg.roots), edges)
+            if best is None or sig < best:
+                best = sig
+            return
+        for v in cell:
+            keyed = [(colors[u], 0 if u == v else 1) for u in range(g.n)]
+            rk = {k: i for i, k in enumerate(sorted(set(keyed)))}
+            rec([rk[keyed[u]] for u in range(g.n)])
+
+    rec([ranking[position_sig[v]] for v in range(g.n)])
+    n, roots, edges = best
+    return RootedGraph(Graph(n, edges), roots), repr(best).encode("ascii")
+
+
+def assert_same_as_reference(rg):
+    form, code = canonical_form(rg)
+    ref_form, ref_code = reference_canonical_form(rg)
+    assert code == ref_code
+    assert form.graph == ref_form.graph and form.roots == ref_form.roots
+
+
+@st.composite
+def rooted_graphs(draw, max_n):
+    g = draw(graphs(max_n))
+    k = draw(st.integers(0, 3)) if g.n else 0
+    return RootedGraph(g, tuple(draw(st.integers(0, g.n - 1)) for _ in range(k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_graphs(8))
+def test_pruning_keeps_every_code_and_form(rg):
+    # n <= 8: the reference needs 9! leaves, about 11 s, on 9 isolated vertices
+    assert_same_as_reference(rg)
+
+
+@pytest.mark.parametrize(
+    "rg",
+    [
+        RootedGraph(cycle_graph(9), ()),
+        RootedGraph(cycle_graph(9), (4, 4, 0)),
+        RootedGraph(grid_graph(3, 3), (0,)),
+        RootedGraph(Graph(9, [(0, 1), (2, 3), (4, 5), (6, 7)]), (8,)),
+        RootedGraph(Graph(9, [(a, b) for a in range(3) for b in range(3, 6)]), (6, 7)),
+    ],
+)
+def test_pruning_keeps_the_codes_of_symmetric_nine_vertex_graphs(rg):
+    assert_same_as_reference(rg)
+
+
+@pytest.mark.parametrize("k, d", [(k, d) for k in (1, 2, 3) for d in (1, 2, 3)] + [(4, 2)])
+def test_pruning_keeps_the_candidate_codes(k, d):
+    rng = random.Random(k * 10 + d)
+    for form, _ in candidate_patterns(k, d):
+        perm = list(range(form.graph.n))
+        rng.shuffle(perm)
+        relabelled = RootedGraph(relabel(form.graph, perm), tuple(perm[r] for r in form.roots))
+        assert_same_as_reference(form)
+        assert_same_as_reference(relabelled)
+
+
+def as_networkx(rg):
+    h = nx.Graph()
+    for v in range(rg.graph.n):
+        h.add_node(v, at=tuple(i for i, r in enumerate(rg.roots) if r == v))
+    h.add_edges_from(rg.graph.edges)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooted_graphs(10), st.randoms(use_true_random=False), st.integers(0, 2))
+def test_codes_are_equal_exactly_for_rooted_isomorphic_graphs(rg, rng, flips):
+    # a relabelled copy with up to two edges flipped, so that both answers occur
+    n = rg.graph.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in rg.graph.edges}
+    pairs = list(itertools.combinations(range(n), 2))
+    for e in rng.sample(pairs, min(flips, len(pairs))):
+        edges ^= {e}
+    other = RootedGraph(Graph(n, sorted(edges)), tuple(perm[r] for r in rg.roots))
+    same = nx.is_isomorphic(
+        as_networkx(rg), as_networkx(other), node_match=lambda a, b: a["at"] == b["at"]
+    )
+    assert (canonical_code(rg) == canonical_code(other)) == same
+
+
+def test_canonical_codes_of_symmetric_graphs(monkeypatch):
+    for g in (complete_graph(6), complete_bipartite(4, 4), Graph(8, [(0, 1)])):
+        assert_same_as_reference(RootedGraph(g, ()))
+    # unpruned, K8 and K5,5 take 8! and 2 * 5!^2 leaves; pruned, K_n and
+    # the edgeless graph take about n^2 / 2 tree nodes
+    monkeypatch.setattr(minors, "CANONICAL_NODE_BUDGET", 250)
+    for g in (complete_graph(8), complete_bipartite(5, 5), complete_graph(20), Graph(20, [])):
+        canonical_code(RootedGraph(g, ()))
+    canonical_code(RootedGraph(Graph(20, []), (3, 3, 7)))
+
+
+def test_canonical_form_raises_past_its_node_budget(monkeypatch):
+    monkeypatch.setattr(minors, "CANONICAL_NODE_BUDGET", 5)
+    with pytest.raises(BudgetExceeded, match="after 5 search nodes"):
+        canonical_code(RootedGraph(cycle_graph(12), ()))
+
+
+def test_a_canonical_search_past_the_recursion_limit_raises_the_cap_error():
+    # the first path individualises 299 of the 300 isolated vertices, one
+    # frame each, past a limit lowered to keep the test quick
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        with pytest.raises(SearchCapExceeded):
+            canonical_code(RootedGraph(Graph(300, []), ()), cap=300)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_canonical_cap():
     with pytest.raises(SearchCapExceeded):
         canonical_code(RootedGraph.of(Graph(21, []), ()))
@@ -382,6 +593,11 @@ def test_isomorphic_applies_the_cap_to_both_graphs():
     # 21 vertices, past the default cap of 20
     p21 = path_graph(21)
     assert isomorphic(p21, relabel(p21, [(2 * v) % 21 for v in range(21)]), cap=25)
+
+
+def test_isomorphic_on_many_interchangeable_vertices():
+    assert isomorphic(Graph(21, [(0, 1)]), Graph(21, [(2, 3)]), cap=25)
+    assert not isomorphic(Graph(21, [(0, 1), (1, 2)]), Graph(21, [(0, 1), (2, 3)]), cap=25)
 
 
 def test_isomorphic_basic():
