@@ -600,13 +600,14 @@ def _presence_model(deco):
     return MinorModel(branch_sets=tuple(sets))
 
 
-def _absent_after(deco, v, type_codes, block_order):
+def _absent_after(deco, v, type_codes, block_order, code_of):
     """Decide that the target is gone from the decoration minus v.
 
     Stage one counts intact attachment blocks: each of the k gadget types
     must still appear twice among the blocks of the punctured graph, at
     exactly its original order (a same-order block can host the attachment
-    block as a minor only by being isomorphic to it).  Stage two, reached
+    block as a minor only by being isomorphic to it); code_of gives a
+    block's canonical code.  Stage two, reached
     only when every block survived (v was an interior core vertex), asks
     whether the bridges could still be drawn: the forced pairing needs
     disjoint terminal-to-terminal paths inside the punctured core, and the
@@ -618,8 +619,7 @@ def _absent_after(deco, v, type_codes, block_order):
     for comp in blocks(g)[0]:
         if len(comp) != block_order:
             continue
-        sub, _ = induced_subgraph(g, comp)
-        code = canonical_code(RootedGraph.of(sub, ()))
+        code = code_of(induced_subgraph(g, comp)[0])
         if code in counts:
             counts[code] += 1
     if any(c < 2 for c in counts.values()):
@@ -659,13 +659,20 @@ def verify_hk_deletion(k, fam=None, per_vertex=False):
     model = _presence_model(deco)
     present = verify_minor_model(deco.graph, target, model)
 
-    type_codes = [
-        canonical_code(RootedGraph.of(_attachment_block(gadget), ()))
-        for gadget in members
-    ]
+    # the punctured decorations share a few distinct blocks, so each block's
+    # code is computed once per call
+    codes = {}
+
+    def code_of(block):
+        key = (block.n, block.edges)
+        if key not in codes:
+            codes[key] = canonical_code(RootedGraph.of(block, ()))
+        return codes[key]
+
+    type_codes = [code_of(_attachment_block(gadget)) for gadget in members]
     block_order = fam.n_vertices + 2
     absent = tuple(
-        _absent_after(deco, v, type_codes, block_order)
+        _absent_after(deco, v, type_codes, block_order, code_of)
         for v in range(deco.graph.n)
     )
     report = {"minor_present": present, "per_vertex_absent": all(absent)}

@@ -5,10 +5,12 @@ sets one host vertex at a time in a canonical order (each candidate set is
 enumerated exactly once, seeded at its minimum vertex), finalizes pattern
 vertices in a fixed placement order, and prunes on reachability, liveness of
 future pattern edges, and red-vertex counting. Rooted and red searches are
-the same engine with per-branch-set admissibility constraints. The one
-clique-minor search, dense_clique_minor, tries a greedy contraction first.
-find_minor alone first compares treewidth bounds and answers None when the
-host is too thin for the pattern.
+the same engine with per-branch-set admissibility constraints. When no
+pattern vertex is required, seeds are ordered along the pattern's symmetry:
+the first placed vertex's orbit, from the automorphisms the canonical search
+finds, and each twin class. find_minor alone first compares treewidth bounds
+and answers None when the host is too thin for the pattern; the clique
+search, dense_clique_minor, is find_minor on K_t.
 
 Canonical codes come from individualisation and colour refinement over a
 search tree pruned by the automorphisms that equal leaves reveal, under a
@@ -18,6 +20,7 @@ fixed node budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .errors import (
@@ -91,49 +94,16 @@ def _placement_order(pattern, required):
     return order
 
 
-def _exists_constraint_auto(pattern, a, b):
-    """Is there an automorphism of pattern with a -> b?"""
-    n = pattern.n
-
-    def compatible(v, w, img):
-        if pattern.degree(v) != pattern.degree(w):
-            return False
-        for u in range(n):
-            if img[u] != -1 and pattern.has_edge(u, v) != pattern.has_edge(img[u], w):
-                return False
-        return True
-
-    img = [-1] * n
-    used = [False] * n
-    if not compatible(a, b, img):
-        return False
-    img[a] = b
-    used[b] = True
-    rest = [v for v in range(n) if v != a]
-
-    def rec(k):
-        if k == len(rest):
-            return True
-        v = rest[k]
-        for w in range(n):
-            if used[w] or not compatible(v, w, img):
-                continue
-            img[v] = w
-            used[w] = True
-            if rec(k + 1):
-                return True
-            img[v] = -1
-            used[w] = False
-        return False
-
-    return rec(0)
-
-
 def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAULT_PATTERN_CAP):
     """Core engine. `required[p]` is a host mask that branch set p must contain;
     `red_mask`, when not None, forces every branch set to intersect it.
     Returns a MinorModel or None. SearchCapExceeded when the pattern is over
-    `pattern_cap` or the search runs deeper than the recursion limit."""
+    `pattern_cap` or the search runs deeper than the recursion limit.
+
+    With no required vertex, only models whose seeds follow the pattern's
+    symmetry are tried (Grochow & Kellis 2007): the first placed vertex
+    takes the smallest seed of its orbit, and twins (the same neighbours
+    apart from each other) take rising seeds in placement order."""
     hp = pattern.n
     if hp > pattern_cap:
         raise SearchCapExceeded(f"pattern has {hp} vertices, cap is {pattern_cap}")
@@ -162,15 +132,20 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
     for i in range(hp - 1, -1, -1):
         suffix_req[i] = suffix_req[i + 1] | req_at[i]
 
-    # symmetry: the branch set of the first placed vertex takes the smallest
-    # seed among its automorphism orbit; required vertices are placed first,
-    # so when the first one is free no vertex is required
-    orbit_rule = set()
+    # seed_floors[i]: earlier positions whose seeds position i's seed must
+    # exceed. Required vertices are placed first, so a free first vertex means
+    # none is required. Permuting a twin class is an automorphism, and the
+    # first placed vertex comes first in its own class, so some automorphic
+    # image of any model obeys both rules.
+    seed_floors = [()] * hp
     if req_at[0] == 0:
-        v0 = order[0]
-        for w in range(hp):
-            if w != v0 and _exists_constraint_auto(pattern, v0, w):
-                orbit_rule.add(pos[w])
+        orbit = _pattern_orbits(pattern)
+        pm = neighbor_masks(pattern)
+        for i in range(1, hp):
+            u = order[i]
+            twins = [j for j in range(i) if pm[u] & ~(1 << order[j]) == pm[order[j]] & ~(1 << u)]
+            in_orbit = orbit[u] == orbit[order[0]]
+            seed_floors[i] = tuple(twins[-1:]) + ((0,) if in_orbit else ())
 
     sets_ = [0] * hp
     nb_ = [0] * hp
@@ -185,7 +160,9 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
             return False
         if req:
             return extend(i, req, free & ~req, 0)
-        floor = sets_[0] & -sets_[0] if i in orbit_rule else 0
+        floor = 0
+        for j in seed_floors[i]:
+            floor = max(floor, sets_[j] & -sets_[j])
         # a set is enumerated only from its minimum vertex (everything smaller
         # is banned inside that subtree), so seed trial order is free to be a
         # heuristic: prefer hosts whose degree can carry the pattern degree
@@ -323,67 +300,14 @@ def complete_graph(t):
     return Graph(t, combinations(range(t), 2))
 
 
-def _contract_clusters(sets, adj, i, j):
-    """Merge cluster j into cluster i; they must be adjacent."""
-    keep = [x for x in range(len(sets)) if x != j]
-    remap = {old: new for new, old in enumerate(keep)}
-    nsets = [sets[x] if x != i else sets[i] | sets[j] for x in keep]
-    nadj = []
-    for x in keep:
-        nbrs = adj[x] if x != i else (adj[i] | adj[j]) - {i, j}
-        nadj.append({remap[y if y != j else i] for y in nbrs if (y if y != j else i) != x})
-    return nsets, nadj
-
-
-def _find_adjacent_clusters(adj, order):
-    """Indices of `order` pairwise adjacent clusters, or None."""
-    n = len(adj)
-
-    def grow(chosen, cand):
-        if len(chosen) == order:
-            return chosen
-        if len(chosen) + len(cand) < order:
-            return None
-        for x in cand:
-            got = grow(chosen + [x], [y for y in cand if y > x and y in adj[x]])
-            if got is not None:
-                return got
-        return None
-
-    return grow([], list(range(n)))
-
-
-def _greedy_clique(sets, adj, order):
-    """Absorb a minimum-degree cluster into its best neighbour until
-    `order` pairwise adjacent clusters appear, or give up.
-
-    Merging along the most shared neighbours keeps the contraction from
-    spending edges, so sparse hosts densify instead of collapsing."""
-    while True:
-        pick = _find_adjacent_clusters(adj, order)
-        if pick is not None:
-            return [sets[i] for i in pick]
-        with_edges = [i for i in range(len(sets)) if adj[i]]
-        if not with_edges:
-            return None
-        v = min(with_edges, key=lambda i: (len(adj[i]), i))
-        u = min(adj[v], key=lambda j: (-len(adj[v] & adj[j]), j))
-        sets, adj = _contract_clusters(sets, adj, min(u, v), max(u, v))
-
-
 def dense_clique_minor(g, t):
-    """A K_t minor model of g, or None when g has none. A cheap greedy
-    contraction pass runs first; when it stalls, find_minor decides, so the
-    answer is exact for t up to DEFAULT_PATTERN_CAP, and above it a stalled
-    pass raises SearchCapExceeded. The name outlived an edge-density tier;
+    """A K_t minor model of g, or None when g has none: find_minor on K_t,
+    so the answer is exact up to DEFAULT_PATTERN_CAP and raises
+    SearchCapExceeded above it. The name outlived an edge-density tier;
     perfbench's tracer wraps `pipeline.dense_clique_minor` by it."""
     if t < 1:
         raise PreconditionViolated("clique order must be at least 1")
-    found = _greedy_clique([frozenset([v]) for v in g.vertices()],
-                           [set(g.neighbors(v)) for v in g.vertices()], t)
-    if found is None:
-        return find_minor(g, complete_graph(t))
-    return MinorModel(tuple(found))
+    return find_minor(g, complete_graph(t))
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +347,21 @@ def _orbits(n, perms):
     return [find(u) for u in range(n)]
 
 
-def canonical_form(rg, cap=20):
-    """Canonical relabeling of a rooted graph.
+def _canonical_search(rg, cap):
+    """The least leaf signature of the canonical search tree of a rooted
+    graph, and the root-fixing automorphisms (tuples vertex -> image) that
+    the search found on the way.
 
-    Returns (canonical RootedGraph, code bytes). Two rooted graphs get the
-    same code exactly when a rooted isomorphism (roots fixed
-    pointwise by position) exists between them. Individualization plus color
-    refinement, exact, sized for folio members and gadget-scale graphs.
-
-    The search tree is pruned by automorphisms (McKay & Piperno 2014). A
-    leaf with the signature of the first leaf or of the least one so far
-    gives a root-fixing automorphism that maps that earlier leaf's path onto
-    its own, so the rest of its subtree below the node where the two paths
-    part repeats leaves already seen and is left. At each node, a cell
-    vertex in the orbit of an explored sibling, under the automorphisms
-    found so far that fix the node's individualised vertices, is skipped:
-    its subtree holds the same leaf signatures. The least signature, and so
-    the code and the form, is the one the full tree gives. More than
+    Individualization plus color refinement, exact, sized for folio members
+    and gadget-scale graphs. The tree is pruned by automorphisms (McKay &
+    Piperno 2014). A leaf with the signature of the first leaf or of the
+    least one so far gives a root-fixing automorphism that maps that earlier
+    leaf's path onto its own, so the rest of its subtree below the node
+    where the two paths part repeats leaves already seen and is left. At
+    each node, a cell vertex in the orbit of an explored sibling, under the
+    automorphisms found so far that fix the node's individualised vertices,
+    is skipped: its subtree holds the same leaf signatures. The least
+    signature is the one the full tree gives. More than
     CANONICAL_NODE_BUDGET tree nodes raise BudgetExceeded, and a tree
     deeper than the recursion limit (only past the default cap) raises
     SearchCapExceeded.
@@ -526,9 +448,27 @@ def canonical_form(rg, cap=20):
         rec(colors0, ())
     except RecursionError as exc:
         raise SearchCapExceeded("canonical search is deeper than the recursion limit") from exc
-    best = least[0]
+    return least[0], autos
+
+
+def canonical_form(rg, cap=20):
+    """Canonical relabeling of a rooted graph, by _canonical_search.
+
+    Returns (canonical RootedGraph, code bytes). Two rooted graphs get the
+    same code exactly when a rooted isomorphism (roots fixed pointwise by
+    position) exists between them.
+    """
+    best = _canonical_search(rg, cap)[0]
     n, roots_img, edges_img = best
     return RootedGraph(Graph(n, edges_img), roots_img), repr(best).encode("ascii")
+
+
+@cache
+def _pattern_orbits(pattern):
+    """Each pattern vertex's least orbit-mate under the automorphisms that
+    the canonical search finds. The cap is the pattern's own order, so a
+    pattern that the branch-set search accepts is never refused here."""
+    return tuple(_orbits(pattern.n, _canonical_search(RootedGraph.of(pattern, ()), pattern.n)[1]))
 
 
 def canonical_code(rg, cap=20):

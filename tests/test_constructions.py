@@ -3,6 +3,7 @@ families, bridged targets, decorations, and the deletion checker."""
 
 import pytest
 
+from minorkit import constructions
 from minorkit.constructions import (
     CylindricalMesh,
     GadgetFamily,
@@ -421,6 +422,22 @@ def test_deletion_checker_full_run():
     assert rep["minor_present"] is True
     assert rep["per_vertex_absent"] is True
     assert len(rep["absent"]) == 45 and all(rep["absent"])
+
+
+def test_deletion_checker_codes_each_distinct_block_once(monkeypatch):
+    # the gadgets themselves are coded too, on fewer vertices than a block
+    block_order = regular_gadgets(2).n_vertices + 2
+    inputs = []
+    code = constructions.canonical_code
+
+    def counted(rg, *args):
+        if rg.graph.n == block_order:
+            inputs.append((rg.graph.edges, rg.roots))
+        return code(rg, *args)
+
+    monkeypatch.setattr(constructions, "canonical_code", counted)
+    assert verify_hk_deletion(2)["per_vertex_absent"] is True
+    assert inputs and len(inputs) == len(set(inputs))
 
 
 def test_deletion_checker_stage_arguments():

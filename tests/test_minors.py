@@ -345,6 +345,69 @@ def test_red_search_matches_oracle():
         assert (model is not None) == oracle_minor(host, pattern, red=red)
 
 
+# --- symmetry breaking ---------------------------------------------------------
+#
+# With no required vertex the engine tries only seeds that follow the
+# pattern's orbits and twin classes, so patterns rich in both are checked
+# against the oracle, which knows nothing of symmetry.
+
+
+def pendant_twins(base, at):
+    """base with two leaves hung on vertex `at`; the leaves are twins."""
+    return Graph(base.n + 2, list(base.edges) + [(at, base.n), (at, base.n + 1)])
+
+
+SYMMETRIC_PATTERNS = [
+    complete_graph(3),
+    complete_graph(4),
+    complete_bipartite(2, 2),
+    complete_bipartite(2, 3),
+    star_graph(3),
+    star_graph(4),
+    cycle_graph(4),
+    cycle_graph(5),
+    path_graph(4),
+    grid_graph(2, 3),
+]
+
+
+@st.composite
+def symmetric_cases(draw):
+    """A pattern with orbits and twins, a host with (p + 1)^n <= 60 000 so
+    that oracle_minor can run, and a red set."""
+    base = draw(graphs(3).filter(lambda g: g.n > 0))
+    pattern = draw(st.sampled_from(SYMMETRIC_PATTERNS + [
+        pendant_twins(base, draw(st.integers(0, base.n - 1)))
+    ]))
+    n = draw(st.integers(0, 7).filter(lambda n: (pattern.n + 1) ** n <= 60_000))
+    pairs = list(itertools.combinations(range(n), 2))
+    host = Graph(n, [e for e in pairs if draw(st.booleans())])
+    return host, pattern, draw(st.sets(st.integers(0, n - 1))) if n else set()
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_cases())
+def test_symmetric_patterns_match_oracle(case):
+    host, pattern, red = case
+    model = find_minor(host, pattern)
+    assert (model is not None) == oracle_minor(host, pattern)
+    assert model is None or verify_minor_model(host, pattern, model)
+    model = find_red_minor(AnnotatedGraph.of(host, red), pattern)
+    assert (model is not None) == oracle_minor(host, pattern, red=red)
+    if model is not None:
+        assert verify_minor_model(host, pattern, model)
+        assert all(b & red for b in model.branch_sets)
+
+
+def test_a_red_search_for_a_25_vertex_grid_is_not_refused():
+    # the pattern's orbits come from a canonical search capped at its order,
+    # not at the canonical default of 20
+    g = grid_graph(5, 5)
+    model = find_red_minor(AnnotatedGraph.of(g, range(25)), g, pattern_cap=25)
+    assert verify_minor_model(g, g, model)
+    assert find_red_minor(AnnotatedGraph.of(g, range(24)), g, pattern_cap=25) is None
+
+
 def test_bidim_of_grids_fully_annotated():
     for n in range(1, 5):
         g = grid_graph(n, n)
@@ -553,6 +616,48 @@ def test_codes_are_equal_exactly_for_rooted_isomorphic_graphs(rg, rng, flips):
         as_networkx(rg), as_networkx(other), node_match=lambda a, b: a["at"] == b["at"]
     )
     assert (canonical_code(rg) == canonical_code(other)) == same
+
+
+def networkx_orbits(g):
+    """Each vertex's least orbit-mate: u and w share an orbit exactly when
+    the graph with u marked is isomorphic to the graph with w marked."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+
+    def marked(v):
+        m = h.copy()
+        m.nodes[v]["mark"] = True
+        return m
+
+    def same(a, b):
+        return a.get("mark", False) == b.get("mark", False)
+
+    return tuple(
+        next(
+            w for w in range(u + 1)
+            if nx.algorithms.isomorphism.GraphMatcher(
+                marked(u), marked(w), node_match=same
+            ).is_isomorphic()
+        )
+        for u in range(g.n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(8))
+def test_pattern_orbits_are_the_automorphism_orbits(g):
+    assert minors._pattern_orbits(g) == networkx_orbits(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooted_graphs(8))
+def test_the_canonical_search_finds_root_fixing_automorphisms(rg):
+    edges = {frozenset(e) for e in rg.graph.edges}
+    for a in minors._canonical_search(rg, 20)[1]:
+        assert sorted(a) == list(range(rg.graph.n))
+        assert {frozenset((a[u], a[v])) for u, v in rg.graph.edges} == edges
+        assert all(a[r] == r for r in rg.roots)
 
 
 def test_canonical_codes_of_symmetric_graphs(monkeypatch):
