@@ -8,9 +8,10 @@ future pattern edges, and red-vertex counting. Rooted and red searches are
 the same engine with per-branch-set admissibility constraints. When no
 pattern vertex is required, seeds are ordered along the pattern's symmetry:
 the first placed vertex's orbit, from the automorphisms the canonical search
-finds, and each twin class. find_minor alone first compares treewidth bounds
-and answers None when the host is too thin for the pattern; the clique
-search, dense_clique_minor, is find_minor on K_t.
+finds, and each twin class. find_minor alone answers some "no"s before
+searching: first when the host's treewidth is below the pattern's, then when
+the host is planar and the pattern is not. The clique search,
+dense_clique_minor, is find_minor on K_t.
 
 Canonical codes come from individualisation and colour refinement over a
 search tree pruned by the automorphisms that equal leaves reveal, under a
@@ -39,6 +40,7 @@ from .graphs import (
     mask_reach as _reach_in,
     neighbor_masks,
 )
+from .plane import planar_embedding
 
 DEFAULT_PATTERN_CAP = 12
 CANONICAL_NODE_BUDGET = 100_000
@@ -237,20 +239,31 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
 def find_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
     """A minor model of pattern in host, or None. Exhaustive under the cap.
 
-    Treewidth is minor-monotone, so when the host's min-fill width (an upper
-    bound on its treewidth) is below the pattern's minor-min-width (a lower
-    bound on the pattern's) the answer is None with no search; a pattern
-    over the cap still raises SearchCapExceeded. find_rooted_minor has no
-    such cut: reduce calls it thousands of times a round on hosts of about
-    twelve vertices, where the two bounds take about 0.2 ms a call."""
+    Two minor-monotone properties answer None with no search, in this
+    order; a pattern over the cap still raises SearchCapExceeded.
+    - Treewidth: the host's min-fill width (an upper bound on its
+      treewidth) is below the pattern's minor-min-width (a lower bound).
+    - Planarity: the pattern is not planar (cached per pattern) and the host
+      is (Wagner 1937). planar_embedding checks its own "yes" for the host;
+      the pattern's "no" is unchecked.
+    find_rooted_minor and find_red_minor have neither cut. reduce makes
+    thousands of rooted calls a round on hosts of about twelve vertices,
+    where the two treewidth bounds alone take about 0.2 ms a call, and the
+    red search's patterns (bidim's grids) are planar."""
     from .decomposition import _min_fill_order, _minor_min_width
 
     # the empty pattern, of treewidth -1, is in every host
     if 0 < pattern.n <= pattern_cap and (
         _min_fill_order(neighbor_masks(host))[0] < _minor_min_width(neighbor_masks(pattern))
+        or not _is_planar(pattern) and planar_embedding(host) is not None
     ):
         return None
     return _search_model(host, pattern, pattern_cap=pattern_cap)
+
+
+@cache
+def _is_planar(pattern):
+    return planar_embedding(pattern) is not None
 
 
 def find_rooted_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):

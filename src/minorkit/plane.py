@@ -5,6 +5,12 @@ per vertex; faces are the orbits of the dart successor map; a designated
 outer face orients everything else. Disc interiors, containment of traces,
 and the bands between nested cycles are face sets computed by breadth-first
 search in the dual, never coordinates.
+
+planar_embedding decides planarity and returns such an embedding when there
+is one: Demoucron-Malgrange-Pertuiset on each block, the block rotations
+concatenated at cut vertices. Every embedding it returns has passed the
+PlaneGraph constructor's Euler check; a "no" comes without a Kuratowski
+subgraph.
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from .errors import (
     InvalidEmbedding,
     PreconditionViolated,
 )
-from .graphs import is_connected, parse_edge_list, write_edge_list
+from .graphs import (
+    blocks,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    parse_edge_list,
+    write_edge_list,
+)
 
 
 class PlaneGraph:
@@ -345,6 +358,177 @@ def tighten(cc):
     if not (out.discs[-1] <= cc.discs[-1]):
         raise PreconditionViolated("tightening escaped the outer disc")
     return out
+
+
+# --- planarity ---------------------------------------------------------------------
+
+
+def planar_embedding(g):
+    """One PlaneGraph per connected component of g, or None when g is not
+    planar.
+
+    Components come in the order of connected_components, each on its
+    induced subgraph (vertices renumbered in increasing order). With n >= 3
+    and m > 3n - 6 the answer is None at once. Otherwise each block is
+    embedded by _embed_block, and a vertex's rotation lists its blocks and
+    bridges one after another: gluing plane graphs at a vertex this way
+    keeps the sphere (Euler's formula adds up), and the PlaneGraph
+    constructor checks it.
+    """
+    if g.n >= 3 and g.m > 3 * g.n - 6:
+        return None
+    rings = [[] for _ in range(g.n)]
+    block_sets, bridges = blocks(g)
+    for vs in block_sets:
+        rotation = _embed_block(g, vs)
+        if rotation is None:
+            return None
+        for v, ring in rotation.items():
+            rings[v].extend(ring)
+    for u, v in bridges:
+        rings[u].append(v)
+        rings[v].append(u)
+    out = []
+    for comp in connected_components(g):
+        sub, remap = induced_subgraph(g, comp)
+        rotation = [[remap[u] for u in rings[v]] for v in sorted(comp)]
+        out.append(PlaneGraph(sub, rotation, (0, rotation[0][0]) if sub.n > 1 else None))
+    return out
+
+
+def _embed_block(g, vs):
+    """Vertex -> cyclic neighbour list of a sphere embedding of the
+    2-connected subgraph that g induces on vs, or None when it has none.
+
+    Demoucron, Malgrange & Pertuiset (1964). Draw a cycle; its two faces
+    are vertex walks, each dart in one of them. A fragment is an undrawn
+    edge between drawn vertices, or a component of the undrawn vertices
+    with its edges; its attachments are its drawn vertices, and a face
+    admits it when the face holds them all. While a fragment is left: if
+    one has no admitting face there is no embedding; else draw, through a
+    face admitting it, a path of a fragment with one admitting face if
+    there is such a fragment, otherwise of any fragment. The path joins two
+    attachments and splits the face in two. Only fragments that the split
+    face admitted, and the pieces of the fragment drawn from, need their
+    faces recomputed.
+    """
+    adj = {v: [w for w in g.neighbors(v) if w in vs] for v in sorted(vs)}
+    cycle = _some_cycle(adj)
+    faces = [cycle, cycle[::-1]]
+    face_sets = [set(cycle), set(cycle)]
+    drawn = set(cycle)
+    on_cycle = _edge_keys(cycle + cycle[:1])
+    rest = [(u, w) for u in adj for w in adj[u] if u < w and (u, w) not in on_cycle]
+    frags = [(att, es, [0, 1]) for att, es in _fragments(rest, drawn)]
+    while frags:
+        if any(not admits for _, _, admits in frags):
+            return None
+        pick = next((fr for fr in frags if len(fr[2]) == 1), frags[0])
+        frags.remove(pick)
+        _, es, admits = pick
+        f, new = admits[0], len(faces)
+        path = _fragment_path(es, drawn)
+        walk, inner = faces[f], path[1:-1]
+        i, j = walk.index(path[0]), walk.index(path[-1])
+        faces[f] = list(_arc(walk, i, j, 1)) + inner[::-1]
+        faces.append(list(_arc(walk, j, i, 1)) + inner)
+        face_sets[f] = set(faces[f])
+        face_sets.append(set(faces[new]))
+        drawn.update(inner)
+        for att, _, others in frags:
+            if f in others:
+                others.remove(f)
+                others.extend(x for x in (f, new) if att <= face_sets[x])
+        # what is left of the fragment attaches to the path's inner
+        # vertices, which lie on the two new faces only
+        drawn_edges = _edge_keys(path)
+        left = [(u, w) for u, w in es if (u, w) not in drawn_edges]
+        for att, piece in _fragments(left, drawn):
+            frags.append((att, piece, [x for x in (f, new) if att <= face_sets[x]]))
+    # a face walk a -> b -> c means c comes just before a around b
+    after = {v: {} for v in adj}
+    for walk in faces:
+        for k, b in enumerate(walk):
+            after[b][walk[(k + 1) % len(walk)]] = walk[k - 1]
+    rotation = {}
+    for v, nxt in after.items():
+        ring = [adj[v][0]]
+        while len(ring) < len(nxt):
+            ring.append(nxt[ring[-1]])
+        rotation[v] = ring
+    return rotation
+
+
+def _some_cycle(adj):
+    """A cycle of a graph of minimum degree two, as a vertex list: walk
+    without turning back until a vertex repeats."""
+    prev, cur = None, next(iter(adj))
+    where = {}
+    path = []
+    while cur not in where:
+        where[cur] = len(path)
+        path.append(cur)
+        prev, cur = cur, next(w for w in adj[cur] if w != prev)
+    return path[where[cur]:]
+
+
+def _fragments(edges, drawn):
+    """The fragments that the (low, high) `edges` form over the `drawn`
+    vertices, as (attachments, edges) pairs."""
+    nbrs = {}
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            if a not in drawn:
+                nbrs.setdefault(a, []).append(b)
+    comp = {}
+    for s in nbrs:
+        if s in comp:
+            continue
+        comp[s] = s
+        stack = [s]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y not in drawn and y not in comp:
+                    comp[y] = s
+                    stack.append(y)
+    out = []
+    groups = {}
+    for u, v in edges:
+        if u in drawn and v in drawn:
+            out.append((frozenset((u, v)), [(u, v)]))
+        else:
+            groups.setdefault(comp[v if u in drawn else u], []).append((u, v))
+    for es in groups.values():
+        out.append((frozenset(x for e in es for x in e if x in drawn), es))
+    return out
+
+
+def _fragment_path(edges, drawn):
+    """A path through a fragment between two distinct attachments, as a
+    vertex list. A fragment of a 2-connected graph has two attachments."""
+    u, v = edges[0]
+    if u in drawn and v in drawn:
+        return [u, v]
+    nbrs = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    a = next(w for w in nbrs if w in drawn)
+    x = nbrs[a][0]
+    parent = {x: a}
+    queue = [x]
+    for y in queue:
+        for z in nbrs[y]:
+            if z in drawn:
+                if z != a:
+                    path = [z, y]
+                    while path[-1] != a:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+            elif z not in parent:
+                parent[z] = y
+                queue.append(z)
+    raise PreconditionViolated("a fragment attaches at one vertex only")
 
 
 # --- canonical embeddings for the generators --------------------------------------

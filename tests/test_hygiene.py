@@ -1,9 +1,11 @@
 """Source hygiene, read from the syntax trees alone: no module imports a name
 it never uses, no private module-level name or slot of the library goes
-unused, and an import inside a function only ever breaks an import cycle.
+unused, an import inside a function only ever breaks an import cycle, and
+the library imports nothing beyond the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,3 +139,22 @@ def test_function_level_imports_only_break_cycles():
                 if name not in package_imports_at_top(trees[node.module]):
                     found.append(f"src/minorkit/{name}.py:{node.lineno}: from .{node.module}")
     assert not found, "function-level imports that break no cycle:\n" + "\n".join(found)
+
+
+def test_the_library_imports_only_the_standard_library():
+    # pyproject.toml declares `dependencies = []`; networkx is a test partner
+    # only (importing it would also cost the library about 18 MB of memory)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "minorkit" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert not found, "imports from outside the standard library:\n" + "\n".join(found)

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from minorkit import minors
 from minorkit.constructions import wall
+from minorkit.decomposition import _min_fill_order
 from minorkit.errors import BudgetExceeded, RootCountMismatch, SearchCapExceeded
 from minorkit.folios import candidate_patterns
-from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph
+from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph, neighbor_masks
 from minorkit.minors import (
     MinorModel,
     bidim,
@@ -31,6 +32,7 @@ from minorkit.minors import (
     isomorphic,
     verify_minor_model,
 )
+from test_plane import kuratowski_subdivisions
 
 
 def path_graph(n):
@@ -226,11 +228,99 @@ def test_a_host_of_lower_treewidth_is_answered_without_a_search(monkeypatch, hos
     assert calls == []
 
 
-def test_k33_in_a_3x4_grid_is_still_searched(monkeypatch):
-    # min-fill width 3 and minor-min-width 3: the bounds cannot decide
+@pytest.mark.parametrize(
+    "host, pattern",
+    [
+        (grid_graph(3, 4), complete_bipartite(3, 3)),
+        (grid_graph(3, 5), complete_bipartite(3, 3)),
+        (grid_graph(4, 4), complete_graph(5)),
+        (grid_graph(4, 5), complete_graph(5)),
+    ],
+)
+def test_a_planar_host_answers_a_non_planar_pattern_without_a_search(
+    monkeypatch, host, pattern
+):
+    # both treewidth bounds are equal, or the host is the wider: only
+    # planarity decides these
     calls = count_searches(monkeypatch)
-    assert find_minor(grid_graph(3, 4), complete_bipartite(3, 3)) is None
+    assert find_minor(host, pattern) is None
+    assert calls == []
+
+
+def wagner_graph():
+    """V8: the 8-cycle with its four long diagonals."""
+    return Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+def test_k5_in_the_wagner_graph_is_still_searched(monkeypatch):
+    # V8 is not planar, and its min-fill width 4 equals K5's minor-min-width
+    calls = count_searches(monkeypatch)
+    assert find_minor(wagner_graph(), complete_graph(5)) is None
     assert len(calls) == 1
+
+
+def test_rooted_and_red_searches_never_test_planarity(monkeypatch):
+    def refuse(g):
+        raise AssertionError("planarity tested")
+
+    monkeypatch.setattr(minors, "planar_embedding", refuse)
+    k33 = complete_bipartite(3, 3)
+    host = wagner_graph()
+    assert find_rooted_minor(RootedGraph(host, (0,)), RootedGraph(k33, (0,))) is not None
+    assert find_red_minor(AnnotatedGraph.of(host, range(8)), k33) is not None
+
+
+@st.composite
+def planar_hosts(draw):
+    """A 3x3 grid, a 3x4 grid or a triangulation, less a few vertices (down
+    to at most nine) and edges, renumbered in order. Few are dropped, so
+    that the treewidth cut leaves many to planarity. A triangulation is
+    stacked (of treewidth 3), then has some edges flipped, which can make
+    it wider: the octahedron has treewidth 4, as K5 needs."""
+    kind = draw(st.sampled_from(["grid33", "grid34", "triangulation"]))
+    if kind == "triangulation":
+        n = draw(st.integers(5, 9))
+        faces = [(0, 1, 2), (0, 2, 1)]  # each a cycle of darts
+        for v in range(3, n):
+            a, b, c = faces.pop(draw(st.integers(0, len(faces) - 1)))
+            faces += [(a, b, v), (b, c, v), (c, a, v)]
+        for _ in range(draw(st.integers(0, 6))):
+            # flip the edge of dart a -> b: faces (a, b, c) and (b, a, d)
+            # become (c, a, d) and (d, b, c)
+            i = draw(st.integers(0, len(faces) - 1))
+            a, b, c = faces[i]
+            j = next(j for j, f in enumerate(faces) if (b, a) in zip(f, f[1:] + f[:1]))
+            d = faces[j][(faces[j].index(a) + 1) % 3]
+            if not any({c, d} <= set(f) for f in faces):
+                faces[i], faces[j] = (c, a, d), (d, b, c)
+        base = Graph(n, {tuple(sorted(e)) for f in faces for e in zip(f, f[1:] + f[:1])})
+    else:
+        base = grid_graph(3, 3 if kind == "grid33" else 4)
+    least = max(0, base.n - 9)
+    gone = draw(st.sets(st.sampled_from(range(base.n)), min_size=least, max_size=least))
+    new = {v: i for i, v in enumerate(v for v in range(base.n) if v not in gone)}
+    edges = [(new[u], new[v]) for u, v in sorted(base.edges) if u in new and v in new]
+    cut = draw(st.sets(st.sampled_from(edges), max_size=2))
+    return Graph(len(new), [e for e in edges if e not in cut])
+
+
+@st.composite
+def planar_cut_cases(draw):
+    """A planar host and a non-planar pattern of at most seven vertices:
+    K5, K3,3, or either subdivided or with more edges. K5's minor-min-width
+    is 4, so K5 patterns come only with hosts of min-fill width 4, where the
+    treewidth cut does not answer them all."""
+    host = draw(planar_hosts())
+    wide = _min_fill_order(neighbor_masks(host))[0] >= 4
+    return host, draw(kuratowski_subdivisions(max_n=7, with_k5=wide))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_cut_cases())
+def test_the_planarity_cut_keeps_every_answer(case):
+    # the branch-set search's "no" is the reference
+    host, pattern = case
+    assert find_minor(host, pattern) == minors._search_model(host, pattern)
 
 
 def test_empty_pattern_always_present():

@@ -1,10 +1,16 @@
 """Rotation-system embeddings: face tracing, disc regions, nested cycle
-systems, and the tightening rewrite."""
+systems, the tightening rewrite, and the planarity test, which networkx
+checks."""
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minorkit.constructions import wall
 from minorkit.errors import IndexOutOfRange, InvalidEmbedding, PreconditionViolated
 from minorkit.graphs import Graph
 from minorkit.plane import (
@@ -17,6 +23,7 @@ from minorkit.plane import (
     is_tight,
     mesh_nest,
     parse_plane,
+    planar_embedding,
     tight_violation,
     tighten,
     vertex_in_closure,
@@ -198,3 +205,103 @@ def test_parse_plane_needs_outer():
     )
     with pytest.raises(PreconditionViolated):
         parse_plane(text)
+
+
+# --- planarity -----------------------------------------------------------------
+
+
+def check_against_networkx(g):
+    """planar_embedding agrees with networkx, and a "yes" is one valid
+    embedding per component with that component's vertices and edges."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    found = planar_embedding(g)
+    assert (found is not None) == nx.check_planarity(nxg)[0]
+    if found is None:
+        return
+    comps = sorted(nx.connected_components(nxg), key=min)
+    assert len(found) == len(comps)
+    for pg, comp in zip(found, comps):
+        assert (pg.graph.n, pg.graph.m) == (len(comp), nxg.subgraph(comp).number_of_edges())
+        # the rotation alone passes the constructor's Euler check again
+        PlaneGraph(pg.graph, pg.rotation, pg.faces[pg.outer][0] if pg.graph.n > 1 else None)
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@st.composite
+def disjoint_unions(draw):
+    parts = draw(st.lists(small_graphs(4), min_size=2, max_size=3))
+    edges, base = [], 0
+    for part in parts:
+        edges += [(base + u, base + v) for u, v in part.edges]
+        base += part.n
+    return Graph(base, edges)
+
+
+@st.composite
+def forests(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    # vertex v > 0 hangs off an earlier vertex, or starts a new tree
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.append((parent, v))
+    return Graph(n, edges)
+
+
+@st.composite
+def kuratowski_subdivisions(draw, max_n=10, with_k5=True):
+    """K3,3 or (with_k5) K5 with some edges subdivided, up to max_n vertices,
+    plus a few edges at random, its vertices shuffled: never planar."""
+    if with_k5 and draw(st.booleans()):
+        n, edges = 5, list(itertools.combinations(range(5), 2))
+    else:
+        n, edges = 6, [(a, b) for a in range(3) for b in range(3, 6)]
+    out = []
+    for u, v in edges:
+        if n < max_n and draw(st.booleans()):
+            out += [(u, n), (n, v)]
+            n += 1
+        else:
+            out.append((u, v))
+    out += draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=3))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in out])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), disjoint_unions(), forests(), kuratowski_subdivisions()))
+def test_planarity_agrees_with_networkx(g):
+    check_against_networkx(g)
+
+
+def test_a_forest_and_the_empty_graph_are_planar():
+    assert planar_embedding(Graph(0)) == []
+    found = planar_embedding(Graph(5, [(0, 1), (3, 4)]))
+    assert [(pg.graph.n, pg.graph.m) for pg in found] == [(2, 1), (1, 0), (2, 1)]
+
+
+def test_too_many_edges_are_rejected_before_any_block_is_embedded(monkeypatch):
+    import minorkit.plane as plane
+
+    monkeypatch.setattr(plane, "_embed_block", None)
+    assert planar_embedding(Graph(5, itertools.combinations(range(5), 2))) is None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [embed_grid(r, c).graph for r, c in [(1, 1), (2, 2), (3, 4), (5, 6), (8, 8)]]
+    + [wall(k).graph for k in (1, 2, 3, 4)]
+    + [embed_mesh(n, m)[0].graph for n, m in [(3, 1), (4, 3), (6, 3)]],
+)
+def test_grids_walls_and_meshes_are_planar(g):
+    check_against_networkx(g)
+    assert planar_embedding(g) is not None
