@@ -3,7 +3,9 @@ emit JSON. One command per process; no interaction.
 
 Exit codes: 0 ok, 1 a verification failed, 2 usage or bad input,
 3 a search budget or cap was exceeded (`reduce` still prints the trace of
-the deletions it certified before its oracle rule hit the caps).
+the deletions it certified before its oracle rule hit the caps). In `dp`
+and `vital` the linkage searches of one command share one budget of
+`--max-nodes` (NODE_BUDGET) nodes; other searches use the `errors` defaults.
 """
 
 import argparse
@@ -23,6 +25,8 @@ from .constructions import (
 )
 from .decomposition import exact_treewidth, treewidth_certificates
 from .errors import (
+    NODE_BUDGET,
+    Budget,
     BudgetExceeded,
     GenerationCapExceeded,
     MinorkitError,
@@ -38,7 +42,6 @@ from .plane import mesh_nest
 from .routing import annulus_from_json, annulus_to_json, route_cylinder, route_disc
 
 DEFAULT_SEED = 20260816
-DEFAULT_NODE_BUDGET = 10**6
 
 
 def _read(path):
@@ -137,7 +140,8 @@ def _cmd_tw(args):
 def _cmd_dp(args):
     g = _load_graph(args.graph)
     p = parse_pattern(_read(args.pattern))
-    linkage = disjoint_paths(g, p, engine=args.engine, max_nodes=args.max_nodes)
+    budget = Budget(args.max_nodes, "linkage search nodes")
+    linkage = disjoint_paths(g, p, engine=args.engine, budget=budget)
     doc = {
         "found": linkage is not None,
         "linkage": None if linkage is None else [list(p) for p in linkage.paths],
@@ -166,8 +170,9 @@ def _cmd_folio(args):
 def _cmd_vital(args):
     g = _load_graph(args.graph)
     p = parse_pattern(_read(args.pattern))
-    linkage = disjoint_paths(g, p, max_nodes=args.max_nodes)
-    vital = linkage is not None and is_vital(g, linkage, max_nodes=args.max_nodes)
+    budget = Budget(args.max_nodes, "linkage search nodes")
+    linkage = disjoint_paths(g, p, budget=budget)
+    vital = linkage is not None and is_vital(g, linkage, budget=budget)
     doc = {
         "vital": vital,
         "linkage": None if linkage is None else [list(p) for p in linkage.paths],
@@ -256,7 +261,7 @@ def _build_parser():
         default="auto",
         help="both values run the same linkage search; kept for old command lines",
     )
-    dp.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    dp.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
     dp.set_defaults(fn=_cmd_dp)
 
     folio = sub.add_parser("folio", help="folio of a rooted graph")
@@ -269,7 +274,7 @@ def _build_parser():
     vital = sub.add_parser("vital", help="find a linkage and check vitality")
     vital.add_argument("--graph", required=True)
     vital.add_argument("--pattern", required=True)
-    vital.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    vital.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
     vital.set_defaults(fn=_cmd_vital)
 
     red = sub.add_parser("reduce", help="certified irrelevant-vertex reduction")

@@ -16,6 +16,7 @@ of exhaustive generation (the gadget families) are computed, never pinned.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .errors import (
@@ -45,10 +46,6 @@ from .linkages import (
 )
 from .minors import MinorModel, canonical_code, verify_minor_model
 from .plane import PlaneGraph, embed_grid
-
-# Vitality self-checks at construction time get this many search nodes before
-# the instance is handed back with its uniqueness claim deferred.
-DEFAULT_VITALITY_BUDGET = 2_000_000
 
 # Gadget generation walks the full augmentation tree only up to this order.
 GADGET_ORDER_CAP = 10
@@ -234,10 +231,8 @@ def _fold_rows(i, k):
     return rows
 
 
-_GAMMA_CACHE = {}
-
-
-def gamma_hat(k, vitality_budget=DEFAULT_VITALITY_BUDGET):
+@cache
+def gamma_hat(k):
     """The order-k chorded-grid instance with its witness linkage.
 
     The core is the (2**k - 1)-square grid.  Right-column chords pair u_i
@@ -252,18 +247,15 @@ def gamma_hat(k, vitality_budget=DEFAULT_VITALITY_BUDGET):
     t_k = u_{2**(k-1)}.
 
     The witness is validated structurally (pattern, disjointness, spanning)
-    for every k.  For k <= 3 an exhaustive uniqueness search runs under
-    vitality_budget search nodes (DEFAULT_VITALITY_BUDGET, two million, by
-    default); running out of budget leaves vitality "deferred" rather than
-    failing.  At the default budget k = 2 comes back "proven" and k = 3
+    for every k.  For k <= 3 an exhaustive uniqueness search runs under the
+    default linkage budget (NODE_BUDGET nodes); running out of it leaves
+    vitality "deferred" rather than failing.  k = 2 comes back "proven" in
+    16 nodes; k = 3 spends the budget (4.2 s on a 2-CPU VM) and comes back
     "deferred"; larger k are always "deferred".  A provable non-vitality
-    raises.
+    raises.  Cached per k.
     """
     if k < 2:
         raise ParameterTooSmall(f"chorded-grid instance needs k >= 2, got {k}")
-    cached = _GAMMA_CACHE.get((k, vitality_budget))
-    if cached is not None:
-        return cached
     m = 2 ** k - 1
 
     def vid(row, col):  # 1-indexed grid coordinates
@@ -314,7 +306,7 @@ def gamma_hat(k, vitality_budget=DEFAULT_VITALITY_BUDGET):
     vitality = "deferred"
     if k <= 3:
         try:
-            unique = is_vital(g, witness, max_nodes=vitality_budget)
+            unique = is_vital(g, witness)
         except BudgetExceeded:
             unique = None
         if unique is False:
@@ -324,7 +316,7 @@ def gamma_hat(k, vitality_budget=DEFAULT_VITALITY_BUDGET):
         if unique:
             vitality = "proven"
 
-    instance = GammaInstance(
+    return GammaInstance(
         k=k,
         side=m,
         graph=g,
@@ -334,8 +326,6 @@ def gamma_hat(k, vitality_budget=DEFAULT_VITALITY_BUDGET):
         witness=witness,
         vitality=vitality,
     )
-    _GAMMA_CACHE[(k, vitality_budget)] = instance
-    return instance
 
 
 # --- top-chorded strips ----------------------------------------------------------
@@ -383,9 +373,7 @@ class GadgetFamily:
     available: int
 
 
-_FIVE_REGULAR_CACHE = {}
-
-
+@cache
 def _five_regular_connected(n):
     """All connected 5-regular graphs on n vertices, up to isomorphism.
 
@@ -396,10 +384,7 @@ def _five_regular_connected(n):
     vertices are interchangeable).  Leaves are deduplicated by canonical
     code, so residual symmetry costs time but never correctness.
     """
-    if n in _FIVE_REGULAR_CACHE:
-        return _FIVE_REGULAR_CACHE[n]
     if n < 6 or n % 2:
-        _FIVE_REGULAR_CACHE[n] = ()
         return ()
     r = 5
     deg = [0] * n
@@ -452,9 +437,7 @@ def _five_regular_connected(n):
         deg[0] = r
         rec(1)
         # state teardown is irrelevant here; the arrays are locals
-    out = tuple(g for _, g in sorted(found.items()))
-    _FIVE_REGULAR_CACHE[n] = out
-    return out
+    return tuple(g for _, g in sorted(found.items()))
 
 
 def regular_gadgets(k):
@@ -554,10 +537,11 @@ class GammaDecoration:
         return frozenset(self.image[base : base + f + 2])
 
 
-def decorate_gamma(k, fam, vitality_budget=DEFAULT_VITALITY_BUDGET):
-    """Attach two copies of gadget i at the i-th terminal pair of the core."""
+def decorate_gamma(k, fam):
+    """Attach two copies of gadget i at the i-th terminal pair of the core,
+    gamma_hat(k)."""
     target = h_graph(k, fam)
-    core = gamma_hat(k, vitality_budget=vitality_budget)
+    core = gamma_hat(k)
     f = fam.n_vertices
     span = 2 * f + 4
     attach = {}

@@ -1,8 +1,38 @@
-"""Shared exception types.
+"""Shared exception types, and the work budgets of the bounded searches.
 
 Every loud failure mode in the library is one of these. Budget and cap
-overruns always raise; nothing silently truncates a search.
+overruns always raise; nothing silently truncates a search. Each bounded
+search charges a Budget; the defaults, all here, are
+- NODE_BUDGET linkage search nodes per count_linkages, disjoint_paths or
+  is_vital call, and per `minorkit dp` or `vital` command (`--max-nodes`);
+- STATE_BUDGET folio DP states per DP run (one run per open candidate);
+- CANONICAL_NODE_BUDGET canonical search tree nodes per canonical form;
+- MULTISET_CAP root multisets per kd_folio or strongly_irrelevant call.
 """
+
+from dataclasses import dataclass
+
+NODE_BUDGET = 10**6
+STATE_BUDGET = 200_000
+CANONICAL_NODE_BUDGET = 100_000
+MULTISET_CAP = 4096
+
+
+@dataclass(slots=True)
+class Budget:
+    """A work limit: `limit` units, `what` names the units, `used` so far."""
+
+    limit: int
+    what: str
+    used: int = 0
+
+    def charge(self, n=1):
+        """Use n more units; BudgetExceeded once the total passes the limit."""
+        self.used += n
+        if self.used > self.limit:
+            exc = BudgetExceeded(f"{self.what}: {self.used} past the budget of {self.limit}")
+            exc.budget = self
+            raise exc
 
 
 class MinorkitError(Exception):
@@ -26,7 +56,7 @@ class SearchCapExceeded(MinorkitError):
 
 
 class BudgetExceeded(MinorkitError):
-    """An explicit work budget (states, multisets, nodes) ran out."""
+    """A Budget ran out; `budget` says whose, its limit and how far it got."""
 
 
 class RootCountMismatch(MinorkitError):

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 from .decomposition import exact_treewidth, min_fill_decomposition, validate_td
 from .errors import (
-    BudgetExceeded,
+    MULTISET_CAP,
+    STATE_BUDGET,
+    Budget,
     InvalidDecomposition,
     PreconditionViolated,
     SearchCapExceeded,
@@ -42,8 +44,6 @@ from .minors import canonical_code, canonical_form, find_rooted_minor
 ORACLE_HOST_CAP = 12
 ORACLE_DETAIL_CAP = 3
 ORACLE_ROOT_CAP = 4
-DEFAULT_STATE_BUDGET = 200_000
-DEFAULT_MULTISET_BUDGET = 4096
 
 FREE = -1
 
@@ -272,7 +272,7 @@ def _run_membership_dp(host, pattern, plan, budget):
     state sets; a fragment that loses its last bag vertex either finishes
     the branch set or kills the state. An introduce or forget moves a state
     by its (labels, fragments) part alone, so each move is worked out once
-    per step and part.
+    per step and part. Each step charges `budget` with the states it keeps.
     """
     pn = pattern.graph.n
     edge_bit = [[0] * pn for _ in range(pn)]
@@ -335,7 +335,6 @@ def _run_membership_dp(host, pattern, plan, budget):
                     parent[a] = b
         return _relabel([FREE if f == FREE else find((0, f)) for f in frags1])
 
-    state_count = 0
     stack = []
     for kind, *args in plan:
         out = set()
@@ -366,9 +365,7 @@ def _run_membership_dp(host, pattern, plan, budget):
                 for new, blocked, close, add in moves[part]:
                     if not closed & blocked:
                         out.add((new, closed | close, realized | add))
-        state_count += len(out)
-        if state_count > budget:
-            raise BudgetExceeded(f"folio DP exceeded {budget} states")
+        budget.charge(len(out))
         stack.append(out)
     done = (1 << pn) - 1
     target = (1 << pattern.graph.m) - 1
@@ -385,48 +382,42 @@ def dp_decomposition(g):
         return min_fill_decomposition(g)
 
 
-def _dp_folio(host, d, plan, max_states):
-    return _lattice_folio(
-        host, d, lambda form: _run_membership_dp(host, form, plan, max_states)
-    )
+def _dp_folio(host, d, plan):
+    def contains(form):
+        return _run_membership_dp(host, form, plan, Budget(STATE_BUDGET, "folio DP states"))
+
+    return _lattice_folio(host, d, contains)
 
 
-def folio_dp(host, d, td, max_states=DEFAULT_STATE_BUDGET):
+def folio_dp(host, d, td):
     """d-folio via dynamic programming over a tree decomposition of the host.
 
     Agrees with folio_bruteforce exactly. The DP runs once per candidate the
-    pattern lattice leaves open, and raises rather than truncating when one
-    run goes past `max_states` states.
+    pattern lattice leaves open, and raises BudgetExceeded rather than
+    truncating when one run goes past STATE_BUDGET states.
     """
-    return _dp_folio(host, d, _dp_plan(host.graph, td), max_states)
+    return _dp_folio(host, d, _dp_plan(host.graph, td))
 
 
 # --- (k,d)-folio and strong irrelevance -----------------------------------------
 
 
-def _root_tuples(host, k, max_multisets):
+def _root_tuples(host, k):
     """Every ordered k-multiset of annotated vertices, once their number is
-    checked against max_multisets."""
+    checked against MULTISET_CAP."""
     reds = sorted(host.annotated)
-    if len(reds) ** k > max_multisets:
-        raise BudgetExceeded(f"{len(reds) ** k} root multisets exceeds {max_multisets}")
+    Budget(MULTISET_CAP, "root multisets").charge(len(reds) ** k)
     return itertools.product(reds, repeat=k)
 
 
-def kd_folio(
-    host,
-    k,
-    d,
-    engine="oracle",
-    max_multisets=DEFAULT_MULTISET_BUDGET,
-    max_states=DEFAULT_STATE_BUDGET,
-):
+def kd_folio(host, k, d, engine="oracle"):
     """Union of d-folios over all ordered k-multisets of annotated vertices,
     by engine "oracle" or "dp" (UsageError otherwise). The DP engine builds
-    one plan per host from dp_decomposition."""
+    one plan per host from dp_decomposition. BudgetExceeded past
+    MULTISET_CAP multisets or STATE_BUDGET states in one DP run."""
     if engine not in ("oracle", "dp"):
         raise UsageError(f"unknown engine {engine!r}")
-    tuples = _root_tuples(host, k, max_multisets)
+    tuples = _root_tuples(host, k)
     if engine == "dp":
         plan = _dp_plan(host.graph, dp_decomposition(host.graph))
 
@@ -436,20 +427,21 @@ def kd_folio(
         if engine == "oracle":
             entries |= folio_bruteforce(rg, d).entries
         else:
-            entries |= _dp_folio(rg, d, plan, max_states).entries
+            entries |= _dp_folio(rg, d, plan).entries
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 
-def strongly_irrelevant(host, k, d, v, max_multisets=DEFAULT_MULTISET_BUDGET):
+def strongly_irrelevant(host, k, d, v):
     """True iff deleting v changes no d-folio, over every ordered root
-    multiset drawn from the annotated set. Oracle engine throughout.
+    multiset drawn from the annotated set (at most MULTISET_CAP). Oracle
+    engine throughout.
 
     Deleting a vertex can only shrink a folio, and folios are closed
     downward, so only the maximal members of each folio before deletion are
     searched for after it; the first one missing answers False."""
     if v in host.annotated:
         raise PreconditionViolated(f"vertex {v} is annotated; cannot test it")
-    tuples = _root_tuples(host, k, max_multisets)
+    tuples = _root_tuples(host, k)
     smaller, remap = delete_vertex(host.graph, v)
     for tup in tuples:
         before = folio_bruteforce(RootedGraph.of(host.graph, tup), d).codes()

@@ -5,7 +5,8 @@ used-vertex mask. Pairs are handled in pattern order and neighbors in index
 order, so counts and witnesses are deterministic. The same search answers
 disjoint-paths queries (stopping at the first linkage), linkage counting and
 vitality; the tests check it against a rooted-minor reference on the
-doubled-terminal encoding.
+doubled-terminal encoding. Each search node charges the caller's `budget`,
+or a fresh Budget(NODE_BUDGET) per call when it is None.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
+    NODE_BUDGET,
+    Budget,
     IndexOutOfRange,
     InvalidLinkage,
     PreconditionViolated,
@@ -96,10 +98,11 @@ def _check_cap(g, p):
         )
 
 
-def _enumerate_linkages(g, p, spanning_only, limit, max_nodes):
+def _enumerate_linkages(g, p, spanning_only, limit, budget):
     """Count linkages matching p, saturating at limit, and return the first
-    witness found in the deterministic order. SearchCapExceeded when a path
-    grows deeper than the interpreter's recursion limit."""
+    witness found in the deterministic order, charging `budget` per search
+    node. SearchCapExceeded when a path grows deeper than the interpreter's
+    recursion limit."""
     for a, b in p.pairs:
         if not (0 <= a < g.n and 0 <= b < g.n):
             raise IndexOutOfRange(f"terminal outside graph: {(a, b)}")
@@ -111,15 +114,11 @@ def _enumerate_linkages(g, p, spanning_only, limit, max_nodes):
     for i in range(k - 1, -1, -1):
         s, t = p.pairs[i]
         future_terms[i] = future_terms[i + 1] | (1 << s) | (1 << t)
-    state = {"count": 0, "nodes": 0, "first": None}
+    state = {"count": 0, "first": None}
     prefix = []
-
-    def charge():
-        state["nodes"] += 1
-        if max_nodes is not None and state["nodes"] > max_nodes:
-            raise BudgetExceeded(
-                f"linkage enumeration exceeded {max_nodes} nodes"
-            )
+    if budget is None:
+        budget = Budget(NODE_BUDGET, "linkage search nodes")
+    charge = budget.charge
 
     def at_leaf(used):
         if spanning_only and used != full:
@@ -195,20 +194,20 @@ def _enumerate_linkages(g, p, spanning_only, limit, max_nodes):
     return state["count"], state["first"]
 
 
-def count_linkages(g, p, spanning_only=False, limit=2, max_nodes=None):
+def count_linkages(g, p, spanning_only=False, limit=2, budget=None):
     """Number of distinct linkages with pattern p, saturating at limit."""
     _check_cap(g, p)
     if limit <= 0:
         return 0
-    count, _ = _enumerate_linkages(g, p, spanning_only, limit, max_nodes)
+    count, _ = _enumerate_linkages(g, p, spanning_only, limit, budget)
     return count
 
 
-def disjoint_paths(g, p, engine="auto", max_nodes=None):
+def disjoint_paths(g, p, engine="auto", budget=None):
     """A linkage realizing the pattern, or None. Exhaustive under the caps.
 
     The first linkage of the depth-first enumeration, so the witness is
-    deterministic; BudgetExceeded once the search passes max_nodes nodes.
+    deterministic; BudgetExceeded once the search passes `budget`.
     engine accepts only "auto" and "dfs", and both run the same search. It
     stays only because the benchmark in perfbench/ still passes it (as does
     `minorkit dp --engine`); both can go with the next benchmark change.
@@ -216,21 +215,21 @@ def disjoint_paths(g, p, engine="auto", max_nodes=None):
     _check_cap(g, p)
     if engine not in ("auto", "dfs"):
         raise UsageError(f"unknown engine {engine!r}")
-    _, linkage = _enumerate_linkages(g, p, False, 1, max_nodes)
+    _, linkage = _enumerate_linkages(g, p, False, 1, budget)
     if linkage is None:
         return None
     assert validate_linkage(g, linkage) and pattern_of(linkage) == Pattern.of(p.pairs)
     return linkage
 
 
-def is_vital(g, l, max_nodes=None):
+def is_vital(g, l, budget=None):
     """Spans every vertex and is the unique linkage for its pattern."""
     if not validate_linkage(g, l):
         raise InvalidLinkage("linkage does not validate in host")
     if sum(len(p) for p in l.paths) != g.n:
         return False
     p = pattern_of(l)
-    return count_linkages(g, p, spanning_only=False, limit=2, max_nodes=max_nodes) == 1
+    return count_linkages(g, p, spanning_only=False, limit=2, budget=budget) == 1
 
 
 # --- restriction and deletion ---------------------------------------------------

@@ -25,7 +25,8 @@ from functools import cache
 from itertools import combinations
 
 from .errors import (
-    BudgetExceeded,
+    CANONICAL_NODE_BUDGET,
+    Budget,
     PreconditionViolated,
     RootCountMismatch,
     SearchCapExceeded,
@@ -43,7 +44,6 @@ from .graphs import (
 from .plane import planar_embedding
 
 DEFAULT_PATTERN_CAP = 12
-CANONICAL_NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def _canonical_search(rg, cap):
     colors0 = [ranking[position_sig[v]] for v in range(n)]
     first = least = None  # (signature, path, colors) of the first and the least leaf
     autos = []  # automorphisms found, as tuples vertex -> image
-    nodes = 0
+    budget = Budget(CANONICAL_NODE_BUDGET, "canonical search nodes")
 
     def leaf(colors, path):
         """None, or the depth to return to when an earlier leaf matches."""
@@ -422,13 +422,7 @@ def _canonical_search(rg, cap):
 
     def rec(colors, path):
         """None, or the depth of the ancestor that the search returns to."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > CANONICAL_NODE_BUDGET:
-            raise BudgetExceeded(
-                f"canonical form stopped after {nodes - 1} search nodes "
-                f"on {n} vertices, budget is {CANONICAL_NODE_BUDGET}"
-            )
+        budget.charge()
         colors = _refine(g, colors)
         cell = None
         for c in sorted(set(colors)):

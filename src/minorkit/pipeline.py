@@ -11,18 +11,8 @@ import json
 from dataclasses import dataclass
 
 from .decomposition import exact_treewidth
-from .errors import (
-    BudgetExceeded,
-    CliqueTooSmall,
-    PreconditionViolated,
-)
-from .folios import (
-    DEFAULT_MULTISET_BUDGET,
-    DEFAULT_STATE_BUDGET,
-    ORACLE_HOST_CAP,
-    kd_folio,
-    strongly_irrelevant,
-)
+from .errors import CliqueTooSmall, PreconditionViolated
+from .folios import ORACLE_HOST_CAP, kd_folio, strongly_irrelevant
 from .graphs import (
     AnnotatedGraph,
     delete_vertex,
@@ -91,13 +81,11 @@ def clique_irrelevant_vertex(host, d, model):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for reduce: stop width, deletion rules, and search caps."""
+    """Knobs for reduce: the width to stop at and the deletion rules. The
+    searches run under the library's default budgets and caps."""
 
     threshold: int = 4
     engine: str = "both"
-    max_deletions: int = None
-    max_multisets: int = DEFAULT_MULTISET_BUDGET
-    max_states: int = DEFAULT_STATE_BUDGET
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -137,12 +125,10 @@ def _clique_step(cur, d, width):
     return clique_irrelevant_vertex(cur, d, model)
 
 
-def _oracle_step(cur, k, d, cfg):
+def _oracle_step(cur, k, d):
     """Smallest vertex the folio oracle certifies as deletable, or None."""
     for v in cur.graph.vertices():
-        if v not in cur.annotated and strongly_irrelevant(
-            cur, k, d, v, max_multisets=cfg.max_multisets
-        ):
+        if v not in cur.annotated and strongly_irrelevant(cur, k, d, v):
             return v
     return None
 
@@ -173,16 +159,12 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             if cur.graph.n > ORACLE_HOST_CAP:
                 status = "capped"
                 break
-            v = _oracle_step(cur, k, d, cfg)
+            v = _oracle_step(cur, k, d)
             if v is not None:
                 found = (v, "oracle")
         if found is None:
             status = "stuck"
             break
-        if cfg.max_deletions is not None and len(deletions) >= cfg.max_deletions:
-            raise BudgetExceeded(
-                f"reduction needs more than {cfg.max_deletions} deletions"
-            )
         v, rule = found
         deletions.append((orig_of[v], rule))
         cur, orig_of = _delete(cur, orig_of, v)
@@ -219,13 +201,13 @@ def replay_trace(host, trace):
     return got
 
 
-def verify_trace(host, trace, k, d, max_multisets=DEFAULT_MULTISET_BUDGET):
+def verify_trace(host, trace, k, d):
     """Replay the trace, oracle-checking every deletion at its moment.
     True iff each deleted vertex was strongly irrelevant right then."""
     for cur, v in _replay(host, trace):
         if v is None:
             return cur == trace.final
-        if not strongly_irrelevant(cur, k, d, v, max_multisets=max_multisets):
+        if not strongly_irrelevant(cur, k, d, v):
             return False
 
 
@@ -233,14 +215,7 @@ def solve_folio(host, k, d, cfg=PipelineConfig()):
     """Reduce first, then run the decomposition engine on the survivor.
     Equals the direct brute-force folio of the unreduced input."""
     reduced, _ = reduce(host, k, d, cfg)
-    return kd_folio(
-        reduced,
-        k,
-        d,
-        engine="dp",
-        max_multisets=cfg.max_multisets,
-        max_states=cfg.max_states,
-    )
+    return kd_folio(reduced, k, d, engine="dp")
 
 
 # --- trace export ------------------------------------------------------------

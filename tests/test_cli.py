@@ -387,6 +387,28 @@ def test_dp_default_engine_honours_node_budget(tmp_path, capsys):
     assert code == 2
 
 
+def test_vital_node_budget_exits_three_and_names_the_search(tmp_path, capsys):
+    g = tmp_path / "g44.edg"
+    g.write_text(write_edge_list(grid(4, 4)))
+    pat = tmp_path / "p.pat"
+    pat.write_text("pair 0 15\npair 3 12\n")
+    argv = ["vital", "--graph", str(g), "--pattern", str(pat), "--max-nodes", "5"]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "linkage search nodes" in json.loads(out)["error"]
+    assert "budget of 5" in err
+    # on gamma_hat(2) the linkage takes 10 nodes and the vitality check 16:
+    # each fits in 20, both together do not, since they share one budget
+    g2 = tmp_path / "g2.edg"
+    run_cli(capsys, ["gen", "gamma-hat", "--k", "2", "-o", str(g2)])
+    argv = ["vital", "--graph", str(g2), "--pattern", str(tmp_path / "g2.pat")]
+    code, doc = run_cli(capsys, argv + ["--max-nodes", "20"])
+    assert code == 3 and "budget of 20" in doc["error"]
+    code, doc = run_cli(capsys, argv + ["--max-nodes", "26"])
+    assert code == 0 and doc["vital"] is True
+
+
 def test_dp_past_the_recursion_limit_exits_3(tmp_path, capsys):
     # exit 1 would claim a failed verification
     g = tmp_path / "ladder.edg"

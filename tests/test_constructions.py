@@ -11,7 +11,6 @@ from minorkit.constructions import (
     WallSpec,
     _attachment_block,
     _five_regular_connected,
-    _FIVE_REGULAR_CACHE,
     _presence_model,
     cylindrical_mesh,
     decorate_gamma,
@@ -185,6 +184,8 @@ def test_gamma_three_core_is_a_seven_grid():
     assert gi.pairs == ((0, 14), (7, 35), (21, 27))
     assert sum(len(p) for p in gi.witness.paths) == 49
     assert validate_linkage(gi.graph, gi.witness)
+    # the uniqueness search spends the default linkage budget
+    assert gi.vitality == "deferred"
 
 
 def test_gamma_four_builds_with_deferred_uniqueness():
@@ -289,15 +290,16 @@ def test_gadgets_order_eight_match_the_complement_oracle():
     assert len(generated) == 3
 
 
-def test_gadget_generation_cap_fires_beyond_the_reach():
-    saved = dict(_FIVE_REGULAR_CACHE)
-    try:
-        _FIVE_REGULAR_CACHE[10] = ()
-        with pytest.raises(GenerationCapExceeded):
-            regular_gadgets(5)
-    finally:
-        _FIVE_REGULAR_CACHE.clear()
-        _FIVE_REGULAR_CACHE.update(saved)
+def test_gadget_generation_cap_fires_beyond_the_reach(monkeypatch):
+    # order 10, the cap, is made to carry no gadget, which skips its
+    # exhaustive generation
+    monkeypatch.setattr(
+        constructions,
+        "_five_regular_connected",
+        lambda n: () if n == 10 else _five_regular_connected(n),
+    )
+    with pytest.raises(GenerationCapExceeded):
+        regular_gadgets(5)
     with pytest.raises(ParameterTooSmall):
         regular_gadgets(0)
 
@@ -393,7 +395,7 @@ def test_decoration_treewidth_is_the_blockwise_maximum():
 def test_decoration_is_the_core_plus_the_target_without_its_bridges():
     for k in (2, 3):
         fam = regular_gadgets(k)
-        deco = decorate_gamma(k, fam, vitality_budget=1000)
+        deco = decorate_gamma(k, fam)
         target = h_graph(k, fam)
         _, bridges = blocks(target)
         image = deco.image
@@ -413,7 +415,7 @@ def test_decoration_is_the_core_plus_the_target_without_its_bridges():
 def test_presence_model_places_the_target_at_k3():
     # verify_hk_deletion stops at k = 2; the presence half alone is cheap
     fam = regular_gadgets(3)
-    deco = decorate_gamma(3, fam, vitality_budget=1000)
+    deco = decorate_gamma(3, fam)
     assert verify_minor_model(deco.graph, h_graph(3, fam), _presence_model(deco))
 
 

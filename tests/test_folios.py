@@ -11,12 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from minorkit import folios
 from minorkit.decomposition import (
     TreeDecomposition,
     exact_treewidth,
     min_fill_decomposition,
 )
 from minorkit.errors import (
+    Budget,
     BudgetExceeded,
     InvalidDecomposition,
     PreconditionViolated,
@@ -27,6 +29,7 @@ from minorkit.folios import (
     Folio,
     FolioEntry,
     _dp_plan,
+    _root_tuples,
     _run_membership_dp,
     candidate_patterns,
     detail,
@@ -373,23 +376,35 @@ def test_dp_plan_rejects_a_broken_tree():
             _dp_plan(g, TreeDecomposition(tree, bags))
 
 
-def test_dp_state_budget_raises():
+def assert_spent(err, what, limit):
+    budget = err.value.budget
+    assert budget.what == what
+    assert budget.used > budget.limit == limit
+    assert what in str(err.value) and str(limit) in str(err.value)
+
+
+def test_dp_state_budget_raises(monkeypatch):
+    monkeypatch.setattr(folios, "STATE_BUDGET", 3)
     host = RootedGraph(grid_graph(2, 3), (0, 5))
     _, td = exact_treewidth(host.graph)
-    with pytest.raises(BudgetExceeded):
-        folio_dp(host, 2, td, max_states=3)
+    with pytest.raises(BudgetExceeded) as err:
+        folio_dp(host, 2, td)
+    assert_spent(err, "folio DP states", 3)
 
 
 def test_dp_pass_explores_a_pinned_state_count():
-    # max_states must fire at the same total as in the frozenset-state DP
+    # the budget must fire at the same total as in the frozenset-state DP
     # this pass replaced: 1193 states for this pair. Renumbering fragments
     # where a branch set closes would merge states and give 1129.
     host = RootedGraph(grid_graph(2, 5), (0, 9))
     pattern = RootedGraph(Graph(3, [(1, 2)]), (1, 2))
     plan = _dp_plan(host.graph, exact_treewidth(host.graph)[1])
-    assert _run_membership_dp(host, pattern, plan, 1193)
-    with pytest.raises(BudgetExceeded):
-        _run_membership_dp(host, pattern, plan, 1192)
+    budget = Budget(1193, "folio DP states")
+    assert _run_membership_dp(host, pattern, plan, budget)
+    assert budget.used == 1193
+    with pytest.raises(BudgetExceeded) as err:
+        _run_membership_dp(host, pattern, plan, Budget(1192, "folio DP states"))
+    assert_spent(err, "folio DP states", 1192)
 
 
 def ladder_path_decomposition(cols):
@@ -467,9 +482,16 @@ def test_kd_folio_contains_disjoint_paths_encoding():
 
 
 def test_kd_folio_multiset_budget():
-    host = AnnotatedGraph.of(path_graph(5), {0, 1, 2, 3})
-    with pytest.raises(BudgetExceeded):
-        kd_folio(host, 3, 0, max_multisets=10)
+    # 16 ** 3 = 4096 root tuples are allowed, 17 ** 3 = 4913 are not
+    assert len(list(_root_tuples(AnnotatedGraph.of(path_graph(16), range(16)), 3))) == 4096
+    host = AnnotatedGraph.of(path_graph(18), range(17))
+    for engine in ("oracle", "dp"):
+        with pytest.raises(BudgetExceeded) as err:
+            kd_folio(host, 3, 0, engine=engine)
+        assert_spent(err, "root multisets", 4096)
+    with pytest.raises(BudgetExceeded) as err:
+        strongly_irrelevant(host, 3, 0, 17)
+    assert_spent(err, "root multisets", 4096)
 
 
 def test_kd_folio_dp_engine_matches_oracle():

@@ -1,7 +1,9 @@
 """Source hygiene, read from the syntax trees alone: no module imports a name
 it never uses, no private module-level name or slot of the library goes
-unused, an import inside a function only ever breaks an import cycle, and
-the library imports nothing beyond the standard library.
+unused, an import inside a function only ever breaks an import cycle, the
+library imports nothing beyond the standard library, and work limits are
+errors.Budget objects with their defaults in `errors`, not per-engine
+integers.
 """
 
 import ast
@@ -158,3 +160,43 @@ def test_the_library_imports_only_the_standard_library():
                 if top != "minorkit" and top not in sys.stdlib_module_names:
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert not found, "imports from outside the standard library:\n" + "\n".join(found)
+
+
+PER_ENGINE_BUDGETS = {"max_nodes", "max_states", "max_multisets", "vitality_budget", "max_deletions"}
+
+
+def test_budgets_are_budget_objects_with_defaults_in_errors():
+    # a search takes a Budget (or none, for the default in errors), so no
+    # function or config field takes a bare limit, and only errors defines
+    # a *_BUDGET default
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        where = path.relative_to(ROOT)
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                names = {p.arg for p in params if p is not None}
+            elif isinstance(node, ast.ClassDef):
+                names = {
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+            else:
+                names = set()
+            for name in sorted(names & PER_ENGINE_BUDGETS):
+                found.append(f"{where}:{node.lineno}: parameter {name}")
+            if path.stem == "errors":
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            else:
+                defined = []
+            for name in defined:
+                if name.endswith("_BUDGET"):
+                    found.append(f"{where}:{node.lineno}: defines {name}")
+    assert not found, "budget integers outside errors.Budget:\n" + "\n".join(found)

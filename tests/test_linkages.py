@@ -13,7 +13,9 @@ import random
 
 import pytest
 
+from minorkit import linkages
 from minorkit.errors import (
+    Budget,
     BudgetExceeded,
     InvalidLinkage,
     PreconditionViolated,
@@ -215,10 +217,36 @@ def test_engine_values_run_one_search():
         disjoint_paths(g, p, engine="rooted")
 
 
+def assert_spent(err, what, limit):
+    budget = err.value.budget
+    assert budget.what == what
+    assert budget.used > budget.limit == limit
+    assert what in str(err.value) and str(limit) in str(err.value)
+
+
 def test_node_budget_bounds_two_pair_disjoint_paths():
     corners = Pattern.of([(0, 15), (3, 12)])
-    with pytest.raises(BudgetExceeded):
-        disjoint_paths(grid_graph(4, 4), corners, max_nodes=5)
+    with pytest.raises(BudgetExceeded) as err:
+        disjoint_paths(grid_graph(4, 4), corners, budget=Budget(5, "linkage search nodes"))
+    assert_spent(err, "linkage search nodes", 5)
+
+
+def test_every_linkage_search_is_bounded_by_default(monkeypatch):
+    # the crossing corners of the 4x4 grid take 260 nodes to refute and the
+    # gamma2 witness 16 to prove vital; each call gets a fresh default
+    # budget, so the second fails the same way as the first
+    monkeypatch.setattr(linkages, "NODE_BUDGET", 10)
+    corners = Pattern.of([(0, 15), (3, 12)])
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded) as err:
+            disjoint_paths(grid_graph(4, 4), corners)
+        assert_spent(err, "linkage search nodes", 10)
+    with pytest.raises(BudgetExceeded) as err:
+        count_linkages(grid_graph(4, 4), Pattern.of([(0, 15)]), limit=10**9)
+    assert_spent(err, "linkage search nodes", 10)
+    with pytest.raises(BudgetExceeded) as err:
+        is_vital(gamma2_like(), GAMMA2_WITNESS)
+    assert_spent(err, "linkage search nodes", 10)
 
 
 def test_5x5_grid_crossing_corners_absent():
@@ -240,8 +268,20 @@ def test_a_path_past_the_recursion_limit_raises_the_cap_error():
 
 def test_node_budget():
     g = grid_graph(4, 4)
-    with pytest.raises(BudgetExceeded):
-        count_linkages(g, Pattern.of([(0, 15)]), limit=10**9, max_nodes=20)
+    with pytest.raises(BudgetExceeded) as err:
+        count_linkages(
+            g, Pattern.of([(0, 15)]), limit=10**9, budget=Budget(20, "linkage search nodes")
+        )
+    assert_spent(err, "linkage search nodes", 20)
+    with pytest.raises(BudgetExceeded) as err:
+        is_vital(gamma2_like(), GAMMA2_WITNESS, budget=Budget(5, "linkage search nodes"))
+    assert_spent(err, "linkage search nodes", 5)
+    # one budget passed to several searches is charged by all of them
+    shared = Budget(10**4, "linkage search nodes")
+    assert is_vital(gamma2_like(), GAMMA2_WITNESS, budget=shared)
+    spent = shared.used
+    assert is_vital(gamma2_like(), GAMMA2_WITNESS, budget=shared)
+    assert shared.used == 2 * spent
 
 
 # --- counting and vitality ------------------------------------------------------

@@ -763,8 +763,12 @@ def test_canonical_codes_of_symmetric_graphs(monkeypatch):
 
 def test_canonical_form_raises_past_its_node_budget(monkeypatch):
     monkeypatch.setattr(minors, "CANONICAL_NODE_BUDGET", 5)
-    with pytest.raises(BudgetExceeded, match="after 5 search nodes"):
+    with pytest.raises(BudgetExceeded, match="canonical search nodes: 6 past the budget of 5"):
+        minors._canonical_search(RootedGraph(cycle_graph(12), ()), 20)
+    with pytest.raises(BudgetExceeded) as err:
         canonical_code(RootedGraph(cycle_graph(12), ()))
+    assert err.value.budget.what == "canonical search nodes"
+    assert err.value.budget.used > err.value.budget.limit == 5
 
 
 def test_a_canonical_search_past_the_recursion_limit_raises_the_cap_error():

@@ -359,12 +359,6 @@ def test_reduce_clique_rule_alone_can_get_stuck():
     assert reduced == trace.final
 
 
-def test_reduce_respects_deletion_budget():
-    host = blob_host()
-    with pytest.raises(BudgetExceeded):
-        reduce(host, 2, 0, PipelineConfig(threshold=4, max_deletions=1))
-
-
 def cycle_clique_host():
     """A 5-cycle joined by an edge to K11, annotated at 0 and 2: the clique
     rule deletes three clique vertices, then stalls at 13 vertices, above
@@ -413,10 +407,13 @@ def test_solve_folio_matches_direct_at_detail_one():
 
 
 def test_solve_folio_propagates_budget():
-    host = blob_host()
-    cfg = PipelineConfig(threshold=4, max_multisets=2)
-    with pytest.raises(BudgetExceeded):
-        solve_folio(host, 2, 0, cfg)
+    # a path is already below the threshold, so the DP engine sees all
+    # 17 ** 3 root tuples, past the cap of 4096
+    host = AnnotatedGraph.of(Graph(17, [(i, i + 1) for i in range(16)]), range(17))
+    with pytest.raises(BudgetExceeded) as err:
+        solve_folio(host, 3, 0, PipelineConfig(threshold=4))
+    assert err.value.budget.what == "root multisets"
+    assert err.value.budget.used > err.value.budget.limit == 4096
 
 
 # --- trace serialization --------------------------------------------------------
