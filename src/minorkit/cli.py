@@ -2,8 +2,9 @@
 emit JSON. One command per process; no interaction.
 
 Exit codes: 0 ok, 1 a verification failed, 2 usage or bad input,
-3 a search budget or cap was exceeded (`reduce` still prints the trace of
-the deletions it certified before its oracle rule hit the caps). In `dp`
+3 a search budget or cap was exceeded. `reduce` exits 3 with status
+"capped" when a deletion rule's search ran out of its budget, and still
+prints the trace of the deletions it certified before that. In `dp`
 and `vital` the linkage searches of one command share one budget of
 `--max-nodes` (NODE_BUDGET) nodes; other searches use the `errors` defaults.
 """

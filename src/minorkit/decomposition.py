@@ -4,12 +4,13 @@ exact_treewidth brackets the width between a min-fill elimination order
 (upper bound) and minor-min-width (lower bound). When they differ it decides
 each width in between in turn by a pruned, memoized search over
 eliminated-vertex sets. That search is exponential in the worst case, so it
-is reserved for graphs of at most twenty vertices. Larger structured graphs
-go through treewidth_certificates, which pins the width with a grid found as
-a subgraph (lower bound) and the decomposition of the grid's column-major
-elimination order (upper bound), falling back to a clique-minor bramble and
-exact_treewidth when small. Every decomposition the module builds comes from
-an elimination order.
+runs under one node budget per call (NODE_BUDGET), whatever the graph's
+size: random graphs of 22 vertices finish, and of 25 run out. Structured
+graphs past it go through treewidth_certificates, which pins the width with
+a grid found as a subgraph (lower bound) and the decomposition of the
+grid's column-major elimination order (upper bound), falling back to a
+clique-minor bramble and exact_treewidth. Every decomposition the module
+builds comes from an elimination order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    NODE_BUDGET,
+    Budget,
+    BudgetExceeded,
     CertificateNotFound,
     InvalidDecomposition,
     SearchCapExceeded,
@@ -30,9 +34,7 @@ from .graphs import (
     mask_reach,
     neighbor_masks,
 )
-from .minors import DEFAULT_PATTERN_CAP, dense_clique_minor
-
-EXACT_VERTEX_CAP = 20
+from .minors import dense_clique_minor
 
 
 @dataclass(frozen=True)
@@ -150,22 +152,24 @@ def _minor_min_width(masks):
     return lower
 
 
-def _order_within(masks, t):
-    """An elimination order of width at most t, or None.
+def _order_within(masks, widths):
+    """(t, order) for the first width t in `widths` that an elimination
+    order meets, or None.
 
     Depth-first over eliminated-vertex masks, cheapest vertex first. A
     vertex is eliminable when its q-cost (its degree in the graph left after
     eliminating `done`) is at most t. Any order finishes the last t+1
-    vertices. Masks that fail are memoised."""
+    vertices. Masks that fail are memoised per width. One
+    Budget(NODE_BUDGET) is charged per node across all the widths."""
     full = (1 << len(masks)) - 1
-    failed = set()
-    order = []
+    charge = Budget(NODE_BUDGET, "elimination search nodes").charge
 
     def q_cost(done, v):
         reach = mask_reach(1 << v, done, masks)
         return (mask_neighborhood(reach, masks) & ~done & ~(1 << v)).bit_count()
 
     def dfs(done):
+        charge()
         rest = full & ~done
         if rest.bit_count() <= t + 1:
             order.extend(mask_bits(rest))
@@ -183,24 +187,14 @@ def _order_within(masks, t):
         failed.add(done)
         return False
 
-    return order if dfs(0) else None
-
-
-def _elimination_width(g, upper=None):
-    """(width, order) of an optimal elimination order, or None when the
-    width exceeds `upper`. Bounds first: a min-fill order gives the upper
-    bound and minor-min-width the lower; between them each target width is
-    decided in turn, and the first feasible one is the treewidth."""
-    masks = neighbor_masks(g)
-    width, order = _min_fill_order(masks)
-    stop = width if upper is None else min(width, upper + 1)
-    for t in range(_minor_min_width(masks), stop):
-        found = _order_within(masks, t)
-        if found is not None:
-            return t, found
-    if upper is not None and width > upper:
-        return None
-    return width, order
+    for t in widths:
+        failed, order = set(), []
+        try:
+            if dfs(0):
+                return t, order
+        except RecursionError as exc:
+            raise SearchCapExceeded("elimination search is deeper than the recursion limit") from exc
+    return None
 
 
 def _decomposition_from_order(g, order):
@@ -243,7 +237,7 @@ def min_fill_decomposition(g):
 
 def exact_treewidth(g, upper=None):
     """(width, decomposition), or an AboveBound marker when a bound is given
-    and exceeded; capped at twenty vertices.
+    and exceeded; BudgetExceeded past NODE_BUDGET search nodes in all.
 
     A min-fill order gives an upper bound and minor-min-width a lower one;
     equal bounds return the min-fill order at once. Between them, each target
@@ -255,14 +249,14 @@ def exact_treewidth(g, upper=None):
     validated before return. Forests and the empty graph need no search: on
     a forest min-fill only eliminates vertices of degree at most one, so both
     bounds meet."""
-    if g.n > EXACT_VERTEX_CAP:
-        raise SearchCapExceeded(
-            f"{g.n} vertices; exact treewidth is capped at {EXACT_VERTEX_CAP}"
-        )
-    found = _elimination_width(g, upper)
-    if found is None:
+    masks = neighbor_masks(g)
+    width, order = _min_fill_order(masks)
+    stop = width if upper is None else min(width, upper + 1)
+    found = _order_within(masks, range(_minor_min_width(masks), stop))
+    if found is not None:
+        width, order = found
+    elif upper is not None and width > upper:
         return AboveBound()
-    width, order = found
     td = _decomposition_from_order(g, order)
     assert validate_td(g, td).valid and td.width() == width
     return width, td
@@ -284,26 +278,6 @@ def validate_bramble(g, bramble):
             if not (mask_neighborhood(mask_of(a), masks) & mask_of(b)):
                 return False
     return True
-
-
-def bramble_order(g, bramble):
-    """Exact minimum hitting set size over the bramble's sets."""
-    sets = [set(s) for s in bramble.sets]
-    best = len(set().union(*sets)) if sets else 0
-
-    def rec(remaining, chosen):
-        nonlocal best
-        if not remaining:
-            best = min(best, chosen)
-            return
-        if chosen + 1 >= best:
-            return
-        target = min(remaining, key=len)
-        for v in sorted(target):
-            rec([s for s in remaining if v not in s], chosen + 1)
-
-    rec(sets, 0)
-    return best
 
 
 # --- certificates ---------------------------------------------------------------
@@ -371,20 +345,24 @@ def treewidth_certificates(g, n):
     """Certificates pinning tw(g) = n without exhaustive search.
 
     Lower side: an n-by-n grid subgraph, else the branch sets of a K_{n+1}
-    minor (dense_clique_minor, within its cap) as a bramble. Upper side:
-    when the grid spans the graph, the decomposition of its column-major
-    elimination order if that has width n; else a width-n decomposition
-    from exact_treewidth, on at most twenty vertices.
+    minor (dense_clique_minor) as a bramble. Upper side: when the grid spans
+    the graph, the decomposition of its column-major elimination order if
+    that has width n; else a width-n decomposition from exact_treewidth.
+    CertificateNotFound when a side has no certificate, including when the
+    search for it passes its budget or the recursion limit.
     """
     grid_cert = find_grid_subgraph(g, n) if n >= 2 else None
     bramble = None
     if grid_cert is None:
-        model = dense_clique_minor(g, n + 1) if n < DEFAULT_PATTERN_CAP else None
+        try:
+            model = dense_clique_minor(g, n + 1)
+        except (BudgetExceeded, SearchCapExceeded) as exc:
+            raise CertificateNotFound(f"no lower-bound certificate for width {n}: {exc}") from exc
         if model is None:
             raise CertificateNotFound(f"no lower-bound certificate for width {n}")
+        # the branch sets are disjoint, so the bramble's order is n + 1
         bramble = Bramble(tuple(model.branch_sets))
         assert validate_bramble(g, bramble)
-        assert bramble_order(g, bramble) == n + 1
     upper = None
     if grid_cert is not None and n * n == g.n:
         columns = zip(*grid_cert.placement)
@@ -394,7 +372,7 @@ def treewidth_certificates(g, n):
     if upper is None:
         try:
             found = exact_treewidth(g, upper=n)
-        except SearchCapExceeded as exc:
+        except (BudgetExceeded, SearchCapExceeded) as exc:
             raise CertificateNotFound(
                 f"no upper-bound certificate for width {n}: {exc}"
             ) from exc

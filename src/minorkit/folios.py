@@ -33,6 +33,7 @@ from .errors import (
     MULTISET_CAP,
     STATE_BUDGET,
     Budget,
+    BudgetExceeded,
     InvalidDecomposition,
     PreconditionViolated,
     SearchCapExceeded,
@@ -41,7 +42,6 @@ from .errors import (
 from .graphs import Graph, RootedGraph, delete_vertex
 from .minors import canonical_code, canonical_form, find_rooted_minor
 
-ORACLE_HOST_CAP = 12
 ORACLE_DETAIL_CAP = 3
 ORACLE_ROOT_CAP = 4
 
@@ -191,12 +191,12 @@ def _lattice_folio(host, d, contains):
 
 def folio_bruteforce(host, d):
     """Exact d-folio of a rooted host by rooted-minor search over the
-    pattern lattice."""
+    pattern lattice, which the detail and root caps bound. BudgetExceeded
+    when one rooted-minor search passes MINOR_NODE_BUDGET nodes."""
     k = len(host.roots)
-    if host.graph.n > ORACLE_HOST_CAP or d > ORACLE_DETAIL_CAP or k > ORACLE_ROOT_CAP:
+    if d > ORACLE_DETAIL_CAP or k > ORACLE_ROOT_CAP:
         raise SearchCapExceeded(
-            f"oracle caps: |V| <= {ORACLE_HOST_CAP}, d <= {ORACLE_DETAIL_CAP}, "
-            f"|roots| <= {ORACLE_ROOT_CAP}"
+            f"oracle caps: d <= {ORACLE_DETAIL_CAP}, |roots| <= {ORACLE_ROOT_CAP}"
         )
     return _lattice_folio(host, d, lambda form: find_rooted_minor(host, form) is not None)
 
@@ -374,11 +374,11 @@ def _run_membership_dp(host, pattern, plan, budget):
 
 
 def dp_decomposition(g):
-    """The decomposition the folio DP runs on: exact within exact_treewidth's
-    vertex cap, the min-fill one past it."""
+    """The decomposition the folio DP runs on: exact_treewidth's, or the
+    min-fill one once that search passes its budget or the recursion limit."""
     try:
         return exact_treewidth(g)[1]
-    except SearchCapExceeded:
+    except (BudgetExceeded, SearchCapExceeded):
         return min_fill_decomposition(g)
 
 
@@ -414,7 +414,8 @@ def kd_folio(host, k, d, engine="oracle"):
     """Union of d-folios over all ordered k-multisets of annotated vertices,
     by engine "oracle" or "dp" (UsageError otherwise). The DP engine builds
     one plan per host from dp_decomposition. BudgetExceeded past
-    MULTISET_CAP multisets or STATE_BUDGET states in one DP run."""
+    MULTISET_CAP multisets, STATE_BUDGET states in one DP run or
+    MINOR_NODE_BUDGET nodes in one oracle search."""
     if engine not in ("oracle", "dp"):
         raise UsageError(f"unknown engine {engine!r}")
     tuples = _root_tuples(host, k)

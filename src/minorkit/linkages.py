@@ -25,9 +25,6 @@ from .errors import (
 )
 from .graphs import Graph, induced_subgraph, mask_reach, neighbor_masks
 
-PAIR_CAP = 4
-SMALL_HOST_CAP = 14
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -89,13 +86,6 @@ def pattern_of(l):
                 raise InvalidLinkage(f"vertex {v} used twice")
             seen.add(v)
     return Pattern.of((p[0], p[-1]) for p in l.paths)
-
-
-def _check_cap(g, p):
-    if len(p) > PAIR_CAP and g.n > SMALL_HOST_CAP:
-        raise SearchCapExceeded(
-            f"{len(p)} pairs on {g.n} vertices exceeds the search cap"
-        )
 
 
 def _enumerate_linkages(g, p, spanning_only, limit, budget):
@@ -196,7 +186,6 @@ def _enumerate_linkages(g, p, spanning_only, limit, budget):
 
 def count_linkages(g, p, spanning_only=False, limit=2, budget=None):
     """Number of distinct linkages with pattern p, saturating at limit."""
-    _check_cap(g, p)
     if limit <= 0:
         return 0
     count, _ = _enumerate_linkages(g, p, spanning_only, limit, budget)
@@ -204,7 +193,7 @@ def count_linkages(g, p, spanning_only=False, limit=2, budget=None):
 
 
 def disjoint_paths(g, p, engine="auto", budget=None):
-    """A linkage realizing the pattern, or None. Exhaustive under the caps.
+    """A linkage realizing the pattern, or None. Exhaustive under the budget.
 
     The first linkage of the depth-first enumeration, so the witness is
     deterministic; BudgetExceeded once the search passes `budget`.
@@ -212,7 +201,6 @@ def disjoint_paths(g, p, engine="auto", budget=None):
     stays only because the benchmark in perfbench/ still passes it (as does
     `minorkit dp --engine`); both can go with the next benchmark change.
     """
-    _check_cap(g, p)
     if engine not in ("auto", "dfs"):
         raise UsageError(f"unknown engine {engine!r}")
     _, linkage = _enumerate_linkages(g, p, False, 1, budget)

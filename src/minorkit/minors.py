@@ -11,7 +11,9 @@ the first placed vertex's orbit, from the automorphisms the canonical search
 finds, and each twin class. find_minor alone answers some "no"s before
 searching: first when the host's treewidth is below the pattern's, then when
 the host is planar and the pattern is not. The clique search,
-dense_clique_minor, is find_minor on K_t.
+dense_clique_minor, is find_minor on K_t. Every search is bounded by the
+work it does, a fresh Budget(MINOR_NODE_BUDGET) per call charged once per
+branch-set extension, not by the size of its pattern or host.
 
 Canonical codes come from individualisation and colour refinement over a
 search tree pruned by the automorphisms that equal leaves reveal, under a
@@ -26,6 +28,7 @@ from itertools import combinations
 
 from .errors import (
     CANONICAL_NODE_BUDGET,
+    MINOR_NODE_BUDGET,
     Budget,
     PreconditionViolated,
     RootCountMismatch,
@@ -42,8 +45,6 @@ from .graphs import (
     neighbor_masks,
 )
 from .plane import planar_embedding
-
-DEFAULT_PATTERN_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,19 @@ def _placement_order(pattern, required):
     return order
 
 
-def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAULT_PATTERN_CAP):
+def _search_model(host, pattern, required=None, red_mask=None):
     """Core engine. `required[p]` is a host mask that branch set p must contain;
     `red_mask`, when not None, forces every branch set to intersect it.
-    Returns a MinorModel or None. SearchCapExceeded when the pattern is over
-    `pattern_cap` or the search runs deeper than the recursion limit.
+    Returns a MinorModel or None. Each call charges a fresh
+    Budget(MINOR_NODE_BUDGET) once per branch-set extension, so BudgetExceeded
+    past it; SearchCapExceeded when the search runs deeper than the
+    recursion limit.
 
     With no required vertex, only models whose seeds follow the pattern's
     symmetry are tried (Grochow & Kellis 2007): the first placed vertex
     takes the smallest seed of its orbit, and twins (the same neighbours
     apart from each other) take rising seeds in placement order."""
     hp = pattern.n
-    if hp > pattern_cap:
-        raise SearchCapExceeded(f"pattern has {hp} vertices, cap is {pattern_cap}")
     required = list(required) if required else [0] * hp
     if hp == 0:
         return MinorModel(())
@@ -151,6 +152,7 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
 
     sets_ = [0] * hp
     nb_ = [0] * hp
+    charge = Budget(MINOR_NODE_BUDGET, "minor search nodes").charge
 
     def place(i, free):
         if i == hp:
@@ -181,6 +183,7 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
         return False
 
     def extend(i, cur, rest, banned):
+        charge()
         usable = rest & ~banned
         pending = [j for j in earlier_nbrs[i] if not (nb_[j] & cur)]
         need_red = red_mask is not None and not (cur & red_mask)
@@ -236,11 +239,11 @@ def _search_model(host, pattern, required=None, red_mask=None, pattern_cap=DEFAU
     return MinorModel(tuple(model_sets))
 
 
-def find_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
-    """A minor model of pattern in host, or None. Exhaustive under the cap.
+def find_minor(host, pattern):
+    """A minor model of pattern in host, or None. Exhaustive unless the
+    search passes MINOR_NODE_BUDGET nodes, which raises BudgetExceeded.
 
-    Two minor-monotone properties answer None with no search, in this
-    order; a pattern over the cap still raises SearchCapExceeded.
+    Two minor-monotone properties answer None with no search, in this order.
     - Treewidth: the host's min-fill width (an upper bound on its
       treewidth) is below the pattern's minor-min-width (a lower bound).
     - Planarity: the pattern is not planar (cached per pattern) and the host
@@ -253,12 +256,12 @@ def find_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
     from .decomposition import _min_fill_order, _minor_min_width
 
     # the empty pattern, of treewidth -1, is in every host
-    if 0 < pattern.n <= pattern_cap and (
+    if pattern.n and (
         _min_fill_order(neighbor_masks(host))[0] < _minor_min_width(neighbor_masks(pattern))
         or not _is_planar(pattern) and planar_embedding(host) is not None
     ):
         return None
-    return _search_model(host, pattern, pattern_cap=pattern_cap)
+    return _search_model(host, pattern)
 
 
 @cache
@@ -266,7 +269,7 @@ def _is_planar(pattern):
     return planar_embedding(pattern) is not None
 
 
-def find_rooted_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
+def find_rooted_minor(host, pattern):
     """Rooted minor: host root i must land in the branch set of pattern root i."""
     if len(host.roots) != len(pattern.roots):
         raise RootCountMismatch(
@@ -275,25 +278,22 @@ def find_rooted_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
     required = [0] * pattern.graph.n
     for hr, pr in zip(host.roots, pattern.roots):
         required[pr] |= 1 << hr
-    return _search_model(
-        host.graph, pattern.graph, required=required, pattern_cap=pattern_cap
-    )
+    return _search_model(host.graph, pattern.graph, required=required)
 
 
-def find_red_minor(host, pattern, pattern_cap=DEFAULT_PATTERN_CAP):
-    """Minor model in which every branch set meets the annotated set."""
-    red_mask = _mask_of(host.annotated)
-    return _search_model(
-        host.graph, pattern, red_mask=red_mask, pattern_cap=pattern_cap
-    )
+def find_red_minor(host, pattern, pattern_cap=None):
+    """Minor model in which every branch set meets the annotated set.
+    `pattern_cap` is ignored. It stays only because perfbench/ still passes
+    it, and goes with the next benchmark change, like disjoint_paths(engine=)."""
+    return _search_model(host.graph, pattern, red_mask=_mask_of(host.annotated))
 
 
 def bidim(host, cap):
     """Largest k <= cap such that the k-by-k grid is a red minor of host.
 
     Returns cap itself when the search still succeeds there; the caller then
-    knows only a lower bound. The engine cap is raised to cap*cap so that the
-    requested range is actually searchable.
+    knows only a lower bound. Each k is one red search under its own
+    MINOR_NODE_BUDGET, so a k whose search passes it raises BudgetExceeded.
     """
     from .constructions import grid
 
@@ -302,7 +302,7 @@ def bidim(host, cap):
         return 0
     best = 0
     for k in range(1, cap + 1):
-        if find_red_minor(host, grid(k, k), pattern_cap=max(DEFAULT_PATTERN_CAP, k * k)) is None:
+        if find_red_minor(host, grid(k, k)) is None:
             break
         best = k
     return best
@@ -315,8 +315,8 @@ def complete_graph(t):
 
 def dense_clique_minor(g, t):
     """A K_t minor model of g, or None when g has none: find_minor on K_t,
-    so the answer is exact up to DEFAULT_PATTERN_CAP and raises
-    SearchCapExceeded above it. The name outlived an edge-density tier;
+    so the answer is exact, and BudgetExceeded when the search passes
+    MINOR_NODE_BUDGET nodes. The name outlived an edge-density tier;
     perfbench's tracer wraps `pipeline.dense_clique_minor` by it."""
     if t < 1:
         raise PreconditionViolated("clique order must be at least 1")
@@ -360,7 +360,7 @@ def _orbits(n, perms):
     return [find(u) for u in range(n)]
 
 
-def _canonical_search(rg, cap):
+def _canonical_search(rg):
     """The least leaf signature of the canonical search tree of a rooted
     graph, and the root-fixing automorphisms (tuples vertex -> image) that
     the search found on the way.
@@ -376,13 +376,10 @@ def _canonical_search(rg, cap):
     is skipped: its subtree holds the same leaf signatures. The least
     signature is the one the full tree gives. More than
     CANONICAL_NODE_BUDGET tree nodes raise BudgetExceeded, and a tree
-    deeper than the recursion limit (only past the default cap) raises
-    SearchCapExceeded.
+    deeper than the recursion limit raises SearchCapExceeded.
     """
     g = rg.graph
     n = g.n
-    if n > cap:
-        raise SearchCapExceeded(f"{n} vertices, canonical cap is {cap}")
     position_sig = [
         tuple(i for i, r in enumerate(rg.roots) if r == v) for v in range(n)
     ]
@@ -458,14 +455,14 @@ def _canonical_search(rg, cap):
     return least[0], autos
 
 
-def canonical_form(rg, cap=20):
+def canonical_form(rg):
     """Canonical relabeling of a rooted graph, by _canonical_search.
 
     Returns (canonical RootedGraph, code bytes). Two rooted graphs get the
     same code exactly when a rooted isomorphism (roots fixed pointwise by
     position) exists between them.
     """
-    best = _canonical_search(rg, cap)[0]
+    best = _canonical_search(rg)[0]
     n, roots_img, edges_img = best
     return RootedGraph(Graph(n, edges_img), roots_img), repr(best).encode("ascii")
 
@@ -473,17 +470,16 @@ def canonical_form(rg, cap=20):
 @cache
 def _pattern_orbits(pattern):
     """Each pattern vertex's least orbit-mate under the automorphisms that
-    the canonical search finds. The cap is the pattern's own order, so a
-    pattern that the branch-set search accepts is never refused here."""
-    return tuple(_orbits(pattern.n, _canonical_search(RootedGraph.of(pattern, ()), pattern.n)[1]))
+    the canonical search finds."""
+    return tuple(_orbits(pattern.n, _canonical_search(RootedGraph.of(pattern, ()))[1]))
 
 
-def canonical_code(rg, cap=20):
+def canonical_code(rg):
     """Byte string; equal exactly for rooted-isomorphic inputs."""
-    return canonical_form(rg, cap)[1]
+    return canonical_form(rg)[1]
 
 
-def isomorphic(g1, g2, cap=20):
+def isomorphic(g1, g2):
     """Plain graph isomorphism at gadget scale, via canonical codes."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
@@ -491,6 +487,4 @@ def isomorphic(g1, g2, cap=20):
         g2.degree(v) for v in g2.vertices()
     ):
         return False
-    return canonical_code(RootedGraph(g1, ()), cap) == canonical_code(
-        RootedGraph(g2, ()), cap
-    )
+    return canonical_code(RootedGraph(g1, ())) == canonical_code(RootedGraph(g2, ()))

@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 
 from .decomposition import exact_treewidth
-from .errors import CliqueTooSmall, PreconditionViolated
-from .folios import ORACLE_HOST_CAP, kd_folio, strongly_irrelevant
+from .errors import BudgetExceeded, CliqueTooSmall, PreconditionViolated
+from .folios import kd_folio, strongly_irrelevant
 from .graphs import (
     AnnotatedGraph,
     delete_vertex,
@@ -24,7 +24,7 @@ from .graphs import (
     parse_edge_list,
     write_edge_list,
 )
-from .minors import DEFAULT_PATTERN_CAP, complete_graph, dense_clique_minor, verify_minor_model
+from .minors import complete_graph, dense_clique_minor, verify_minor_model
 
 _RULES = ("clique-rule", "oracle")
 
@@ -98,7 +98,7 @@ class PipelineConfig:
 class ReductionTrace:
     """What reduce did: deletions in input numbering, the survivor, the
     survivor's exact treewidth, and whether the threshold was met, no rule
-    fired, or the oracle rule hit its search caps."""
+    fired, or a deletion rule's search ran out of its budget ("capped")."""
 
     deletions: tuple  # ((vertex, rule), ...)
     final: AnnotatedGraph
@@ -115,9 +115,9 @@ def _delete(cur, orig_of, v):
 
 def _clique_step(cur, d, width):
     """One clique-rule attempt; returns a vertex of the current graph or
-    None. Skipped when the treewidth or the minor search's cap rules it out."""
+    None. Skipped when the treewidth rules the clique minor out."""
     need = _clique_order(cur.annotated, d)
-    if width + 1 < need or need > DEFAULT_PATTERN_CAP:
+    if width + 1 < need:
         return None
     model = dense_clique_minor(cur.graph, need)
     if model is None:
@@ -139,9 +139,10 @@ def reduce(host, k, d, cfg=PipelineConfig()):
 
     One deletion per round. The clique rule is tried first when enabled;
     the oracle rule is the fallback. Every trace entry names the deleted
-    vertex in the numbering of the original input. When the oracle rule is
-    needed on a host above its vertex cap, the deletions certified so far
-    are returned with status "capped"; its root and detail caps still raise.
+    vertex in the numbering of the original input. When a search of either
+    rule runs out of its budget, the deletions certified so far are returned
+    with status "capped"; the oracle's root and detail caps and
+    exact_treewidth's budget still raise.
     """
     cur, orig_of = host, list(host.graph.vertices())
     deletions = []
@@ -151,17 +152,18 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             status = "met"
             break
         found = None
-        if cfg.engine in ("clique-rule", "both"):
-            v = _clique_step(cur, d, width)
-            if v is not None:
-                found = (v, "clique-rule")
-        if found is None and cfg.engine in ("oracle", "both"):
-            if cur.graph.n > ORACLE_HOST_CAP:
-                status = "capped"
-                break
-            v = _oracle_step(cur, k, d)
-            if v is not None:
-                found = (v, "oracle")
+        try:
+            if cfg.engine in ("clique-rule", "both"):
+                v = _clique_step(cur, d, width)
+                if v is not None:
+                    found = (v, "clique-rule")
+            if found is None and cfg.engine in ("oracle", "both"):
+                v = _oracle_step(cur, k, d)
+                if v is not None:
+                    found = (v, "oracle")
+        except BudgetExceeded:
+            status = "capped"
+            break
         if found is None:
             status = "stuck"
             break

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from minorkit import cli
+from minorkit import cli, minors
 from minorkit.constructions import cylindrical_mesh, gamma_hat, grid, wall, z_graph
 from minorkit.graphs import AnnotatedGraph, Graph, parse_edge_list, write_edge_list
 from minorkit.linkages import parse_pattern
@@ -231,9 +231,14 @@ def test_reduce_exit_one_when_stuck(tmp_path, capsys):
     assert doc["status"] == "stuck"
 
 
-def test_reduce_prints_the_partial_trace_and_exits_three_when_capped(tmp_path, capsys):
+def test_reduce_prints_the_partial_trace_and_exits_three_when_capped(
+    tmp_path, capsys, monkeypatch
+):
     import itertools
 
+    # C5-K11 at (k, d) = (2, 1): the clique rule's searches take 9 nodes
+    # each, the oracle's first round one of 12
+    monkeypatch.setattr(minors, "MINOR_NODE_BUDGET", 10)
     cycle = [(i, (i + 1) % 5) for i in range(5)]
     clique = list(itertools.combinations(range(5, 16), 2))
     path = tmp_path / "cycle_clique.edg"

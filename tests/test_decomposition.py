@@ -22,7 +22,6 @@ from minorkit.decomposition import (
     _min_fill_order,
     _minor_min_width,
     _order_within,
-    bramble_order,
     exact_treewidth,
     find_grid_subgraph,
     min_fill_decomposition,
@@ -32,7 +31,7 @@ from minorkit.decomposition import (
     validate_td,
     write_td,
 )
-from minorkit.errors import CertificateNotFound, InvalidDecomposition, SearchCapExceeded
+from minorkit.errors import CertificateNotFound, InvalidDecomposition
 from minorkit.graphs import Graph, neighbor_masks
 
 
@@ -270,8 +269,8 @@ def test_above_bound_and_cap():
     assert isinstance(exact_treewidth(complete_graph(4), upper=1), AboveBound)
     width, _ = exact_treewidth(complete_graph(4), upper=3)
     assert width == 3
-    with pytest.raises(SearchCapExceeded):
-        exact_treewidth(Graph(21, []))
+    # no vertex count refuses the search, only its node budget
+    assert exact_treewidth(Graph(21, []))[0] == 0
 
 
 @st.composite
@@ -291,10 +290,11 @@ def test_exact_matches_subset_dp(g):
     assert check.valid and check.width == width
     # each per-width decision on its own, below and above the bounds
     for t in range(g.n):
-        order = _order_within(neighbor_masks(g), t)
-        assert (order is not None) == (t >= width)
-        if order is not None:
-            assert _decomposition_from_order(g, order).width() <= t
+        found = _order_within(neighbor_masks(g), [t])
+        assert (found is not None) == (t >= width)
+        if found is not None:
+            assert found[0] == t
+            assert _decomposition_from_order(g, found[1]).width() <= t
 
 
 def wagner_graph():
@@ -370,11 +370,32 @@ def test_vertex_deletion_monotone():
 # --- brambles and certificates --------------------------------------------------
 
 
+def bramble_order(bramble):
+    """Exact minimum hitting set size over the bramble's sets, by branching
+    on the smallest set left (exponential in the number of sets)."""
+    sets = [set(s) for s in bramble.sets]
+    best = len(set().union(*sets)) if sets else 0
+
+    def rec(remaining, chosen):
+        nonlocal best
+        if not remaining:
+            best = min(best, chosen)
+            return
+        if chosen + 1 >= best:
+            return
+        target = min(remaining, key=len)
+        for v in sorted(target):
+            rec([s for s in remaining if v not in s], chosen + 1)
+
+    rec(sets, 0)
+    return best
+
+
 def test_bramble_validation_and_order():
     g = cycle_graph(5)
     b = Bramble((frozenset({0, 1}), frozenset({2}), frozenset({3, 4})))
     assert validate_bramble(g, b)
-    assert bramble_order(g, b) == 3
+    assert bramble_order(b) == 3
     not_touching = Bramble((frozenset({0}), frozenset({2})))
     assert not validate_bramble(g, not_touching)
 
@@ -383,7 +404,7 @@ def test_certificates_on_c5():
     g = cycle_graph(5)
     certs = treewidth_certificates(g, 2)
     assert certs.lower_bramble is not None
-    assert bramble_order(g, certs.lower_bramble) == 3
+    assert bramble_order(certs.lower_bramble) == 3
     check = validate_td(g, certs.upper)
     assert check.valid and check.width == 2
 
@@ -423,8 +444,8 @@ def test_certificates_past_the_grid_sweep_use_exact_treewidth():
 
 
 def test_certificates_on_a_chorded_grid_past_the_exact_cap():
-    # 25 vertices are past exact_treewidth's cap, so only the grid's
-    # column-major elimination order can give the upper side
+    # the grid spans the graph, so its column-major elimination order gives
+    # the upper side with no exact_treewidth search
     g = Graph(25, list(grid(5, 5).edges) + [(0, 6)])
     certs = treewidth_certificates(g, 5)
     assert certs.lower_grid is not None and certs.lower_grid.side == 5

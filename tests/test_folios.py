@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minorkit import folios
+from minorkit import decomposition, folios
 from minorkit.decomposition import (
     TreeDecomposition,
     exact_treewidth,
@@ -46,6 +46,7 @@ from minorkit.folios import (
 from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph, delete_vertex
 from minorkit.linkages import Pattern, disjoint_paths
 from minorkit.minors import canonical_code, find_rooted_minor
+from test_minors import wagner_graph
 
 
 def path_graph(n):
@@ -252,8 +253,9 @@ def test_folio_of_long_path_matches_edge_at_detail_zero():
 
 
 def test_folio_oracle_caps():
-    with pytest.raises(SearchCapExceeded):
-        folio_bruteforce(RootedGraph(path_graph(13), (0,)), 0)
+    # the detail and root caps bound the pattern lattice; the host's size
+    # bounds nothing, its searches are bounded by their budgets
+    assert len(folio_bruteforce(RootedGraph(path_graph(13), (0,)), 0).entries) == 1
     with pytest.raises(SearchCapExceeded):
         folio_bruteforce(SINGLE_ROOTED, 4)
     with pytest.raises(SearchCapExceeded):
@@ -418,19 +420,28 @@ def ladder_path_decomposition(cols):
     )
 
 
-def test_dp_runs_past_the_exact_treewidth_cap():
+def test_dp_runs_past_the_exact_treewidth_cap(monkeypatch):
+    # 22 vertices, but the bounds meet, so the min-fill order is exact and
+    # no search runs
     g = grid_graph(2, 11)
-    with pytest.raises(SearchCapExceeded):
-        exact_treewidth(g)
     host = RootedGraph(g, (0, 21))
     min_fill = min_fill_decomposition(g)
-    assert dp_decomposition(g) == min_fill
+    assert dp_decomposition(g) == min_fill == exact_treewidth(g)[1]
     got = folio_dp(host, 1, min_fill)
     assert got == folio_dp(host, 1, ladder_path_decomposition(11))
     # the 2x3 ladder rooted at its corners is a rooted minor of this one
     assert folio_bruteforce(RootedGraph(grid_graph(2, 3), (0, 5)), 1).codes() <= got.codes()
     kd = kd_folio(AnnotatedGraph.of(g, {0, 21}), 2, 1, engine="dp")
     assert got.entries <= kd.entries
+    # the Wagner graph's bounds straddle (3 and 4); once the elimination
+    # search runs out of its budget the DP runs on the min-fill decomposition
+    wagner = wagner_graph()
+    monkeypatch.setattr(decomposition, "NODE_BUDGET", 2)
+    with pytest.raises(BudgetExceeded):
+        exact_treewidth(wagner)
+    assert dp_decomposition(wagner) == min_fill_decomposition(wagner)
+    rooted = RootedGraph(wagner, (0, 4))
+    assert folio_dp(rooted, 1, dp_decomposition(wagner)) == folio_bruteforce(rooted, 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,9 +1,9 @@
 """Source hygiene, read from the syntax trees alone: no module imports a name
 it never uses, no private module-level name or slot of the library goes
 unused, an import inside a function only ever breaks an import cycle, the
-library imports nothing beyond the standard library, and work limits are
+library imports nothing beyond the standard library, work limits are
 errors.Budget objects with their defaults in `errors`, not per-engine
-integers.
+integers, and no search is refused by the size of its input.
 """
 
 import ast
@@ -162,6 +162,13 @@ def test_the_library_imports_only_the_standard_library():
     assert not found, "imports from outside the standard library:\n" + "\n".join(found)
 
 
+def parameters(fn):
+    """The names of a function's parameters."""
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+    return {p.arg for p in params if p is not None}
+
+
 PER_ENGINE_BUDGETS = {"max_nodes", "max_states", "max_multisets", "vitality_budget", "max_deletions"}
 
 
@@ -174,9 +181,7 @@ def test_budgets_are_budget_objects_with_defaults_in_errors():
         where = path.relative_to(ROOT)
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.FunctionDef):
-                a = node.args
-                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-                names = {p.arg for p in params if p is not None}
+                names = parameters(node)
             elif isinstance(node, ast.ClassDef):
                 names = {
                     stmt.target.id
@@ -200,3 +205,39 @@ def test_budgets_are_budget_objects_with_defaults_in_errors():
                 if name.endswith("_BUDGET"):
                     found.append(f"{where}:{node.lineno}: defines {name}")
     assert not found, "budget integers outside errors.Budget:\n" + "\n".join(found)
+
+
+# caps that bound the size of a precomputed object (the pattern lattice, the
+# root multisets, the gadget family), not the work of a search
+OBJECT_CAPS = {"ORACLE_DETAIL_CAP", "ORACLE_ROOT_CAP", "MULTISET_CAP", "GADGET_ORDER_CAP"}
+CANONICAL_FUNCTIONS = {"_canonical_search", "canonical_form", "canonical_code", "isomorphic"}
+# perfbench/checks.py still passes pattern_cap=, which find_red_minor ignores
+IGNORED_PATTERN_CAP = ("minors", "find_red_minor")
+
+
+def test_searches_are_bounded_by_budgets_not_by_input_size():
+    # no module-level *_CAP but the object caps, no pattern_cap parameter
+    # but the ignored one, and no cap parameter on the canonical functions
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        where = path.relative_to(ROOT)
+        tree = parse(path)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.endswith("_CAP") and t.id not in OBJECT_CAPS:
+                    found.append(f"{where}:{node.lineno}: defines {t.id}")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            names = parameters(node)
+            if "pattern_cap" in names and (path.stem, node.name) != IGNORED_PATTERN_CAP:
+                found.append(f"{where}:{node.lineno}: {node.name} takes pattern_cap")
+            if node.name in CANONICAL_FUNCTIONS and "cap" in names:
+                found.append(f"{where}:{node.lineno}: {node.name} takes cap")
+    assert not found, "searches refused by input size:\n" + "\n".join(found)

@@ -253,11 +253,12 @@ def test_5x5_grid_crossing_corners_absent():
     assert disjoint_paths(grid_graph(5, 5), Pattern.of([(0, 24), (4, 20)])) is None
 
 
-def test_search_cap():
+def test_five_pairs_on_fifteen_vertices_are_searched():
+    # no pair count or host size refuses a search, only its node budget
     g = Graph(15, [(i, i + 1) for i in range(14)])
     p = Pattern.of([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
-    with pytest.raises(SearchCapExceeded):
-        disjoint_paths(g, p)
+    assert disjoint_paths(g, p) == Linkage.of([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
+    assert disjoint_paths(g, Pattern.of([(0, 2), (1, 3), (4, 5), (6, 7), (8, 9)])) is None
 
 
 def test_a_path_past_the_recursion_limit_raises_the_cap_error():

@@ -173,11 +173,6 @@ def test_k5_not_in_4x4_grid():
     assert find_minor(grid_graph(4, 4), complete_graph(5)) is None
 
 
-def test_pattern_cap_enforced():
-    with pytest.raises(SearchCapExceeded):
-        find_minor(complete_graph(13), complete_graph(13))
-
-
 def test_a_search_past_the_recursion_limit_raises_the_cap_error():
     # the branch set grows one vertex per level along the 1200-vertex path
     host = RootedGraph(path_graph(1200), (0, 1199))
@@ -490,12 +485,12 @@ def test_symmetric_patterns_match_oracle(case):
 
 
 def test_a_red_search_for_a_25_vertex_grid_is_not_refused():
-    # the pattern's orbits come from a canonical search capped at its order,
-    # not at the canonical default of 20
+    # neither the branch-set search nor the canonical search behind the
+    # pattern's orbits refuses a pattern by its vertex count
     g = grid_graph(5, 5)
-    model = find_red_minor(AnnotatedGraph.of(g, range(25)), g, pattern_cap=25)
+    model = find_red_minor(AnnotatedGraph.of(g, range(25)), g)
     assert verify_minor_model(g, g, model)
-    assert find_red_minor(AnnotatedGraph.of(g, range(24)), g, pattern_cap=25) is None
+    assert find_red_minor(AnnotatedGraph.of(g, range(24)), g) is None
 
 
 def test_bidim_of_grids_fully_annotated():
@@ -744,7 +739,7 @@ def test_pattern_orbits_are_the_automorphism_orbits(g):
 @given(rooted_graphs(8))
 def test_the_canonical_search_finds_root_fixing_automorphisms(rg):
     edges = {frozenset(e) for e in rg.graph.edges}
-    for a in minors._canonical_search(rg, 20)[1]:
+    for a in minors._canonical_search(rg)[1]:
         assert sorted(a) == list(range(rg.graph.n))
         assert {frozenset((a[u], a[v])) for u, v in rg.graph.edges} == edges
         assert all(a[r] == r for r in rg.roots)
@@ -764,7 +759,7 @@ def test_canonical_codes_of_symmetric_graphs(monkeypatch):
 def test_canonical_form_raises_past_its_node_budget(monkeypatch):
     monkeypatch.setattr(minors, "CANONICAL_NODE_BUDGET", 5)
     with pytest.raises(BudgetExceeded, match="canonical search nodes: 6 past the budget of 5"):
-        minors._canonical_search(RootedGraph(cycle_graph(12), ()), 20)
+        minors._canonical_search(RootedGraph(cycle_graph(12), ()))
     with pytest.raises(BudgetExceeded) as err:
         canonical_code(RootedGraph(cycle_graph(12), ()))
     assert err.value.budget.what == "canonical search nodes"
@@ -778,25 +773,21 @@ def test_a_canonical_search_past_the_recursion_limit_raises_the_cap_error():
     sys.setrecursionlimit(250)
     try:
         with pytest.raises(SearchCapExceeded):
-            canonical_code(RootedGraph(Graph(300, []), ()), cap=300)
+            canonical_code(RootedGraph(Graph(300, []), ()))
     finally:
         sys.setrecursionlimit(limit)
 
 
-def test_canonical_cap():
-    with pytest.raises(SearchCapExceeded):
-        canonical_code(RootedGraph.of(Graph(21, []), ()))
-
-
 def test_isomorphic_applies_the_cap_to_both_graphs():
-    # 21 vertices, past the default cap of 20
+    # 21 vertices: no vertex count refuses a canonical search, only its
+    # node budget, which each of the two graphs gets afresh
     p21 = path_graph(21)
-    assert isomorphic(p21, relabel(p21, [(2 * v) % 21 for v in range(21)]), cap=25)
+    assert isomorphic(p21, relabel(p21, [(2 * v) % 21 for v in range(21)]))
 
 
 def test_isomorphic_on_many_interchangeable_vertices():
-    assert isomorphic(Graph(21, [(0, 1)]), Graph(21, [(2, 3)]), cap=25)
-    assert not isomorphic(Graph(21, [(0, 1), (1, 2)]), Graph(21, [(0, 1), (2, 3)]), cap=25)
+    assert isomorphic(Graph(21, [(0, 1)]), Graph(21, [(2, 3)]))
+    assert not isomorphic(Graph(21, [(0, 1), (1, 2)]), Graph(21, [(0, 1), (2, 3)]))
 
 
 def test_isomorphic_basic():

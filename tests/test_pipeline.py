@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from minorkit import decomposition, minors
 from minorkit.constructions import wall
 from minorkit.errors import (
     BudgetExceeded,
@@ -34,7 +35,7 @@ from minorkit.pipeline import (
     trace_to_json,
     verify_trace,
 )
-from test_minors import oracle_minor
+from test_minors import oracle_minor, wagner_graph
 
 
 def complete_graph(n):
@@ -360,14 +361,28 @@ def test_reduce_clique_rule_alone_can_get_stuck():
 
 
 def cycle_clique_host():
-    """A 5-cycle joined by an edge to K11, annotated at 0 and 2: the clique
-    rule deletes three clique vertices, then stalls at 13 vertices, above
-    the folio oracle's host cap."""
+    """C5-K11: a 5-cycle joined by an edge to K11, annotated at 0 and 2; 16
+    vertices, treewidth 10."""
     edges = [(i, (i + 1) % 5) for i in range(5)] + clique_edges(range(5, 16))
     return AnnotatedGraph.of(Graph(16, edges + [(4, 5)]), (0, 2))
 
 
-def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped():
+@pytest.mark.parametrize("k, d", [(2, 1), (1, 2), (2, 2)])
+def test_reduce_runs_past_twelve_vertices(k, d):
+    # no rule refuses a host by its vertex count: at detail 1 the clique
+    # rule deletes three clique vertices first, and the oracle does the rest
+    host = cycle_clique_host()
+    reduced, trace = reduce(host, k, d, PipelineConfig(threshold=4))
+    assert trace.status == "met"
+    assert len(trace.deletions) == 7 and trace.final_width == 4
+    assert reduced.graph.n == 9
+    assert verify_trace(host, trace, k, d)
+
+
+def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped(monkeypatch):
+    # the clique rule's searches take 9 nodes each and the oracle's first
+    # round one of 12, so a budget of 10 runs out in the oracle rule
+    monkeypatch.setattr(minors, "MINOR_NODE_BUDGET", 10)
     host = cycle_clique_host()
     reduced, trace = reduce(host, 2, 1, PipelineConfig(threshold=4))
     assert trace.status == "capped"
@@ -376,11 +391,22 @@ def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped():
     assert trace.final_width == 7
     assert replay_trace(host, trace) == reduced
     assert trace_from_json(trace_to_json(trace)) == trace
+    monkeypatch.undo()  # the oracle's check of a clique-rule deletion needs more
+    assert verify_trace(host, trace, 2, 1)
+
+
+def test_reduce_raises_when_exact_treewidth_runs_out_of_its_budget(monkeypatch):
+    # the width decides whether to go on, so running out there is an error,
+    # not a "capped" run; the Wagner graph's width bounds straddle (3 and 4)
+    monkeypatch.setattr(decomposition, "NODE_BUDGET", 2)
+    with pytest.raises(BudgetExceeded) as err:
+        reduce(AnnotatedGraph.of(wagner_graph(), (0,)), 1, 0, PipelineConfig(threshold=3))
+    assert err.value.budget.what == "elimination search nodes"
 
 
 def test_reduce_still_raises_on_the_oracle_root_and_detail_caps():
-    # only a host above the vertex cap ends the run as "capped"; a detail or
-    # root count the oracle cannot take is a bad argument
+    # only a search budget that runs out ends the run as "capped"; a detail
+    # or root count the oracle cannot take is a bad argument
     cfg = PipelineConfig(threshold=4, engine="oracle")
     for k, d in [(2, 4), (5, 1)]:
         with pytest.raises(SearchCapExceeded):
