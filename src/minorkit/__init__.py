@@ -1,7 +1,7 @@
 """minorkit: exact desk-scale graph-minor computations.
 
 Modules:
-    graphs         immutable graphs, separations, blocks, Menger flows and cuts
+    graphs         immutable graphs, blocks, minimum vertex cuts, edge lists
     minors         minor models (plain / rooted / red), canonical codes, bidim
     decomposition  tree decompositions, exact solver, certificates
     linkages       patterns, disjoint paths, linkage counting, vitality
@@ -14,11 +14,10 @@ Modules:
     cli            batch front end
 """
 
-from .graphs import AnnotatedGraph, Graph, RootedGraph, Separation
+from .graphs import AnnotatedGraph, Graph, RootedGraph
 
 __all__ = [
     "AnnotatedGraph",
     "Graph",
     "RootedGraph",
-    "Separation",
 ]

@@ -609,13 +609,9 @@ def _absent_after(deco, v, type_codes, block_order, code_of):
     if any(c < 2 for c in counts.values()):
         return True
     core = deco.core
-    if v >= core.graph.n or v in core.terminals:
-        # Every attachment block needs its own vertices; losing one cannot
-        # leave all 2k blocks intact.  Reaching here means the checker's
-        # block accounting is broken, not that the minor is absent.
-        raise SearchCapExceeded(
-            f"block accounting kept all blocks intact after deleting {v}"
-        )
+    # Every attachment block needs its own vertices, so losing one cannot
+    # leave all 2k blocks intact.
+    assert v < core.graph.n and v not in core.terminals, "block accounting kept every block"
     cg, remap = delete_vertex(core.graph, v)
     pat = Pattern.of((remap[s], remap[t]) for s, t in core.pairs)
     return disjoint_paths(cg, pat) is None

@@ -22,7 +22,6 @@ from .errors import (
     Budget,
     BudgetExceeded,
     CertificateNotFound,
-    InvalidDecomposition,
     SearchCapExceeded,
 )
 from .graphs import (
@@ -383,49 +382,3 @@ def treewidth_certificates(g, n):
         value=n, lower_grid=grid_cert, lower_bramble=bramble, upper=upper
     )
 
-
-# --- text format -----------------------------------------------------------------
-
-
-def write_td(td, n_host):
-    """The common .td text convention; ids and vertices are 1-based on disk."""
-    lines = [f"s td {td.tree.n} {td.width() + 1} {n_host}"]
-    for i, bag in enumerate(td.bags):
-        parts = " ".join(str(v + 1) for v in sorted(bag))
-        lines.append(f"b {i + 1} {parts}".rstrip())
-    for u, v in sorted(td.tree.edges):
-        lines.append(f"{u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_td(text):
-    """Inverse of write_td. Returns (decomposition, host vertex count)."""
-    header = None
-    bags = {}
-    edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("s td"):
-            parts = line.split()
-            if len(parts) != 5:
-                raise InvalidDecomposition(f"bad header: {line!r}")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
-        elif line.startswith("b "):
-            parts = line.split()
-            bags[int(parts[1]) - 1] = frozenset(int(x) - 1 for x in parts[2:])
-        else:
-            a, b = line.split()
-            edges.append((int(a) - 1, int(b) - 1))
-    if header is None:
-        raise InvalidDecomposition("missing s td header")
-    n_bags, width_plus, n_host = header
-    if set(bags) != set(range(n_bags)):
-        raise InvalidDecomposition("bag ids do not cover 1..#bags")
-    td = TreeDecomposition(Graph(n_bags, edges), tuple(bags[i] for i in range(n_bags)))
-    if td.width() + 1 != width_plus:
-        raise InvalidDecomposition(
-            f"header claims width {width_plus - 1}, bags give {td.width()}"
-        )
-    return td, n_host

@@ -23,8 +23,8 @@ strongly_irrelevant call (charged as a Budget); folios.ORACLE_DETAIL_CAP
 and ORACLE_ROOT_CAP, which bound the pattern lattice; and
 constructions.GADGET_ORDER_CAP, the largest order gadget generation
 enumerates (GenerationCapExceeded). SearchCapExceeded means the two oracle
-caps, a search deeper than the recursion limit, or verify_hk_deletion's
-desk-scale guards.
+caps, a search deeper than the recursion limit, or, from
+verify_hk_deletion, only its k <= 2 guard.
 """
 
 from dataclasses import dataclass

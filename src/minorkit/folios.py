@@ -167,12 +167,21 @@ def _size(candidate):
     return candidate[0].graph.n + candidate[0].graph.m
 
 
+def _check_counts(k, d):
+    """PreconditionViolated on a negative root count or detail. No pattern
+    has either, so every folio would come out empty and every vertex would
+    look irrelevant."""
+    if k < 0 or d < 0:
+        raise PreconditionViolated(f"root count {k} and detail {d} must be non-negative")
+
+
 def _lattice_folio(host, d, contains):
     """The d-folio of `host`, asking `contains(pattern)` only about the
     candidates the lattice has not settled, largest (vertices plus edges)
     first: a member settles everything below it as a member, a non-member
     everything above it as a non-member."""
     k = len(host.roots)
+    _check_counts(k, d)
     cands = candidate_patterns(k, d)
     below, above = pattern_lattice(k, d)
     members, settled = set(), set()
@@ -412,12 +421,14 @@ def _root_tuples(host, k):
 
 def kd_folio(host, k, d, engine="oracle"):
     """Union of d-folios over all ordered k-multisets of annotated vertices,
-    by engine "oracle" or "dp" (UsageError otherwise). The DP engine builds
+    by engine "oracle" or "dp" (UsageError otherwise; PreconditionViolated
+    on a negative k or d). The DP engine builds
     one plan per host from dp_decomposition. BudgetExceeded past
     MULTISET_CAP multisets, STATE_BUDGET states in one DP run or
     MINOR_NODE_BUDGET nodes in one oracle search."""
     if engine not in ("oracle", "dp"):
         raise UsageError(f"unknown engine {engine!r}")
+    _check_counts(k, d)
     tuples = _root_tuples(host, k)
     if engine == "dp":
         plan = _dp_plan(host.graph, dp_decomposition(host.graph))
@@ -442,6 +453,7 @@ def strongly_irrelevant(host, k, d, v):
     searched for after it; the first one missing answers False."""
     if v in host.annotated:
         raise PreconditionViolated(f"vertex {v} is annotated; cannot test it")
+    _check_counts(k, d)
     tuples = _root_tuples(host, k)
     smaller, remap = delete_vertex(host.graph, v)
     for tup in tuples:

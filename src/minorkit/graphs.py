@@ -116,34 +116,6 @@ class RootedGraph:
         return RootedGraph(graph, tuple(roots))
 
 
-@dataclass(frozen=True)
-class Separation:
-    """A separation (A, B): both sides cover V and no edge crosses."""
-
-    side_a: frozenset
-    side_b: frozenset
-
-    @property
-    def order(self):
-        return len(self.side_a & self.side_b)
-
-    @staticmethod
-    def of(a, b):
-        return Separation(frozenset(a), frozenset(b))
-
-
-def verify_separation(g, s):
-    """Check both separation conditions: cover and no crossing edge."""
-    if s.side_a | s.side_b != frozenset(g.vertices()):
-        return False
-    for u, v in g.edges:
-        within_a = u in s.side_a and v in s.side_a
-        within_b = u in s.side_b and v in s.side_b
-        if not (within_a or within_b):
-            return False
-    return True
-
-
 def induced_subgraph(g, keep):
     """Induced subgraph on `keep`; returns (graph, old_to_new mapping)."""
     kept = sorted(set(keep))
@@ -322,18 +294,18 @@ def blocks(g):
 
 
 # ---------------------------------------------------------------------------
-# Menger and minimum vertex cuts, via one unit-vertex-capacity flow.
+# Minimum vertex cuts, via a unit-vertex-capacity flow.
 
 
-def _vertex_flow(g, sources, sinks, limit=None, uncapped=frozenset()):
-    """Unit-vertex-capacity flow from `sources` to `sinks`.
+def _vertex_flow(g, sources, sinks):
+    """Maximum flow from `sources` to `sinks` with unit vertex capacities.
 
     Vertex v is split into 2v (in) and 2v+1 (out), joined by an arc of
-    capacity 1, or unbounded when v is in `uncapped`. Edge arcs, the arcs
-    out of the super source 2n and the arcs into the super sink 2n+1 are
-    unbounded. Shortest augmenting paths are added, scanning arcs in
-    ascending vertex order, until none is left or the value reaches
-    `limit`. Returns (value, residual) with residual = (arc_to, arc_cap, adj).
+    capacity 1, or unbounded when v is a sink. Edge arcs, the arcs out of
+    the super source 2n and the arcs into the super sink 2n+1 are unbounded.
+    Shortest augmenting paths are added, scanning arcs in ascending vertex
+    order, until none is left. Returns (value, residual) with residual =
+    (arc_to, arc_cap, adj).
     """
     n_nodes = 2 * g.n + 2
     source = 2 * g.n
@@ -353,7 +325,7 @@ def _vertex_flow(g, sources, sinks, limit=None, uncapped=frozenset()):
         arc_cap.append(0)
 
     for v in g.vertices():
-        add_arc(2 * v, 2 * v + 1, big if v in uncapped else 1)
+        add_arc(2 * v, 2 * v + 1, big if v in sinks else 1)
     for u, v in sorted(g.edges):
         add_arc(2 * u + 1, 2 * v, big)
         add_arc(2 * v + 1, 2 * u, big)
@@ -363,7 +335,7 @@ def _vertex_flow(g, sources, sinks, limit=None, uncapped=frozenset()):
         add_arc(2 * y + 1, sink, big)
 
     value = 0
-    while limit is None or value < limit:
+    while True:
         # BFS for a shortest augmenting path, ascending arc ids per node
         parent_arc = [-1] * n_nodes
         parent_arc[source] = -2
@@ -378,7 +350,7 @@ def _vertex_flow(g, sources, sinks, limit=None, uncapped=frozenset()):
                     parent_arc[b] = aid
                     queue.append(b)
         if parent_arc[sink] == -1:
-            break
+            return value, (arc_to, arc_cap, adj)
         node = sink
         while node != source:
             aid = parent_arc[node]
@@ -386,68 +358,6 @@ def _vertex_flow(g, sources, sinks, limit=None, uncapped=frozenset()):
             arc_cap[aid ^ 1] += 1
             node = arc_to[aid ^ 1]
         value += 1
-    return value, (arc_to, arc_cap, adj)
-
-
-def _flow_cut(g, residual, near_sink):
-    """(cut, side) of a maximum flow: the minimum cut nearest the source
-    with the vertices whose in-node the source still reaches, or, with
-    near_sink, the minimum cut nearest the sink with the vertices whose
-    out-node still reaches the sink. The cut lies inside its side."""
-    arc_to, arc_cap, adj = residual
-    start = 2 * g.n + 1 if near_sink else 2 * g.n
-    reach = [False] * len(adj)
-    reach[start] = True
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for aid in adj[a]:
-            b = arc_to[aid]
-            # towards the sink an arc b -> a is walked backwards
-            if arc_cap[aid ^ 1 if near_sink else aid] > 0 and not reach[b]:
-                reach[b] = True
-                queue.append(b)
-    inner, outer = (1, 0) if near_sink else (0, 1)
-    side = frozenset(v for v in g.vertices() if reach[2 * v + inner])
-    cut = frozenset(v for v in side if not reach[2 * v + outer])
-    return cut, side
-
-
-def menger(g, x_set, y_set, k):
-    """k vertex-disjoint X-Y paths, or a separation of order < k.
-
-    Returns ("paths", [path, ...]) with exactly k pairwise vertex-disjoint
-    paths from X to Y, or ("separation", Separation) of order < k with
-    X inside side A and Y inside side B. Exactly one certificate is produced.
-    Deterministic: augmenting searches scan arcs in ascending vertex order.
-    """
-    x_set = sorted(set(x_set))
-    y_set = sorted(set(y_set))
-    for v in x_set + y_set:
-        if not (0 <= v < g.n):
-            raise IndexOutOfRange(f"terminal {v} outside graph")
-    if k < 0:
-        raise PreconditionViolated("k must be non-negative")
-    if len(x_set) < k or len(y_set) < k:
-        raise PreconditionViolated(f"need |X| >= {k} and |Y| >= {k}")
-    if k == 0:
-        return "paths", []
-
-    flow_value, residual = _vertex_flow(g, x_set, y_set, limit=k)
-    if flow_value >= k:
-        paths = _extract_flow_paths(g, residual)
-        assert len(paths) == k
-        return "paths", paths
-
-    cut, side_a = _flow_cut(g, residual, near_sink=False)
-    side_b = frozenset(set(g.vertices()) - side_a) | cut
-    sep = Separation(side_a, side_b)
-    assert sep.order == flow_value and sep.order < k
-    assert verify_separation(g, sep)
-    assert set(x_set) <= side_a and set(y_set) <= side_b
-    return "separation", sep
 
 
 def min_vertex_cut(g, sources, sinks):
@@ -464,41 +374,25 @@ def min_vertex_cut(g, sources, sinks):
             raise IndexOutOfRange(f"terminal {v} outside graph")
     if sources & sinks:
         raise PreconditionViolated("a vertex is both a source and a sink")
-    value, residual = _vertex_flow(g, sources, sinks, uncapped=sinks)
-    cut, _ = _flow_cut(g, residual, near_sink=True)
+    value, (arc_to, arc_cap, adj) = _vertex_flow(g, sources, sinks)
+    # search the residual graph backwards from the super sink; the cut is
+    # the vertices whose out-node still reaches it and whose in-node does not
+    sink = 2 * g.n + 1
+    reach = [False] * len(adj)
+    reach[sink] = True
+    queue = [sink]
+    qi = 0
+    while qi < len(queue):
+        a = queue[qi]
+        qi += 1
+        for aid in adj[a]:
+            b = arc_to[aid]
+            if arc_cap[aid ^ 1] > 0 and not reach[b]:
+                reach[b] = True
+                queue.append(b)
+    cut = frozenset(v for v in g.vertices() if reach[2 * v + 1] and not reach[2 * v])
     assert len(cut) == value and not cut & sinks
     return cut
-
-
-def _extract_flow_paths(g, residual):
-    """Walk saturated vertex arcs from the source to recover the paths."""
-    arc_to, arc_cap, adj = residual
-    source, sink = 2 * g.n, 2 * g.n + 1
-    used_arc = [False] * len(arc_to)
-    paths = []
-    for aid in adj[source]:
-        # forward arcs have even id; saturated means residual on the twin
-        if aid % 2 == 1 or arc_to[aid] == source:
-            continue
-        if arc_cap[aid ^ 1] == 0 or used_arc[aid]:
-            continue
-        used_arc[aid] = True
-        path = []
-        node = arc_to[aid]  # some x_in
-        while node != sink:
-            path.append(node // 2)
-            nxt = None
-            for bid in adj[node | 1]:  # scan out-node arcs
-                if bid % 2 == 1:
-                    continue
-                if arc_cap[bid ^ 1] > 0 and not used_arc[bid]:
-                    nxt = bid
-                    break
-            assert nxt is not None, "flow path broke mid-walk"
-            used_arc[nxt] = True
-            node = arc_to[nxt]
-        paths.append(path)
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +410,8 @@ def write_edge_list(g):
 
 
 def parse_edge_list(text):
+    """Inverse of write_edge_list. Raises PreconditionViolated on a
+    malformed line or an edge count that disagrees with the header."""
     header = None
     edges = []
     labels = {}
@@ -523,20 +419,23 @@ def parse_edge_list(text):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 3 and parts[0] == "label":
-                labels[int(parts[1])] = parts[2]
-            continue
-        nums = line.split()
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 3 and parts[0] == "label":
+                    labels[int(parts[1])] = parts[2]
+                continue
+            nums = [int(x) for x in line.split()]
+        except ValueError:
+            raise PreconditionViolated(f"not an integer in line {raw!r}") from None
         if header is None:
             if len(nums) != 2:
                 raise PreconditionViolated(f"bad header line: {raw!r}")
-            header = (int(nums[0]), int(nums[1]))
+            header = tuple(nums)
             continue
         if len(nums) != 2:
             raise PreconditionViolated(f"bad edge line: {raw!r}")
-        edges.append((int(nums[0]), int(nums[1])))
+        edges.append(tuple(nums))
     if header is None:
         raise PreconditionViolated("empty edge-list input")
     n, m = header
@@ -547,16 +446,3 @@ def parse_edge_list(text):
         raise PreconditionViolated(f"{m - g.m} repeated edge(s) among the {m} listed")
     return g
 
-
-def to_dot(g, name="G"):
-    out = [f"graph {name} {{"]
-    for v in g.vertices():
-        lab = g.labels.get(v)
-        if lab is not None:
-            out.append(f'  {v} [label="{lab}"];')
-        else:
-            out.append(f"  {v};")
-    for u, v in sorted(g.edges):
-        out.append(f"  {u} -- {v};")
-    out.append("}")
-    return "\n".join(out) + "\n"

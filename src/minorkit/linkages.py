@@ -11,7 +11,6 @@ or a fresh Budget(NODE_BUDGET) per call when it is None.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -19,11 +18,10 @@ from .errors import (
     Budget,
     IndexOutOfRange,
     InvalidLinkage,
-    PreconditionViolated,
     SearchCapExceeded,
     UsageError,
 )
-from .graphs import Graph, induced_subgraph, mask_reach, neighbor_masks
+from .graphs import mask_reach, neighbor_masks
 
 
 @dataclass(frozen=True)
@@ -220,95 +218,6 @@ def is_vital(g, l, budget=None):
     return count_linkages(g, p, spanning_only=False, limit=2, budget=budget) == 1
 
 
-# --- restriction and deletion ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubgraphSpec:
-    """A subgraph given by its vertices and, optionally, a subset of edges
-    (None means all induced edges)."""
-
-    vertices: frozenset
-    edges: frozenset | None = None
-
-    @staticmethod
-    def of(vertices, edges=None):
-        vs = frozenset(vertices)
-        es = None
-        if edges is not None:
-            es = frozenset(frozenset(e) for e in edges)
-        return SubgraphSpec(vs, es)
-
-
-def subgraph_of(g, spec):
-    """(subgraph, old_to_new map) for a SubgraphSpec."""
-    sub, remap = induced_subgraph(g, spec.vertices)
-    if spec.edges is None:
-        return sub, remap
-    back = {new: old for old, new in remap.items()}
-    kept = [
-        (u, v)
-        for u, v in sub.edges
-        if frozenset({back[u], back[v]}) in spec.edges
-    ]
-    return Graph(sub.n, kept, sub.labels), remap
-
-
-def restrict_linkage(g, spec, l):
-    """Components of each path's intersection with the subgraph, expressed in
-    the subgraph's own vertex numbering."""
-    if not validate_linkage(g, l):
-        raise InvalidLinkage("linkage does not validate in host")
-    sub, remap = subgraph_of(g, spec)
-    pieces = []
-    for path in l.paths:
-        run = []
-        for idx, v in enumerate(path):
-            if v not in remap:
-                if run:
-                    pieces.append(tuple(run))
-                run = []
-                continue
-            if run:
-                prev = path[idx - 1]
-                if prev not in remap or not sub.has_edge(remap[prev], remap[v]):
-                    pieces.append(tuple(run))
-                    run = []
-            run.append(remap[v])
-        if run:
-            pieces.append(tuple(run))
-    return Linkage.of(pieces)
-
-
-def vital_after_delete(g, l, v):
-    """Delete v, split the path through it, enlarge the terminal set.
-
-    Returns (G - v, terminals, linkage) in the deleted graph's numbering. A
-    path consisting solely of v simply disappears and its terminal with it.
-    """
-    if not (0 <= v < g.n):
-        raise IndexOutOfRange(f"vertex {v} outside graph")
-    if not is_vital(g, l):
-        raise PreconditionViolated("linkage is not vital; deletion rule needs vitality")
-    sub, remap = induced_subgraph(g, (u for u in g.vertices() if u != v))
-    pieces = []
-    for path in l.paths:
-        if v not in path:
-            pieces.append(tuple(remap[u] for u in path))
-            continue
-        i = path.index(v)
-        left, right = path[:i], path[i + 1 :]
-        if left:
-            pieces.append(tuple(remap[u] for u in left))
-        if right:
-            pieces.append(tuple(remap[u] for u in right))
-    linkage = Linkage.of(pieces)
-    terminals = frozenset(q[0] for q in linkage.paths) | frozenset(
-        q[-1] for q in linkage.paths
-    )
-    return sub, terminals, linkage
-
-
 # --- text formats ------------------------------------------------------------------
 
 
@@ -325,14 +234,9 @@ def parse_pattern(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "pair":
             raise UsageError(f"bad pattern line: {raw!r}")
-        pairs.append((int(parts[1]), int(parts[2])))
+        try:
+            pairs.append((int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise UsageError(f"bad pattern line: {raw!r}") from None
     return Pattern.of(pairs)
 
-
-def linkage_to_json(l):
-    return json.dumps([list(p) for p in l.paths], sort_keys=True)
-
-
-def linkage_from_json(text):
-    data = json.loads(text)
-    return Linkage.of(data)

@@ -173,11 +173,6 @@ def inside_faces(pg, cycle):
     return frozenset(range(len(pg.faces))) - seen
 
 
-def vertex_in_closure(pg, v, region):
-    """Is v inside the region or on its boundary?"""
-    return any(f in region for f in pg._vertex_faces[v])
-
-
 def vertex_strictly_inside(pg, v, region):
     """Is v inside the region and not on its boundary?"""
     return all(f in region for f in pg._vertex_faces[v])
@@ -615,19 +610,27 @@ def write_plane(pg):
 
 
 def parse_plane(text):
+    """Inverse of write_plane. Raises PreconditionViolated on a malformed
+    line and InvalidEmbedding on a rotation system that is not planar."""
     plain = []
     rot_lines = {}
     outer = None
     for raw in text.splitlines():
         line = raw.strip()
-        if line.startswith("rot "):
-            parts = line.split()
-            rot_lines[int(parts[1])] = [int(x) for x in parts[2:]]
-        elif line.startswith("outer "):
-            parts = line.split()
-            outer = (int(parts[1]), int(parts[2]))
-        else:
+        if not line.startswith(("rot ", "outer ")):
             plain.append(raw)
+            continue
+        head, *tail = line.split()
+        try:
+            nums = [int(x) for x in tail]
+        except ValueError:
+            raise PreconditionViolated(f"not an integer in line {raw!r}") from None
+        if head == "rot":
+            rot_lines[nums[0]] = nums[1:]
+        elif len(nums) == 2:
+            outer = tuple(nums)
+        else:
+            raise PreconditionViolated(f"bad outer line: {raw!r}")
     g = parse_edge_list("\n".join(plain))
     rotation = [rot_lines.get(v, []) for v in range(g.n)]
     if outer is None and g.n != 1:

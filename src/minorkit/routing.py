@@ -9,12 +9,12 @@ cylinder the local pairs close this way from both cuffs; the crossing pairs
 then descend the band left between them in lockstep, one ring per round,
 each sweeping along its ring toward the rail of its inner terminal.
 
-Curve systems are the purely combinatorial shadow of the same picture:
-endpoints on boundary circles, curves pairwise disjoint, and on the
-cylinder an integer winding shared by every crossing curve. A cylinder
-pattern is routable exactly when its curve system exists, with each
-terminal at its rail's slot on its cuff and winding 0, so `route_cylinder`
-asks `CurveSystem.on_cylinder` and does not test the pattern itself.
+Curve systems are the purely combinatorial shadow of the cylinder picture:
+endpoints on the two cuffs, curves pairwise disjoint, and an integer
+winding shared by every crossing curve. A cylinder pattern is routable
+exactly when its curve system exists, with each terminal at its rail's
+slot on its cuff and winding 0, so `route_cylinder` asks
+`CurveSystem.on_cylinder` and does not test the pattern itself.
 """
 
 from __future__ import annotations
@@ -439,34 +439,16 @@ def route_cylinder(cc, paths, pattern):
 
 @dataclass(frozen=True)
 class CurveSystem:
-    """Disjoint boundary-to-boundary curves up to deformation.
+    """Disjoint boundary-to-boundary curves on the cylinder, up to deformation.
 
     points counts the marked boundary positions per cuff; curves reference
-    (cuff, position) endpoints. On the cylinder every crossing curve
-    carries one shared integer winding; locals carry zero.
+    (cuff, position) endpoints. Every crossing curve carries one shared
+    integer winding; locals carry zero.
     """
 
-    kind: str
     points: tuple
     curves: tuple
     windings: tuple
-
-    @staticmethod
-    def on_disc(n_points, chords):
-        chords = tuple((int(a), int(b)) for a, b in chords)
-        ends = []
-        for a, b in chords:
-            for x in (a, b):
-                if not 0 <= x < n_points:
-                    raise IndexOutOfRange(f"position {x} not in [0,{n_points})")
-                ends.append(x)
-        if len(set(ends)) != len(ends):
-            raise PreconditionViolated("curve endpoints must be distinct")
-        if _chords_cross(chords):
-            raise PreconditionViolated("curves cross on the disc")
-        return CurveSystem(
-            "disc", (n_points,), chords, tuple(0 for _ in chords)
-        )
 
     @staticmethod
     def on_cylinder(n_outer, n_inner, curves):
@@ -512,79 +494,7 @@ class CurveSystem:
             seqs.append([pid for _, pid in sorted(marks)])
         if seqs[0] and not _is_cyclic_shift(seqs[0], seqs[1]):
             raise PreconditionViolated("crossing curves are misaligned")
-        return CurveSystem(
-            "cylinder", sizes, tuple(canon), tuple(winds)
-        )
-
-
-def homotopy_classes(cs):
-    """Number of deformation classes the system's curves fall into: at most
-    one on the disc, at most three on the cylinder."""
-    if not cs.curves:
-        return 0
-    if cs.kind == "disc":
-        return 1
-    kinds = set()
-    for (c1, _), (c2, _) in cs.curves:
-        if c1 == c2:
-            kinds.add(f"local{c1}")
-        else:
-            kinds.add("crossing")
-    return len(kinds)
-
-
-def _random_noncrossing(rng, points):
-    if not points:
-        return []
-    cut = 2 * rng.randrange(len(points) // 2) + 1
-    left = points[1:cut]
-    right = points[cut + 1 :]
-    return (
-        [(points[0], points[cut])]
-        + _random_noncrossing(rng, left)
-        + _random_noncrossing(rng, right)
-    )
-
-
-def random_disc_curves(rng, max_pairs=6):
-    n_pairs = rng.randrange(0, max_pairs + 1)
-    n = 2 * n_pairs
-    return CurveSystem.on_disc(n, _random_noncrossing(rng, list(range(n))))
-
-
-def _random_brackets(rng, n_pairs, first_id):
-    """Random well-nested bracket sequence, as a token list of pair ids."""
-    if n_pairs == 0:
-        return []
-    inside = rng.randrange(n_pairs)
-    head = first_id
-    body = _random_brackets(rng, inside, first_id + 1)
-    tail = _random_brackets(rng, n_pairs - 1 - inside, first_id + 1 + inside)
-    return [head] + body + [head] + tail
-
-
-def random_cylinder_curves(rng, max_locals=2, max_crossing=3):
-    j0 = rng.randrange(0, max_locals + 1)
-    j1 = rng.randrange(0, max_locals + 1)
-    c = rng.randrange(0, max_crossing + 1)
-    w = rng.randrange(-2, 3) if c else 0
-    curves = []
-    out_brackets = _random_brackets(rng, j0, 0)
-    in_brackets = _random_brackets(rng, j1, j0)
-    for pid in range(j0):
-        a, b = [i for i, x in enumerate(out_brackets) if x == pid]
-        curves.append(((0, a), (0, b), 0))
-    for pid in range(j0, j0 + j1):
-        a, b = [i for i, x in enumerate(in_brackets) if x == pid]
-        curves.append(((1, a), (1, b), 0))
-    delta = rng.randrange(c) if c else 0
-    for i in range(c):
-        pid = j0 + j1 + i
-        inner_slot = (i + delta) % c
-        curves.append(
-            ((0, 2 * j0 + i), (1, 2 * j1 + inner_slot), w)
-        )
-    return CurveSystem.on_cylinder(2 * j0 + c, 2 * j1 + c, curves)
+        return CurveSystem(sizes, tuple(canon), tuple(winds))
 
 
 # --- external format ---------------------------------------------------------------
@@ -602,7 +512,12 @@ def annulus_to_json(cc, paths):
 
 
 def annulus_from_json(text):
-    data = json.loads(text)
-    plane = parse_plane(data["plane"])
-    cc = ConcentricCycles(plane, data["cycles"])
-    return cc, tuple(tuple(p) for p in data["paths"])
+    """Inverse of annulus_to_json. Raises PreconditionViolated on text that
+    is not JSON or lacks a field."""
+    try:
+        data = json.loads(text)
+        plane_text, cycles, paths = data["plane"], data["cycles"], data["paths"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionViolated(f"malformed annulus: {exc!r}") from exc
+    cc = ConcentricCycles(parse_plane(plane_text), cycles)
+    return cc, tuple(tuple(p) for p in paths)

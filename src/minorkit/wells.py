@@ -17,8 +17,6 @@ every step.
 
 from __future__ import annotations
 
-import json
-
 from .errors import MinorkitError, NotTight, PreconditionViolated
 from .plane import (
     ConcentricCycles,
@@ -28,9 +26,7 @@ from .plane import (
     edge_strictly_inside,
     embed_mesh,
     inside_faces,
-    parse_plane,
     vertex_strictly_inside,
-    write_plane,
 )
 from .plane import is_tight as _cycles_tight
 
@@ -401,21 +397,3 @@ def random_well(rng, n_rails=None, n_rings=None):
     omega = tuple((m - 1) * ln + c for c in sorted(set(endpoint_cols)))
     return Well(pg, mesh.cycles[: m - 1], paths, omega)
 
-
-def well_to_json(w):
-    return json.dumps(
-        {
-            "cycles": [list(c) for c in w.cycles],
-            "omega": list(w.omega),
-            "paths": [list(p) for p in w.paths],
-            "plane": write_plane(w.plane),
-        },
-        sort_keys=True,
-    )
-
-
-def well_from_json(text):
-    data = json.loads(text)
-    return Well(
-        parse_plane(data["plane"]), data["cycles"], data["paths"], data["omega"]
-    )

@@ -16,6 +16,8 @@ from minorkit.constructions import cylindrical_mesh, gamma_hat, grid, wall, z_gr
 from minorkit.graphs import AnnotatedGraph, Graph, parse_edge_list, write_edge_list
 from minorkit.linkages import parse_pattern
 from minorkit.minors import bidim
+from minorkit.plane import mesh_nest
+from minorkit.routing import annulus_to_json
 
 
 def run_cli(capsys, argv):
@@ -351,6 +353,64 @@ def test_unknown_label_exits_two(tmp_path, capsys):
     code, doc = run_cli(capsys, ["folio", "--graph", str(g), "--roots", "zz"])
     assert code == 2
     assert "zz" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--annotated", "0,3", "--k", "1", "--d", "-1", "--threshold", "1"],
+        ["reduce", "--annotated", "0,3", "--k", "-1", "--threshold", "1"],
+        ["folio", "--roots", "0,3", "--d", "-1"],
+        ["folio", "--roots", "0,3", "--d", "-1", "--engine", "dp"],
+    ],
+)
+def test_a_negative_root_count_or_detail_exits_two(tmp_path, capsys, argv):
+    g = tmp_path / "g44.edg"
+    g.write_text(write_edge_list(grid(4, 4)))
+    code, doc = run_cli(capsys, argv[:1] + ["--graph", str(g)] + argv[1:])
+    assert code == 2
+    assert "non-negative" in doc["error"]
+
+
+GRAPH_ARGS = ["tw", "--graph", "BAD"]
+PATTERN_ARGS = ["dp", "--graph", "GRAPH", "--pattern", "BAD"]
+ANNULUS_ARGS = ["route", "--annulus", "BAD", "--pattern", "PATTERN"]
+
+
+def without_paths(doc):
+    return json.dumps({key: value for key, value in doc.items() if key != "paths"})
+
+
+def with_plane_line(line):
+    return lambda doc: json.dumps({**doc, "plane": doc["plane"] + line + "\n"})
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        pytest.param(GRAPH_ARGS, lambda doc: "3 1\nx 2\n", id="edge-line"),
+        pytest.param(GRAPH_ARGS, lambda doc: "2 1\n0 1\n# label q foo\n", id="label-line"),
+        pytest.param(PATTERN_ARGS, lambda doc: "pair 0 z\n", id="pattern-line"),
+        pytest.param(ANNULUS_ARGS, lambda doc: "not json\n", id="annulus-not-json"),
+        pytest.param(ANNULUS_ARGS, without_paths, id="annulus-missing-field"),
+        pytest.param(ANNULUS_ARGS, with_plane_line("rot 0 x"), id="rot-line"),
+        pytest.param(ANNULUS_ARGS, with_plane_line("outer 0"), id="outer-line"),
+    ],
+)
+def test_malformed_input_exits_two(tmp_path, capsys, argv, bad):
+    # exit 1 would claim a failed verification; `bad` turns a valid annulus
+    # document into the malformed file's text
+    _, _, cc, rails = mesh_nest(4, 3)
+    texts = {
+        "BAD": bad(json.loads(annulus_to_json(cc, rails))),
+        "GRAPH": write_edge_list(cc.plane.graph),
+        "PATTERN": f"pair {rails[0][0]} {rails[1][0]}\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    code, doc = run_cli(capsys, [str(tmp_path / a) if a in texts else a for a in argv])
+    assert code == 2
+    assert "error" in doc
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -25,13 +25,11 @@ from minorkit.decomposition import (
     exact_treewidth,
     find_grid_subgraph,
     min_fill_decomposition,
-    parse_td,
     treewidth_certificates,
     validate_bramble,
     validate_td,
-    write_td,
 )
-from minorkit.errors import CertificateNotFound, InvalidDecomposition
+from minorkit.errors import CertificateNotFound
 from minorkit.graphs import Graph, neighbor_masks
 
 
@@ -482,23 +480,3 @@ def test_grid_subgraph_finder():
                 assert g.has_edge(cert.placement[r][c], cert.placement[r + 1][c])
     assert find_grid_subgraph(path_graph(9), 2) is None
 
-
-# --- text format -------------------------------------------------------------------
-
-
-def test_td_format_round_trip():
-    g = gamma2_like()
-    width, td = exact_treewidth(g)
-    text = write_td(td, g.n)
-    back, n_host = parse_td(text)
-    assert n_host == g.n
-    assert back.bags == td.bags
-    assert back.tree.edges == td.tree.edges
-    assert validate_td(g, back).valid
-
-
-def test_td_format_header_checks():
-    with pytest.raises(InvalidDecomposition):
-        parse_td("b 1 1 2\n")
-    with pytest.raises(InvalidDecomposition):
-        parse_td("s td 1 5 3\nb 1 1 2 3\n")

@@ -518,6 +518,23 @@ def test_kd_folio_rejects_an_unknown_engine():
         kd_folio(host, 2, 1, engine="dpp")
 
 
+def test_a_negative_root_count_or_detail_is_rejected():
+    # with either negative there is no candidate pattern, so every folio
+    # would come out empty and every vertex would look irrelevant
+    host = AnnotatedGraph.of(grid_graph(2, 3), {0, 5})
+    for k, d in ((1, -1), (-1, 0)):
+        with pytest.raises(PreconditionViolated):
+            strongly_irrelevant(host, k, d, 2)
+        for engine in ("oracle", "dp"):
+            with pytest.raises(PreconditionViolated):
+                kd_folio(host, k, d, engine=engine)
+    rooted = RootedGraph.of(host.graph, (0, 5))
+    with pytest.raises(PreconditionViolated):
+        folio_bruteforce(rooted, -1)
+    with pytest.raises(PreconditionViolated):
+        folio_dp(rooted, -1, dp_decomposition(rooted.graph))
+
+
 # --- consistency with the linkage solver --------------------------------------
 
 

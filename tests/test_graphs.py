@@ -8,32 +8,14 @@ from minorkit.graphs import (
     AnnotatedGraph,
     Graph,
     RootedGraph,
-    Separation,
     blocks,
     connected_components,
     delete_vertex,
     induced_subgraph,
-    menger,
     min_vertex_cut,
     parse_edge_list,
-    to_dot,
-    verify_separation,
     write_edge_list,
 )
-
-
-def grid_graph(rows, cols):
-    def idx(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((idx(r, c), idx(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((idx(r, c), idx(r + 1, c)))
-    return Graph(rows * cols, edges)
 
 
 def random_graph(n, p, rng):
@@ -90,33 +72,6 @@ def test_delete_vertex_remaps():
     assert sorted(h.edges) == [(remap[2], remap[3])]
 
 
-# --- separations -----------------------------------------------------------
-
-
-def test_separation_full_overlap_is_valid():
-    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    s = Separation.of({0, 1, 2}, {0, 1, 2})
-    assert verify_separation(g, s)
-    assert s.order == 3
-
-
-def test_separation_crossing_edge_invalid():
-    g = Graph(2, [(0, 1)])
-    assert not verify_separation(g, Separation.of({0}, {1}))
-
-
-def test_separation_star():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    s = Separation.of({0, 1}, {0, 2, 3})
-    assert verify_separation(g, s)
-    assert s.order == 1
-
-
-def test_separation_must_cover():
-    g = Graph(3, [])
-    assert not verify_separation(g, Separation.of({0}, {1}))
-
-
 # --- blocks ----------------------------------------------------------------
 
 
@@ -168,90 +123,6 @@ def test_blocks_match_networkx():
         nx_bridges = sorted(tuple(sorted(c)) for c in nx_comps if len(c) == 2)
         assert sorted(sorted(b) for b in ours_blocks) == nx_blocks
         assert sorted(ours_bridges) == nx_bridges
-
-
-# --- menger ----------------------------------------------------------------
-
-
-def test_menger_single_path():
-    g = Graph(3, [(0, 1), (1, 2)])
-    kind, paths = menger(g, {0}, {2}, 1)
-    assert kind == "paths"
-    assert paths == [[0, 1, 2]]
-
-
-def test_menger_cut_through_middle():
-    g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(PreconditionViolated):
-        menger(g, {0}, {2}, 2)
-    kind, sep = menger(g, {0, 1}, {1, 2}, 2)
-    assert kind == "separation"
-    assert sep.order == 1 and sep.side_a & sep.side_b == {1}
-
-
-def test_menger_grid_columns():
-    g = grid_graph(4, 4)
-    top = {c for c in range(4)}
-    bottom = {12 + c for c in range(4)}
-    kind, paths = menger(g, top, bottom, 4)
-    assert kind == "paths"
-    assert len(paths) == 4
-    used = [v for p in paths for v in p]
-    assert len(used) == len(set(used))
-    for p in paths:
-        assert p[0] in top and p[-1] in bottom
-        for a, b in zip(p, p[1:]):
-            assert g.has_edge(a, b)
-
-
-def test_menger_shared_terminal_vertex():
-    g = Graph(3, [(0, 1), (1, 2)])
-    kind, paths = menger(g, {0, 1}, {1, 2}, 1)
-    assert kind == "paths"
-    assert paths == [[0, 1, 2]] or paths == [[1]] or paths == [[0, 1]]
-
-
-def test_menger_duality_matches_independent_flow():
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(23)
-    for _ in range(80):
-        n = rng.randrange(2, 12)
-        g = random_graph(n, rng.random() * 0.7, rng)
-        xs = set(rng.sample(range(n), rng.randrange(1, n)))
-        ys = set(rng.sample(range(n), rng.randrange(1, n)))
-        h = nx.Graph()
-        h.add_nodes_from(g.vertices())
-        h.add_edges_from(g.edges)
-        # independent count: max vertex-disjoint X-Y paths via node splitting
-        d = nx.DiGraph()
-        big = n + 2
-        for v in g.vertices():
-            d.add_edge(("in", v), ("out", v), capacity=1)
-        for u, v in g.edges:
-            d.add_edge(("out", u), ("in", v), capacity=big)
-            d.add_edge(("out", v), ("in", u), capacity=big)
-        for x in xs:
-            d.add_edge("S", ("in", x), capacity=big)
-        for y in ys:
-            d.add_edge(("out", y), "T", capacity=big)
-        expected = nx.maximum_flow_value(d, "S", "T") if xs and ys else 0
-        cap = min(len(xs), len(ys))
-        for k in range(0, cap + 1):
-            kind, cert = menger(g, xs, ys, k)
-            if k <= expected:
-                assert kind == "paths", (g.edges, xs, ys, k)
-                assert len(cert) == k
-                used = [v for p in cert for v in p]
-                assert len(used) == len(set(used))
-                for p in cert:
-                    assert p[0] in xs and p[-1] in ys
-                    for a, b in zip(p, p[1:]):
-                        assert g.has_edge(a, b)
-            else:
-                assert kind == "separation", (g.edges, xs, ys, k)
-                assert cert.order == expected
-                assert verify_separation(g, cert)
-                assert xs <= cert.side_a and ys <= cert.side_b
 
 
 def _reach_avoiding(g, seeds, cut):
@@ -331,12 +202,6 @@ def test_edge_list_rejects_repeated_edge():
     for text in ("3 2\n0 1\n1 0\n", "3 2\n0 1\n0 1\n", "3 3\n0 1\n1 2\n2 1\n"):
         with pytest.raises(PreconditionViolated):
             parse_edge_list(text)
-
-
-def test_dot_export_mentions_labels():
-    g = Graph(2, [(0, 1)], labels={0: "v1"})
-    dot = to_dot(g)
-    assert "0 -- 1;" in dot and 'label="v1"' in dot
 
 
 def test_components():

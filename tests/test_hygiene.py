@@ -3,7 +3,8 @@ it never uses, no private module-level name or slot of the library goes
 unused, an import inside a function only ever breaks an import cycle, the
 library imports nothing beyond the standard library, work limits are
 errors.Budget objects with their defaults in `errors`, not per-engine
-integers, and no search is refused by the size of its input.
+integers, no search is refused by the size of its input, and every public
+function or class of the library has a caller outside the tests.
 """
 
 import ast
@@ -241,3 +242,65 @@ def test_searches_are_bounded_by_budgets_not_by_input_size():
             if node.name in CANONICAL_FUNCTIONS and "cap" in names:
                 found.append(f"{where}:{node.lineno}: {node.name} takes cap")
     assert not found, "searches refused by input size:\n" + "\n".join(found)
+
+
+
+# public names that no caller in src/, perfbench/ or tools/ reads, kept on
+# purpose: tests use the first three as checkers, and the last composes the
+# paper's pipeline
+KEPT_FOR_TESTS = {
+    "downward_closed",  # folios: the folio is closed under taking minors
+    "isomorphic",  # minors: isomorphism over canonical codes
+    "verify_trace",  # pipeline: replays and re-checks every deletion
+    "solve_folio",  # pipeline: reduce, then the folio of what is left
+}
+
+
+def reads(node):
+    """loaded_names, plus the parts of each dotted-name string constant:
+    perfbench looks functions up by strings such as "folios.folio_dp"."""
+    out = loaded_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def test_every_public_name_of_the_library_has_a_caller():
+    # a module-level function or class is used when perfbench, tools, a
+    # top-level statement of the library or a used definition reads it,
+    # directly or through an import alias; the re-exports of __init__ are
+    # not uses
+    defs = {}
+    aliases = {}
+    live = set(KEPT_FOR_TESTS)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path, node))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+            elif path.stem != "__init__":
+                live |= reads(node)
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")):
+        live |= reads(parse(path))
+    todo = list(live)
+    while todo:
+        name = todo.pop()
+        new = {aliases[name]} if name in aliases else set()
+        for _, node in defs.get(name, ()):
+            new |= reads(node)
+        new -= live
+        live |= new
+        todo.extend(new)
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for name, homes in sorted(defs.items())
+        if name not in live and not name.startswith("_")
+        for path, _ in homes
+    ]
+    assert not found, "public names only tests call:\n" + "\n".join(found)

@@ -18,31 +18,19 @@ from minorkit.errors import (
     Budget,
     BudgetExceeded,
     InvalidLinkage,
-    PreconditionViolated,
     SearchCapExceeded,
     UsageError,
 )
-from minorkit.graphs import (
-    Graph,
-    RootedGraph,
-    Separation,
-    verify_separation,
-)
+from minorkit.graphs import Graph, RootedGraph
 from minorkit.linkages import (
     Linkage,
     Pattern,
-    SubgraphSpec,
     count_linkages,
     disjoint_paths,
     is_vital,
-    linkage_from_json,
-    linkage_to_json,
     parse_pattern,
     pattern_of,
-    restrict_linkage,
-    subgraph_of,
     validate_linkage,
-    vital_after_delete,
     write_pattern,
 )
 from minorkit.minors import find_rooted_minor
@@ -332,129 +320,6 @@ def test_tree_partitions_are_vital():
         assert is_vital(g, l)
 
 
-# --- restriction ------------------------------------------------------------------
-
-
-def test_restrict_to_full_graph():
-    g = gamma2_like()
-    spec = SubgraphSpec.of(range(g.n))
-    assert restrict_linkage(g, spec, GAMMA2_WITNESS) == GAMMA2_WITNESS
-
-
-def test_restrict_to_single_vertex_and_empty():
-    g = path_graph(4)
-    l = Linkage.of([(0, 1, 2, 3)])
-    r = restrict_linkage(g, SubgraphSpec.of({2}), l)
-    assert r == Linkage.of([(0,)])  # vertex 2 renumbers to 0 in the subgraph
-    assert restrict_linkage(g, SubgraphSpec.of(set()), l) == Linkage.of([])
-
-
-def test_restrict_respects_missing_edges():
-    g = path_graph(4)
-    l = Linkage.of([(0, 1, 2, 3)])
-    spec = SubgraphSpec.of({0, 1, 2, 3}, edges=[(0, 1), (2, 3)])
-    r = restrict_linkage(g, spec, l)
-    assert r == Linkage.of([(0, 1), (2, 3)])
-
-
-def test_restriction_preserves_vitality():
-    rng = random.Random(15)
-    checked = 0
-    for _ in range(40):
-        g, l = random_vital_instance(rng.randint(2, 10), rng)
-        keep = {v for v in range(g.n) if rng.random() < 0.7}
-        spec = SubgraphSpec.of(keep)
-        sub, _ = subgraph_of(g, spec)
-        restricted = restrict_linkage(g, spec, l)
-        assert is_vital(sub, restricted)
-        checked += 1
-    assert checked == 40
-
-
-def test_separation_restriction_is_vital_with_boundary_terminals():
-    rng = random.Random(21)
-    for _ in range(30):
-        g, l = random_vital_instance(rng.randint(3, 10), rng)
-        cut = {v for v in range(g.n) if rng.random() < 0.3}
-        comps = []
-        seen = set(cut)
-        for r in range(g.n):
-            if r in seen:
-                continue
-            comp = {r}
-            stack = [r]
-            seen.add(r)
-            while stack:
-                x = stack.pop()
-                for y in g.neighbors(x):
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
-        rng.shuffle(comps)
-        half = comps[: len(comps) // 2]
-        a_side = set(cut) | set().union(*half) if half else set(cut)
-        b_side = set(range(g.n)) - a_side | set(cut)
-        sep = Separation.of(a_side, b_side)
-        assert verify_separation(g, sep)
-        old_terms = {q[0] for q in l.paths} | {q[-1] for q in l.paths}
-        spec = SubgraphSpec.of(b_side)
-        sub, remap = subgraph_of(g, spec)
-        restricted = restrict_linkage(g, spec, l)
-        assert is_vital(sub, restricted)
-        allowed = {remap[t] for t in old_terms if t in remap} | {
-            remap[c] for c in (a_side & b_side)
-        }
-        for piece in restricted.paths:
-            assert piece[0] in allowed and piece[-1] in allowed
-
-
-# --- deletion ----------------------------------------------------------------------
-
-
-def test_delete_interior_of_path():
-    g = path_graph(5)
-    l = Linkage.of([(0, 1, 2, 3, 4)])
-    sub, terms, l2 = vital_after_delete(g, l, 2)
-    assert sub.n == 4
-    assert l2 == Linkage.of([(0, 1), (2, 3)])
-    assert terms == {0, 1, 2, 3}
-    assert is_vital(sub, l2)
-
-
-def test_delete_solo_path_vertex():
-    g = path_graph(3)
-    l = Linkage.of([(0, 1), (2,)])
-    assert is_vital(g, l)
-    sub, terms, l2 = vital_after_delete(g, l, 2)
-    assert l2 == Linkage.of([(0, 1)])
-    assert terms == {0, 1}
-    assert is_vital(sub, l2)
-
-
-def test_delete_nonterminal_in_gamma2():
-    g = gamma2_like()
-    sub, terms, l2 = vital_after_delete(g, GAMMA2_WITNESS, 7)
-    assert is_vital(sub, l2)
-
-
-def test_delete_requires_vitality():
-    g = cycle_graph(4)
-    with pytest.raises(PreconditionViolated):
-        vital_after_delete(g, Linkage.of([(0, 1, 2)]), 1)
-
-
-def test_random_deletions_stay_vital():
-    rng = random.Random(27)
-    for _ in range(25):
-        g, l = random_vital_instance(rng.randint(2, 10), rng)
-        v = rng.randrange(g.n)
-        sub, terms, l2 = vital_after_delete(g, l, v)
-        assert is_vital(sub, l2)
-        assert terms == {q[0] for q in l2.paths} | {q[-1] for q in l2.paths}
-
-
 # --- formats -------------------------------------------------------------------------
 
 
@@ -462,7 +327,3 @@ def test_pattern_format_round_trip():
     p = Pattern.of([(4, 1), (2, 2)])
     assert parse_pattern(write_pattern(p)) == p
 
-
-def test_linkage_json_round_trip():
-    l = Linkage.of([(0, 1, 2), (5,)])
-    assert linkage_from_json(linkage_to_json(l)) == l

@@ -26,7 +26,6 @@ from minorkit.plane import (
     planar_embedding,
     tight_violation,
     tighten,
-    vertex_in_closure,
     vertex_strictly_inside,
     write_plane,
 )
@@ -123,7 +122,6 @@ def test_vertex_region_predicates():
     hub = inside_faces(pg, mesh.cycles[0])
     middle = inside_faces(pg, mesh.cycles[1])
     v0 = mesh.cycles[0][0]
-    assert vertex_in_closure(pg, v0, hub)
     assert not vertex_strictly_inside(pg, v0, hub)
     assert vertex_strictly_inside(pg, v0, middle)
     u, w = mesh.cycles[0][0], mesh.cycles[0][1]

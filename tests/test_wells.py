@@ -17,8 +17,6 @@ from minorkit.wells import (
     is_tight,
     pocket,
     random_well,
-    well_from_json,
-    well_to_json,
 )
 
 
@@ -198,16 +196,3 @@ def test_intersection_components_small_cases():
     assert _intersection_components((0, 1, 7, 2, 3), cycle) == 2  # leaves and comes back
     assert _intersection_components((6, 7), cycle) == 0
 
-
-def test_well_json_roundtrip():
-    w = chain_well()
-    back = well_from_json(well_to_json(w))
-    assert back.cycles == w.cycles
-    assert back.paths == w.paths
-    assert back.omega == w.omega
-    assert back.union_edges == w.union_edges
-    rng = random.Random(5)
-    for _ in range(5):
-        w = random_well(rng)
-        back = well_from_json(well_to_json(w))
-        assert back.paths == w.paths and back.omega == w.omega
