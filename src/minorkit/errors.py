@@ -18,12 +18,13 @@ time each takes to run out (Python 3.11, one core of a 2-CPU VM):
 - CANONICAL_NODE_BUDGET = 100_000 tree nodes per canonical form, about
   7-16 s at the 6-14k nodes/s measured on graphs of 20-40 vertices.
 Four caps stay; each bounds an object built before any search, not a
-search: MULTISET_CAP = 4096 root multisets per kd_folio or
-strongly_irrelevant call (charged as a Budget); folios.ORACLE_DETAIL_CAP
-and ORACLE_ROOT_CAP, which bound the pattern lattice; and
-constructions.GADGET_ORDER_CAP, the largest order gadget generation
-enumerates (GenerationCapExceeded). SearchCapExceeded means the two oracle
-caps, a search deeper than the recursion limit, or, from
+search: MULTISET_CAP = 4096 ordered root tuples, |annotated|^k, per
+kd_folio or strongly_irrelevant call (charged as a Budget, and counted the
+same way by strongly_irrelevant, which tests only the sorted tuples);
+folios.ORACLE_DETAIL_CAP and ORACLE_ROOT_CAP, which bound the pattern
+lattice; and constructions.GADGET_ORDER_CAP, the largest order gadget
+generation enumerates (GenerationCapExceeded). SearchCapExceeded means the
+two oracle caps, a search deeper than the recursion limit, or, from
 verify_hk_deletion, only its k <= 2 guard.
 """
 

@@ -443,25 +443,37 @@ def kd_folio(host, k, d, engine="oracle"):
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 
-def strongly_irrelevant(host, k, d, v):
+def strongly_irrelevant(host, k, d, v, before=None):
     """True iff deleting v changes no d-folio, over every ordered root
-    multiset drawn from the annotated set (at most MULTISET_CAP). Oracle
-    engine throughout.
+    multiset drawn from the annotated set (at most MULTISET_CAP ordered
+    tuples). Oracle engine throughout.
+
+    Permuting a root tuple permutes the roots of every member of its folio,
+    so deleting v keeps the folio of every ordered tuple exactly when it
+    keeps the folio of every sorted one; only sorted tuples are tested.
+    `before(tup)` gives the codes of the folio of (host, tup); by default
+    folio_bruteforce computes them.
 
     Deleting a vertex can only shrink a folio, and folios are closed
-    downward, so only the maximal members of each folio before deletion are
-    searched for after it; the first one missing answers False."""
+    downward, so only the maximal members of `before(tup)` are searched for
+    in G - v; the first one missing answers False. A caller may therefore
+    serve the folio of a graph that host came from by deletions: it contains
+    the current folio, so a True stays sound, and it equals the current one
+    when every deletion kept every folio, so the answer is unchanged."""
     if v in host.annotated:
         raise PreconditionViolated(f"vertex {v} is annotated; cannot test it")
     _check_counts(k, d)
-    tuples = _root_tuples(host, k)
+    if before is None:
+        def before(tup):
+            return folio_bruteforce(RootedGraph.of(host.graph, tup), d).codes()
+    tuples = (tup for tup in _root_tuples(host, k) if list(tup) == sorted(tup))
     smaller, remap = delete_vertex(host.graph, v)
     for tup in tuples:
-        before = folio_bruteforce(RootedGraph.of(host.graph, tup), d).codes()
+        codes = before(tup)
         after = RootedGraph.of(smaller, tuple(remap[r] for r in tup))
-        _, above = pattern_lattice(k, d)  # built by folio_bruteforce
+        _, above = pattern_lattice(k, d)  # after `before`, which checks the oracle caps
         maximal = (form for form, code in candidate_patterns(k, d)
-                   if code in before and above[code] & before == {code})
+                   if code in codes and above[code] & codes == {code})
         if any(find_rooted_minor(after, form) is None for form in maximal):
             return False
     return True

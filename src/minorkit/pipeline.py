@@ -3,8 +3,12 @@
 Two deletion rules run under one driver. The clique rule takes a clique
 minor of the order its bound needs from dense_clique_minor, cuts the
 terminals off one branch set by a minimum-order separation, and deletes a
-vertex beyond the cut. The oracle rule computes each root tuple's folio and
-searches G - v only for its maximal members. Deletions are replayable.
+vertex beyond the cut. The oracle rule searches G - v for the maximal
+members of each sorted root tuple's folio. A run computes each folio once
+and keeps it, keyed by the tuple in input numbering: annotated vertices are
+never deleted, and an oracle deletion keeps every folio. A clique-rule
+deletion drops the kept folios, so no answer rests on the clique bound's
+theorem. Deletions are replayable.
 """
 
 import json
@@ -12,9 +16,10 @@ from dataclasses import dataclass
 
 from .decomposition import exact_treewidth
 from .errors import BudgetExceeded, CliqueTooSmall, PreconditionViolated
-from .folios import kd_folio, strongly_irrelevant
+from .folios import _check_counts, folio_bruteforce, kd_folio, strongly_irrelevant
 from .graphs import (
     AnnotatedGraph,
+    RootedGraph,
     delete_vertex,
     mask_bits,
     mask_of,
@@ -125,10 +130,25 @@ def _clique_step(cur, d, width):
     return clique_irrelevant_vertex(cur, d, model)
 
 
-def _oracle_step(cur, k, d):
-    """Smallest vertex the folio oracle certifies as deletable, or None."""
+def _kept_folio(folios, cur, orig_of, d):
+    """`before` for strongly_irrelevant on cur: the folio codes of a root
+    tuple, looked up in `folios` by the tuple in input numbering, and
+    computed on cur and kept there on first use."""
+
+    def before(tup):
+        key = tuple(orig_of[r] for r in tup)
+        if key not in folios:
+            folios[key] = folio_bruteforce(RootedGraph.of(cur.graph, tup), d).codes()
+        return folios[key]
+
+    return before
+
+
+def _oracle_step(cur, k, d, before):
+    """Smallest vertex the folio oracle certifies as deletable, or None;
+    `before` serves the folios (see strongly_irrelevant)."""
     for v in cur.graph.vertices():
-        if v not in cur.annotated and strongly_irrelevant(cur, k, d, v):
+        if v not in cur.annotated and strongly_irrelevant(cur, k, d, v, before):
             return v
     return None
 
@@ -139,13 +159,16 @@ def reduce(host, k, d, cfg=PipelineConfig()):
 
     One deletion per round. The clique rule is tried first when enabled;
     the oracle rule is the fallback. Every trace entry names the deleted
-    vertex in the numbering of the original input. When a search of either
-    rule runs out of its budget, the deletions certified so far are returned
-    with status "capped"; the oracle's root and detail caps and
-    exact_treewidth's budget still raise.
+    vertex in the numbering of the original input. Each root tuple's folio
+    is computed once per run and kept until a clique-rule deletion. When a
+    search of either rule runs out of its budget, the deletions certified so
+    far are returned with status "capped"; a negative k or d, the oracle's
+    root and detail caps and exact_treewidth's budget raise.
     """
+    _check_counts(k, d)
     cur, orig_of = host, list(host.graph.vertices())
     deletions = []
+    folios = {}  # root tuple in input numbering -> folio codes
     while True:
         width, _ = exact_treewidth(cur.graph)
         if width <= cfg.threshold:
@@ -158,7 +181,7 @@ def reduce(host, k, d, cfg=PipelineConfig()):
                 if v is not None:
                     found = (v, "clique-rule")
             if found is None and cfg.engine in ("oracle", "both"):
-                v = _oracle_step(cur, k, d)
+                v = _oracle_step(cur, k, d, _kept_folio(folios, cur, orig_of, d))
                 if v is not None:
                     found = (v, "oracle")
         except BudgetExceeded:
@@ -168,6 +191,8 @@ def reduce(host, k, d, cfg=PipelineConfig()):
             status = "stuck"
             break
         v, rule = found
+        if rule == "clique-rule":
+            folios.clear()
         deletions.append((orig_of[v], rule))
         cur, orig_of = _delete(cur, orig_of, v)
     trace = ReductionTrace(
@@ -180,24 +205,25 @@ def reduce(host, k, d, cfg=PipelineConfig()):
 
 
 def _replay(host, trace):
-    """Walk the trace's deletions over the input: yields each graph with the
-    vertex, in its numbering, that the next deletion removes, then the last
-    graph with None. Raises PreconditionViolated when a deletion names a
-    vertex the graph does not have, or an annotated one."""
+    """Walk the trace's deletions over the input: yields each graph, the
+    input numbering of its vertices and the vertex, in its numbering, that
+    the next deletion removes, then the last graph with None. Raises
+    PreconditionViolated when a deletion names a vertex the graph does not
+    have, or an annotated one."""
     cur, orig_of = host, list(host.graph.vertices())
     for orig_v, _ in trace.deletions:
         v = orig_of.index(orig_v) if orig_v in orig_of else None
         if v is None or v in cur.annotated:
             raise PreconditionViolated(f"trace deletes {orig_v}, not a free vertex of the graph")
-        yield cur, v
+        yield cur, orig_of, v
         cur, orig_of = _delete(cur, orig_of, v)
-    yield cur, None
+    yield cur, orig_of, None
 
 
 def replay_trace(host, trace):
     """Apply the trace's deletions to the input; must reproduce the final
     graph exactly."""
-    *_, (got, _) = _replay(host, trace)
+    *_, (got, _, _) = _replay(host, trace)
     if got != trace.final:
         raise PreconditionViolated("trace does not replay to its final graph")
     return got
@@ -205,11 +231,16 @@ def replay_trace(host, trace):
 
 def verify_trace(host, trace, k, d):
     """Replay the trace, oracle-checking every deletion at its moment.
-    True iff each deleted vertex was strongly irrelevant right then."""
-    for cur, v in _replay(host, trace):
+    True iff each deleted vertex was strongly irrelevant right then.
+
+    Each root tuple's folio is computed once, on the first graph that needs
+    it, and kept for the whole trace: every deletion checked so far kept
+    every folio, so the kept one is the current one."""
+    folios = {}
+    for cur, orig_of, v in _replay(host, trace):
         if v is None:
             return cur == trace.final
-        if not strongly_irrelevant(cur, k, d, v):
+        if not strongly_irrelevant(cur, k, d, v, _kept_folio(folios, cur, orig_of, d)):
             return False
 
 

@@ -611,7 +611,8 @@ def write_plane(pg):
 
 def parse_plane(text):
     """Inverse of write_plane. Raises PreconditionViolated on a malformed
-    line and InvalidEmbedding on a rotation system that is not planar."""
+    line, a `rot` line for a vertex the graph lacks or a repeated one, and
+    InvalidEmbedding on a rotation system that is not planar."""
     plain = []
     rot_lines = {}
     outer = None
@@ -626,12 +627,17 @@ def parse_plane(text):
         except ValueError:
             raise PreconditionViolated(f"not an integer in line {raw!r}") from None
         if head == "rot":
+            if nums[0] in rot_lines:
+                raise PreconditionViolated(f"repeated rot line for vertex {nums[0]}")
             rot_lines[nums[0]] = nums[1:]
         elif len(nums) == 2:
             outer = tuple(nums)
         else:
             raise PreconditionViolated(f"bad outer line: {raw!r}")
     g = parse_edge_list("\n".join(plain))
+    stray = sorted(v for v in rot_lines if not 0 <= v < g.n)
+    if stray:
+        raise PreconditionViolated(f"rot line for vertex {stray[0]}, not in the graph")
     rotation = [rot_lines.get(v, []) for v in range(g.n)]
     if outer is None and g.n != 1:
         raise PreconditionViolated("plane text lacks an outer line")

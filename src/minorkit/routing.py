@@ -511,13 +511,25 @@ def annulus_to_json(cc, paths):
     )
 
 
+def _vertex_lists(value):
+    """Is value a JSON list of lists of integers?"""
+    return isinstance(value, list) and all(
+        isinstance(seq, list) and all(type(v) is int for v in seq) for seq in value
+    )
+
+
 def annulus_from_json(text):
     """Inverse of annulus_to_json. Raises PreconditionViolated on text that
-    is not JSON or lacks a field."""
+    is not JSON, lacks a field or has one of the wrong type: the plane is
+    text, the cycles and paths are lists of vertex lists."""
     try:
         data = json.loads(text)
         plane_text, cycles, paths = data["plane"], data["cycles"], data["paths"]
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionViolated(f"malformed annulus: {exc!r}") from exc
+    if not (isinstance(plane_text, str) and _vertex_lists(cycles) and _vertex_lists(paths)):
+        raise PreconditionViolated(
+            "malformed annulus: the plane must be text, the cycles and paths lists of vertex lists"
+        )
     cc = ConcentricCycles(parse_plane(plane_text), cycles)
     return cc, tuple(tuple(p) for p in paths)

@@ -362,6 +362,9 @@ def test_unknown_label_exits_two(tmp_path, capsys):
         ["reduce", "--annotated", "0,3", "--k", "-1", "--threshold", "1"],
         ["folio", "--roots", "0,3", "--d", "-1"],
         ["folio", "--roots", "0,3", "--d", "-1", "--engine", "dp"],
+        # the 4x4 grid has width 4, so this run would end "met" at once
+        ["reduce", "--annotated", "0,3", "--k", "-1", "--d", "-1", "--threshold", "4"],
+        ["reduce", "--annotated", "0,3", "--k", "-1", "--threshold", "1", "--engine", "clique-rule"],
     ],
 )
 def test_a_negative_root_count_or_detail_exits_two(tmp_path, capsys, argv):
@@ -385,6 +388,11 @@ def with_plane_line(line):
     return lambda doc: json.dumps({**doc, "plane": doc["plane"] + line + "\n"})
 
 
+def with_first_rot_line_twice(doc):
+    line = next(line for line in doc["plane"].splitlines() if line.startswith("rot "))
+    return with_plane_line(line)(doc)
+
+
 @pytest.mark.parametrize(
     "argv, bad",
     [
@@ -395,20 +403,34 @@ def with_plane_line(line):
         pytest.param(ANNULUS_ARGS, without_paths, id="annulus-missing-field"),
         pytest.param(ANNULUS_ARGS, with_plane_line("rot 0 x"), id="rot-line"),
         pytest.param(ANNULUS_ARGS, with_plane_line("outer 0"), id="outer-line"),
+        pytest.param(ANNULUS_ARGS, with_plane_line("rot 999 0"), id="rot-line-stray"),
+        pytest.param(ANNULUS_ARGS, with_first_rot_line_twice, id="rot-line-repeated"),
+        pytest.param(ANNULUS_ARGS, lambda doc: json.dumps({**doc, "cycles": 5}), id="annulus-cycles"),
+        pytest.param(
+            ANNULUS_ARGS,
+            lambda doc: json.dumps({**doc, "paths": [list(map(str, p)) for p in doc["paths"]]}),
+            id="annulus-paths",
+        ),
     ],
 )
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad):
     # exit 1 would claim a failed verification; `bad` turns a valid annulus
     # document into the malformed file's text
     _, _, cc, rails = mesh_nest(4, 3)
+    annulus = annulus_to_json(cc, rails)
     texts = {
-        "BAD": bad(json.loads(annulus_to_json(cc, rails))),
         "GRAPH": write_edge_list(cc.plane.graph),
-        "PATTERN": f"pair {rails[0][0]} {rails[1][0]}\n",
+        "PATTERN": f"pair {rails[0][0]} {rails[1][0]}\npair {rails[2][0]} {rails[3][0]}\n",
     }
     for name, text in texts.items():
         (tmp_path / name).write_text(text)
-    code, doc = run_cli(capsys, [str(tmp_path / a) if a in texts else a for a in argv])
+    args = [str(tmp_path / a) if a in texts or a == "BAD" else a for a in argv]
+    # the command answers while BAD still holds a valid file of its kind
+    valid = {"tw": texts["GRAPH"], "dp": texts["PATTERN"], "route": annulus}
+    (tmp_path / "BAD").write_text(valid[argv[0]])
+    assert run_cli(capsys, args)[0] == 0
+    (tmp_path / "BAD").write_text(bad(json.loads(annulus)))
+    code, doc = run_cli(capsys, args)
     assert code == 2
     assert "error" in doc
 

@@ -8,7 +8,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorkit import decomposition, folios
@@ -654,20 +654,20 @@ def test_strongly_irrelevant_rejects_red_vertex():
 
 @st.composite
 def irrelevance_cases(draw):
-    host = draw(small_rooted_hosts(max_n=7))
-    g = host.graph
+    g = draw(small_rooted_hosts(max_n=9)).graph
     annotated = draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=3))
-    rest = [u for u in range(g.n) if u not in annotated]
-    v = draw(st.sampled_from(rest)) if rest else None
-    return AnnotatedGraph.of(g, annotated), draw(st.integers(0, 2)), draw(st.integers(0, 2)), v
+    return AnnotatedGraph.of(g, annotated), draw(st.integers(0, 2)), draw(st.integers(0, 2))
 
 
 @settings(max_examples=100, deadline=None)
 @given(irrelevance_cases())
 def test_strongly_irrelevant_agrees_with_the_reference(case):
-    host, k, d, v = case
-    assume(v is not None)
-    assert strongly_irrelevant(host, k, d, v) == reference_irrelevant(host, k, d, v)
+    # the reference compares whole folios over every ordered root tuple;
+    # strongly_irrelevant tests sorted tuples and maximal members only
+    host, k, d = case
+    for v in host.graph.vertices():
+        if v not in host.annotated:
+            assert strongly_irrelevant(host, k, d, v) == reference_irrelevant(host, k, d, v)
 
 
 # --- export ----------------------------------------------------------------------

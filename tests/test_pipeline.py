@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minorkit import decomposition, minors
+from minorkit import decomposition, minors, pipeline
+from minorkit.decomposition import exact_treewidth
 from minorkit.constructions import wall
 from minorkit.errors import (
     BudgetExceeded,
@@ -26,6 +27,8 @@ from minorkit.minors import MinorModel, verify_minor_model
 from minorkit.pipeline import (
     PipelineConfig,
     ReductionTrace,
+    _clique_step,
+    _delete,
     clique_irrelevant_vertex,
     dense_clique_minor,
     reduce,
@@ -377,6 +380,78 @@ def test_reduce_runs_past_twelve_vertices(k, d):
     assert len(trace.deletions) == 7 and trace.final_width == 4
     assert reduced.graph.n == 9
     assert verify_trace(host, trace, k, d)
+
+
+def reduce_recomputing(host, k, d, cfg):
+    """The deletions and status of reduce, with every folio computed afresh
+    for each candidate vertex in each round."""
+    cur, orig_of, deletions = host, list(host.graph.vertices()), []
+    while True:
+        width, _ = exact_treewidth(cur.graph)
+        if width <= cfg.threshold:
+            return tuple(deletions), "met"
+        found = None
+        if cfg.engine != "oracle":
+            v = _clique_step(cur, d, width)
+            found = None if v is None else (v, "clique-rule")
+        if found is None and cfg.engine != "clique-rule":
+            free = (v for v in cur.graph.vertices() if v not in cur.annotated)
+            v = next((v for v in free if strongly_irrelevant(cur, k, d, v)), None)
+            found = None if v is None else (v, "oracle")
+        if found is None:
+            return tuple(deletions), "stuck"
+        deletions.append((orig_of[found[0]], found[1]))
+        cur, orig_of = _delete(cur, orig_of, found[0])
+
+
+@st.composite
+def reduce_cases(draw):
+    # dense hosts, so that most runs delete: about three in four pairs are edges
+    n = draw(st.integers(5, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.integers(0, 3))]
+    annotated = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    cfg = PipelineConfig(threshold=draw(st.integers(1, 3)),
+                         engine=draw(st.sampled_from(("oracle", "clique-rule", "both"))))
+    host = AnnotatedGraph.of(Graph(n, edges), annotated)
+    return host, draw(st.integers(0, 2)), draw(st.integers(0, 2)), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduce_cases())
+def test_reduce_keeps_folios_and_deletes_as_if_it_recomputed_them(case):
+    host, k, d, cfg = case
+    _, trace = reduce(host, k, d, cfg)
+    assert (trace.deletions, trace.status) == reduce_recomputing(host, k, d, cfg)
+
+
+def test_reduce_keeps_folios_by_input_ids():
+    # annotated 2 (one neighbour) and 3 (isolated) become 1 and 2 once the
+    # isolated vertex 1 goes; a folio kept under current ids would hand
+    # vertex 3 the folio of vertex 2 and refuse every clique vertex
+    edges = [(0, 2)] + clique_edges(range(4, 10))
+    host = AnnotatedGraph.of(Graph(10, edges), (2, 3))
+    _, trace = reduce(host, 2, 1, PipelineConfig(threshold=3, engine="oracle"))
+    assert trace.deletions == ((1, "oracle"), (4, "oracle"), (5, "oracle"))
+    assert trace.status == "met"
+
+
+def test_reduce_drops_kept_folios_after_a_clique_rule_deletion(monkeypatch):
+    # a forged clique rule cuts the path 0-1-2 in the second round; the
+    # kept folios still join 0 to 2, so had they survived, the oracle would
+    # refuse every vertex of the K6 afterwards
+    rounds = []
+
+    def forged(cur, d, width):
+        rounds.append(width)
+        return 1 if len(rounds) == 2 else None
+
+    monkeypatch.setattr(pipeline, "_clique_step", forged)
+    edges = [(0, 1), (1, 2)] + clique_edges(range(3, 9))
+    host = AnnotatedGraph.of(Graph(9, edges), (0, 2))
+    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=3))
+    assert trace.deletions == ((3, "oracle"), (1, "clique-rule"), (4, "oracle"))
+    assert trace.status == "met"
 
 
 def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped(monkeypatch):

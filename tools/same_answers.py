@@ -1,14 +1,15 @@
 """Do two source trees give the same answer to every benchmark job?
 
-    python3 tools/same_answers.py OTHER_TREE [--seeds 1 3]
+    python3 tools/same_answers.py OTHER_TREE [--seeds 1 3] [--workloads reduce ...]
 
 Compares the checkout this script sits in with OTHER_TREE, another checkout
 of the project. For each workload and seed, each tree builds its job list
 in a fresh subprocess from its own `src/` and `perfbench/workloads.py`,
 runs every job once and hashes `repr` of the answer (of the exception, if
 the job raises). Prints each job whose answers differ and exits 1 if any
-do, 0 otherwise. Input files go to a temporary directory outside both
-trees, at the same path for both, and no bytecode is written.
+do, 0 otherwise. `--workloads` limits the comparison to the named
+workloads (all four by default). Input files go to a temporary directory
+outside both trees, at the same path for both, and no bytecode is written.
 """
 
 import argparse
@@ -61,16 +62,18 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the checkout to compare with")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 3])
-    args = parser.parse_args()
-    other = args.other.resolve()
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(HERE / "perfbench"))
     from workloads import WORKLOADS
 
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    args = parser.parse_args()
+    other = args.other.resolve()
+
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "work"
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for seed in args.seeds:
                 ours = answers(HERE, workload, seed, work)
                 theirs = answers(other, workload, seed, work)
