@@ -9,9 +9,13 @@ the candidates, which is found from the patterns alone (deletions and
 contractions), with no minor search. Candidates are taken largest first; a member makes every
 candidate below it a member, a non-member makes every candidate above it a
 non-member, and only candidates still open are decided. The oracle decides
-one by rooted-minor search in the host. The dynamic program decides one by
-introduce, forget and join steps over a tree decomposition, tracking per
-bag how branch sets touch the boundary. The oracle is ground truth; the DP
+one by rooted-minor search in the host. The dynamic program decides a whole
+group at once: the candidates with the same vertex count and root map. One
+pass of introduce, forget and join steps over a tree decomposition, tracking
+per bag how branch sets touch the boundary and which of the union of the
+group's edges are realized, runs the first time the lattice asks about an
+open candidate of the group; a candidate is a member exactly when an
+accepting state realizes all its edges. The oracle is ground truth; the DP
 must agree exactly.
 
 Folio members carry a tag: the equality pattern of the generating root
@@ -163,6 +167,18 @@ def pattern_lattice(k, d):
     return below, {code: frozenset(bigs) for code, bigs in above.items()}
 
 
+@functools.cache
+def candidate_groups(k, d):
+    """The candidates of candidate_patterns(k, d) grouped by vertex count
+    and root map: a dict from (n, roots) to the rooted graph on n vertices
+    with those roots and the union of the group's edges, each candidate in
+    its canonical labelling. Built on first use and cached by (k, d)."""
+    edges = {}
+    for form, _ in candidate_patterns(k, d):
+        edges.setdefault((form.graph.n, form.roots), set()).update(form.graph.edges)
+    return {(n, roots): RootedGraph(Graph(n, es), roots) for (n, roots), es in edges.items()}
+
+
 def _size(candidate):
     return candidate[0].graph.n + candidate[0].graph.m
 
@@ -270,18 +286,36 @@ def _dp_plan(g, td):
         parent[3] += 1
 
 
-def _run_membership_dp(host, pattern, plan, budget):
-    """Does `pattern` (a rooted graph) embed as a rooted minor of `host`?
+def _maximal(masks):
+    """The masks of `masks` that no other one contains, largest first."""
+    if len(masks) == 1:
+        return list(masks)
+    kept = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if all(mask | big != big for big in kept):
+            kept.append(mask)
+    return kept
 
-    A state at a bag is ((labels, fragments), closed, realized): per sorted
-    bag vertex the pattern vertex whose branch set it joined (or FREE) and
-    the id of its connected fragment of that branch set; a bitmask of the
-    finished pattern vertices; and a bitmask of the pattern edges already
-    witnessed by a host edge. The steps of `plan` run in order on a stack of
-    state sets; a fragment that loses its last bag vertex either finishes
-    the branch set or kills the state. An introduce or forget moves a state
-    by its (labels, fragments) part alone, so each move is worked out once
-    per step and part. Each step charges `budget` with the states it keeps.
+
+def _run_membership_dp(host, pattern, plan, budget):
+    """The realized masks with which `pattern` (a rooted graph) embeds as a
+    rooted minor of `host`: bit i is set when the i-th edge of
+    `pattern.graph.edges` is witnessed by a host edge. Empty when the host
+    has no rooted model of the pattern's vertices at all; the pattern itself
+    embeds exactly when its full mask is returned.
+
+    A state at a bag is ((labels, fragments), closed) with a set of realized
+    masks: per sorted bag vertex the pattern vertex whose branch set it
+    joined (or FREE) and the id of its connected fragment of that branch
+    set; a bitmask of the finished pattern vertices; and bitmasks of the
+    pattern edges already witnessed. Masks only grow along an extension, so
+    each step keeps only the maximal masks of each state (an antichain): a
+    dominated mask can never accept where its dominator cannot. The steps of
+    `plan` run in order on a stack of state sets; a fragment that loses its
+    last bag vertex either finishes the branch set or kills the state. An
+    introduce or forget moves a state by its (labels, fragments) part alone,
+    so each move is worked out once per step and part. Each step charges
+    `budget` with the masks it keeps. The returned masks are maximal too.
     """
     pn = pattern.graph.n
     edge_bit = [[0] * pn for _ in range(pn)]
@@ -290,7 +324,7 @@ def _run_membership_dp(host, pattern, plan, budget):
     forced = {}
     for r, q in zip(host.roots, pattern.roots):
         if forced.setdefault(r, q) != q:
-            return False
+            return []
 
     def introduce_moves(part, v, vi, nbrs):
         labs, frags = part
@@ -346,16 +380,16 @@ def _run_membership_dp(host, pattern, plan, budget):
 
     stack = []
     for kind, *args in plan:
-        out = set()
+        out = {}  # (part, closed) -> realized masks
         if kind == "leaf":
-            out.add((((), ()), 0, 0))
+            out[((), ()), 0] = {0}
         elif kind == "join":
             by_labs = {}
-            for state in stack.pop():
-                by_labs.setdefault(state[0][0], []).append(state)
+            for ((labs, frags2), closed2), masks2 in stack.pop().items():
+                by_labs.setdefault(labs, []).append((frags2, closed2, masks2))
             merged = {}
-            for (labs, frags1), closed1, realized1 in stack.pop():
-                for (_, frags2), closed2, realized2 in by_labs.get(labs, ()):
+            for ((labs, frags1), closed1), masks1 in stack.pop().items():
+                for frags2, closed2, masks2 in by_labs.get(labs, ()):
                     # a branch set finished on both sides would be two
                     # disjoint pieces; equal labels rule out every other
                     # status conflict
@@ -364,22 +398,23 @@ def _run_membership_dp(host, pattern, plan, budget):
                     key = (labs, frags1, frags2)
                     if key not in merged:
                         merged[key] = (labs, join_fragments(frags1, frags2))
-                    out.add((merged[key], closed1 | closed2, realized1 | realized2))
+                    out.setdefault((merged[key], closed1 | closed2), set()).update(
+                        [a | b for a in masks1 for b in masks2])
         else:
             step = introduce_moves if kind == "introduce" else forget_moves
             moves = {}
-            for part, closed, realized in stack.pop():
+            for (part, closed), masks in stack.pop().items():
                 if part not in moves:
                     moves[part] = step(part, *args)
                 for new, blocked, close, add in moves[part]:
                     if not closed & blocked:
-                        out.add((new, closed | close, realized | add))
-        budget.charge(len(out))
+                        out.setdefault((new, closed | close), set()).update(
+                            [m | add for m in masks] if add else masks)
+        out = {state: _maximal(masks) for state, masks in out.items()}
+        budget.charge(sum(map(len, out.values())))
         stack.append(out)
-    done = (1 << pn) - 1
-    target = (1 << pattern.graph.m) - 1
     # `out` holds the states of the root, whose bag is empty
-    return any(closed == done and realized == target for _, closed, realized in out)
+    return out.get((((), ()), (1 << pn) - 1), [])
 
 
 def dp_decomposition(g):
@@ -392,8 +427,23 @@ def dp_decomposition(g):
 
 
 def _dp_folio(host, d, plan):
+    """The d-folio of `host` over the lattice, with one _run_membership_dp
+    pass on the union pattern of each group of candidates (see
+    candidate_groups) that the lattice asks about, made on first use. A
+    candidate is a member when a mask of that pass covers its edges: its
+    edges are among the union's in the same labelling, so its rooted models
+    are exactly the union pass's models that realize at least those edges."""
+    groups = candidate_groups(len(host.roots), d)
+    accepted = {}  # group -> realized masks of its union pass
+
     def contains(form):
-        return _run_membership_dp(host, form, plan, Budget(STATE_BUDGET, "folio DP states"))
+        group = form.graph.n, form.roots
+        union = groups[group]
+        if group not in accepted:
+            budget = Budget(STATE_BUDGET, "folio DP states")
+            accepted[group] = _run_membership_dp(host, union, plan, budget)
+        need = sum(1 << i for i, e in enumerate(union.graph.edges) if e in form.graph.edges)
+        return any(need & mask == need for mask in accepted[group])
 
     return _lattice_folio(host, d, contains)
 
@@ -401,9 +451,11 @@ def _dp_folio(host, d, plan):
 def folio_dp(host, d, td):
     """d-folio via dynamic programming over a tree decomposition of the host.
 
-    Agrees with folio_bruteforce exactly. The DP runs once per candidate the
-    pattern lattice leaves open, and raises BudgetExceeded rather than
-    truncating when one run goes past STATE_BUDGET states.
+    Agrees with folio_bruteforce exactly. The DP runs once per group of
+    candidates (same vertex count and root map) that holds a candidate the
+    pattern lattice leaves open, on the union of the group's edges, and
+    raises BudgetExceeded rather than truncating when one run keeps more
+    than STATE_BUDGET states, each maximal realized mask counted.
     """
     return _dp_folio(host, d, _dp_plan(host.graph, td))
 
@@ -422,10 +474,10 @@ def _root_tuples(host, k):
 def kd_folio(host, k, d, engine="oracle"):
     """Union of d-folios over all ordered k-multisets of annotated vertices,
     by engine "oracle" or "dp" (UsageError otherwise; PreconditionViolated
-    on a negative k or d). The DP engine builds
-    one plan per host from dp_decomposition. BudgetExceeded past
-    MULTISET_CAP multisets, STATE_BUDGET states in one DP run or
-    MINOR_NODE_BUDGET nodes in one oracle search."""
+    on a negative k or d). The DP engine builds one plan per host from
+    dp_decomposition and makes one run per root tuple and open candidate
+    group. BudgetExceeded past MULTISET_CAP multisets, STATE_BUDGET states
+    in one DP run or MINOR_NODE_BUDGET nodes in one oracle search."""
     if engine not in ("oracle", "dp"):
         raise UsageError(f"unknown engine {engine!r}")
     _check_counts(k, d)

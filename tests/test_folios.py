@@ -18,6 +18,7 @@ from minorkit.decomposition import (
     min_fill_decomposition,
 )
 from minorkit.errors import (
+    STATE_BUDGET,
     Budget,
     BudgetExceeded,
     InvalidDecomposition,
@@ -101,11 +102,11 @@ def reference_irrelevant(host, k, d, v):
 
 
 @st.composite
-def small_rooted_hosts(draw, max_n=8):
+def small_rooted_hosts(draw, max_n=8, max_k=2):
     n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    k = draw(st.integers(0, 2))
+    k = draw(st.integers(0, max_k))
     roots = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
     g = Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
     return RootedGraph(g, tuple(roots))
@@ -395,18 +396,26 @@ def test_dp_state_budget_raises(monkeypatch):
 
 
 def test_dp_pass_explores_a_pinned_state_count():
-    # the budget must fire at the same total as in the frozenset-state DP
-    # this pass replaced: 1193 states for this pair. Renumbering fragments
-    # where a branch set closes would merge states and give 1129.
+    # the budget must fire at the same total on every run. Each step keeps
+    # only the maximal realized masks of a state, so a state whose mask
+    # another one with the same labels, fragments and closed set covers is
+    # dropped: 961 masks for the single-edge pattern, against 1193 when
+    # every realized mask was kept. Renumbering fragments where a branch set
+    # closes would merge states and change the count again. The union of
+    # the 3-vertex group, all three edges, keeps 971.
     host = RootedGraph(grid_graph(2, 5), (0, 9))
-    pattern = RootedGraph(Graph(3, [(1, 2)]), (1, 2))
     plan = _dp_plan(host.graph, exact_treewidth(host.graph)[1])
-    budget = Budget(1193, "folio DP states")
-    assert _run_membership_dp(host, pattern, plan, budget)
-    assert budget.used == 1193
-    with pytest.raises(BudgetExceeded) as err:
-        _run_membership_dp(host, pattern, plan, Budget(1192, "folio DP states"))
-    assert_spent(err, "folio DP states", 1192)
+    single = RootedGraph(Graph(3, [(1, 2)]), (1, 2))
+    union = folios.candidate_groups(2, 1)[3, (1, 2)]
+    assert union.graph.edges == {(0, 1), (0, 2), (1, 2)}
+    for pattern, used in ((single, 961), (union, 971)):
+        budget = Budget(used, "folio DP states")
+        full = (1 << pattern.graph.m) - 1
+        assert _run_membership_dp(host, pattern, plan, budget) == [full]
+        assert budget.used == used
+        with pytest.raises(BudgetExceeded) as err:
+            _run_membership_dp(host, pattern, plan, Budget(used - 1, "folio DP states"))
+        assert_spent(err, "folio DP states", used - 1)
 
 
 def ladder_path_decomposition(cols):
@@ -450,6 +459,41 @@ def test_lattice_engines_agree_with_the_reference(host, d):
     want = reference_codes(host, d)
     assert folio_bruteforce(host, d).codes() == want
     assert folio_dp(host, d, dp_decomposition(host.graph)).codes() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rooted_hosts(max_n=6), st.just(3))
+def test_dp_agrees_with_the_oracle_at_detail_three(host, d):
+    assert folio_dp(host, d, dp_decomposition(host.graph)).codes() == (
+        folio_bruteforce(host, d).codes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rooted_hosts(max_k=3), st.integers(0, 2))
+def test_a_group_pass_answers_as_each_candidate_alone(host, d):
+    # a pass on the union of a group's edges decides every candidate of
+    # the group as a pass on that candidate alone, a group of one, does
+    k = len(host.roots)
+    plan = _dp_plan(host.graph, dp_decomposition(host.graph))
+    groups = folios.candidate_groups(k, d)
+    passes = {group: _run_membership_dp(host, union, plan, Budget(STATE_BUDGET, "states"))
+              for group, union in groups.items()}
+    for form, _ in candidate_patterns(k, d):
+        group = form.graph.n, form.roots
+        need = sum(1 << i for i, e in enumerate(groups[group].graph.edges)
+                   if e in form.graph.edges)
+        alone = _run_membership_dp(host, form, plan, Budget(STATE_BUDGET, "states"))
+        assert any(need & mask == need for mask in passes[group]) == (
+            (1 << form.graph.m) - 1 in alone)
+
+
+def test_dp_answers_grids_within_the_default_budget():
+    # with every realized mask kept, one pass on the 3x8 grid's group
+    # unions ran past STATE_BUDGET; keeping the maximal masks answers
+    for rows, cols in ((3, 4), (3, 8)):
+        host = RootedGraph(grid_graph(rows, cols), (0, rows * cols - 1))
+        got = folio_dp(host, 2, dp_decomposition(host.graph))
+        assert got == folio_bruteforce(host, 2)
 
 
 # --- (k,d)-folios ------------------------------------------------------------
