@@ -10,6 +10,7 @@ and `vital` the linkage searches of one command share one budget of
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -225,6 +226,7 @@ def _cmd_bidim(args):
 # --- argument wiring -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="minorkit", description="exact desk-scale graph-minor toolkit"
@@ -308,7 +310,10 @@ def _build_parser():
 
 
 def run(argv):
-    """Parse and dispatch; raises package errors instead of exiting."""
+    """Parse and dispatch; raises package errors instead of exiting.
+
+    The parser is built once per process and reused: parsing keeps no
+    state in it, and the defaults it holds are bound at import."""
     args = _build_parser().parse_args(argv)
     return args.fn(args)
 

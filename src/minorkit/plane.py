@@ -3,8 +3,10 @@
 All topology here is combinatorial. An embedding is a cyclic neighbor order
 per vertex; faces are the orbits of the dart successor map; a designated
 outer face orients everything else. Disc interiors, containment of traces,
-and the bands between nested cycles are face sets computed by breadth-first
-search in the dual, never coordinates.
+and the bands between nested cycles are face sets, never coordinates: the
+disc of one cycle is found by a search in the dual that does not cross the
+cycle, and all discs of a nest by one such search that crosses no cycle of
+the nest. A band's edges are read off the darts of the band's own faces.
 
 planar_embedding decides planarity and returns such an embedding when there
 is one: Demoucron-Malgrange-Pertuiset on each block, the block rotations
@@ -187,9 +189,10 @@ def edge_strictly_inside(pg, u, v, region):
 class ConcentricCycles:
     """Pairwise disjoint cycles with strictly nested discs, innermost first.
 
-    Validation recomputes every disc from the faces and insists on strict
-    containment; the constructor is the proof that the sequence is actually
-    concentric in the given embedding.
+    Validation recomputes every disc from the faces, all of them in one
+    sweep of the dual (`_nest_discs`), and insists on strict containment;
+    the constructor is the proof that the sequence is actually concentric
+    in the given embedding. `discs[i]` is `inside_faces(plane, cycles[i])`.
     """
 
     __slots__ = ("plane", "cycles", "discs")
@@ -204,7 +207,7 @@ class ConcentricCycles:
             if seen & set(c):
                 raise PreconditionViolated("cycles share a vertex")
             seen |= set(c)
-        discs = tuple(inside_faces(plane, c) for c in cycles)
+        discs = _nest_discs(plane, cycles)
         for inner, outer in zip(discs, discs[1:]):
             if not (inner < outer):
                 raise PreconditionViolated(
@@ -221,40 +224,101 @@ class ConcentricCycles:
         return f"ConcentricCycles(s={len(self.cycles)})"
 
 
-def _band_path(pg, cycle, band, forbidden=frozenset(), allowed_edges=None):
+def _nest_discs(pg, cycles):
+    """`inside_faces(pg, c)` for each of the vertex-disjoint simple cycles,
+    from one search of the dual.
+
+    The search crosses no edge of any cycle and labels each face with its
+    region. Each cycle's edges link the regions on their two sides, which
+    makes a small region graph whose links carry the cycle's index. A face
+    reaches the outer face without crossing cycle i exactly when its region
+    reaches the outer face's region without a link of cycle i, so disc i is
+    the union of the regions that this search leaves unreached.
+    """
+    level = {}
+    for i, c in enumerate(cycles):
+        for key in _edge_keys(c + c[:1]):
+            level[key] = i
+    face_of = pg._face_of
+    region = [-1] * len(pg.faces)
+    members = []
+    for start in (pg.outer, *range(len(pg.faces))):
+        if region[start] >= 0:
+            continue
+        r = len(members)
+        region[start] = r
+        stack = [start]
+        for f in stack:
+            for u, v in pg.faces[f]:
+                if ((u, v) if u < v else (v, u)) in level:
+                    continue
+                g = face_of[(v, u)]
+                if region[g] < 0:
+                    region[g] = r
+                    stack.append(g)
+        members.append(stack)
+    links = [set() for _ in members]
+    for i, c in enumerate(cycles):
+        for a, b in zip(c, c[1:] + c[:1]):
+            r, q = region[face_of[(a, b)]], region[face_of[(b, a)]]
+            links[r].add((q, i))
+            links[q].add((r, i))
+    discs = []
+    for i in range(len(cycles)):
+        reached = {region[pg.outer]}
+        stack = [region[pg.outer]]
+        for r in stack:
+            for q, j in links[r]:
+                if j != i and q not in reached:
+                    reached.add(q)
+                    stack.append(q)
+        discs.append(
+            frozenset().union(*(fs for r, fs in enumerate(members) if r not in reached))
+        )
+    return tuple(discs)
+
+
+def _band_path(pg, cycle, band, rank, forbidden=frozenset(), allowed_edges=None):
     """A path between two distinct cycle vertices drawn inside the band,
     internally avoiding the cycle and never meeting a forbidden vertex,
     or None.
 
     Edges count as available when both their faces lie in the band; this
-    automatically excludes the bounding cycles themselves. `forbidden`
-    carries the next cycle inward, whose closed disc a violation must
-    avoid. `allowed_edges` restricts the search to a designated subgraph.
+    automatically excludes the bounding cycles themselves. They are read
+    off the darts of the band's own faces, and put in the order that
+    `rank` (edge -> position in `pg.graph.edges`) gives, so the search
+    meets them in the same order whatever the band. `forbidden` carries
+    the next cycle inward, whose closed disc a violation must avoid.
+    `allowed_edges` restricts the search to a designated subgraph.
     """
-    on_cycle = set(cycle)
-    avail = [[] for _ in range(pg.graph.n)]
-    any_edge = False
-    for u, v in pg.graph.edges:
-        if u in forbidden or v in forbidden:
-            continue
-        if allowed_edges is not None and (u, v) not in allowed_edges:
-            continue
-        if edge_strictly_inside(pg, u, v, band):
-            avail[u].append(v)
-            avail[v].append(u)
-            any_edge = True
-    if not any_edge:
+    face_of = pg._face_of
+    edges = []
+    for f in band:
+        for u, v in pg.faces[f]:
+            if u < v and face_of[(v, u)] in band:
+                if u in forbidden or v in forbidden:
+                    continue
+                if allowed_edges is not None and (u, v) not in allowed_edges:
+                    continue
+                edges.append((u, v))
+    if not edges:
         return None
+    edges.sort(key=rank.__getitem__)
+    avail = {}
+    for u, v in edges:
+        avail.setdefault(u, []).append(v)
+        avail.setdefault(v, []).append(u)
+    on_cycle = set(cycle)
     # Direct chords first, then search through band-interior vertices.
     for u in cycle:
-        for v in avail[u]:
+        for v in avail.get(u, ()):
             if v in on_cycle:
                 return (u, v)
     parent = {}
     origin = {}
     stack = []
     for u in cycle:
-        for v in avail[u]:
+        for v in avail.get(u, ()):
             if v in on_cycle or v in origin:
                 continue
             origin[v] = u
@@ -285,11 +349,12 @@ def tight_violation(cc, allowed_edges=None):
     between that cycle and the next one inward, avoiding the inner
     cycle's closed disc entirely.
     """
+    rank = {e: k for k, e in enumerate(cc.plane.graph.edges)}
     for i in range(len(cc.cycles)):
         forbidden = frozenset(cc.cycles[i - 1]) if i > 0 else frozenset()
         below = cc.discs[i - 1] if i > 0 else frozenset()
         found = _band_path(
-            cc.plane, cc.cycles[i], cc.discs[i] - below, forbidden, allowed_edges
+            cc.plane, cc.cycles[i], cc.discs[i] - below, rank, forbidden, allowed_edges
         )
         if found is not None:
             return (i, found)
@@ -329,17 +394,20 @@ def tighten(cc):
     Levels are processed innermost first; a level is final before the next
     one starts, and later reroutes only shrink outer cycles, so one pass
     suffices. Each level probes the band between its current disc and the
-    finished disc below it. The host graph never changes, only the
-    designated cycles.
+    finished disc below it, whose edges `_band_path` reads off the band's
+    own faces, so a probe costs the band's size and not the graph's. The
+    host graph never changes, only the designated cycles; the result is
+    checked by building its nest, which recomputes every disc in one sweep.
     """
     pg = cc.plane
+    rank = {e: k for k, e in enumerate(pg.graph.edges)}
     cycles = list(cc.cycles)
     below = frozenset()  # the finished disc of the level below
     for i in range(len(cycles)):
         forbidden = frozenset(cycles[i - 1]) if i > 0 else frozenset()
         disc = cc.discs[i]
         while True:
-            found = _band_path(pg, cycles[i], disc - below, forbidden)
+            found = _band_path(pg, cycles[i], disc - below, rank, forbidden)
             if found is None:
                 break
             cycles[i], smaller = _reroute(pg, cycles[i], found, below)

@@ -522,3 +522,31 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"width": 2}
+
+
+def test_consecutive_calls_answer_as_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a usage error, an option given
+    # once and then left out, and other subcommands must not leak between calls
+    g = write_c4(tmp_path)
+    pat = tmp_path / "p.pat"
+    pat.write_text("pair 0 2\npair 1 3\n")
+    calls = [
+        ["tw", "--graph", str(g)],
+        ["dp", "--graph", str(g), "--pattern", str(pat), "--max-nodes", "1"],
+        ["folio", "--graph", str(g), "--roots", "a,c", "--engine", "nope"],
+        ["dp", "--graph", str(g), "--pattern", str(pat)],
+        ["folio", "--graph", str(g), "--roots", "a,c"],
+        ["tw", "--graph", str(g), "--certify", "2"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = cli.main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minorkit.cli", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 3, 2, 0, 0, 0]

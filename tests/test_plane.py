@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from minorkit.constructions import wall
 from minorkit.errors import IndexOutOfRange, InvalidEmbedding, PreconditionViolated
+from minorkit import plane
 from minorkit.graphs import Graph
 from minorkit.plane import (
     ConcentricCycles,
@@ -29,6 +30,7 @@ from minorkit.plane import (
     vertex_strictly_inside,
     write_plane,
 )
+from minorkit.wells import drain, random_well
 
 
 def test_grid_face_counts():
@@ -181,6 +183,164 @@ def test_tighten_is_tight_nested_and_idempotent_on_ring_subnests():
         assert all(a < b for a, b in zip(out.discs, out.discs[1:]))
         assert all(a <= b for a, b in zip(out.discs, cc.discs))
         assert tighten(out).cycles == out.cycles
+
+
+# --- the one-sweep discs and the band-face edges, against the direct ways ----------
+
+
+def grid_rectangles(n, m):
+    """The concentric rectangles of embed_grid(n, m), innermost first."""
+    out = []
+    for k in range((min(n, m) - 2) // 2 + 1):
+        top, bottom, left, right = k, n - 1 - k, k, m - 1 - k
+        ring = [top * m + c for c in range(left, right + 1)]
+        ring += [r * m + right for r in range(top + 1, bottom + 1)]
+        ring += [bottom * m + c for c in range(right - 1, left - 1, -1)]
+        ring += [r * m + left for r in range(bottom - 1, top, -1)]
+        out.append(tuple(ring))
+    return out[::-1]
+
+
+def random_ring_nest(rng):
+    """A plane graph and a random sub-nest of its rings, innermost first,
+    each ring rotated and maybe reversed: mesh rings or grid rectangles."""
+    if rng.random() < 0.7:
+        mesh, pg = embed_mesh(rng.randint(3, 9), rng.randint(2, 9))
+        rings = mesh.cycles
+    else:
+        n, m = rng.randint(2, 9), rng.randint(2, 9)
+        pg, rings = embed_grid(n, m), grid_rectangles(n, m)
+    cycles = []
+    for i in sorted(rng.sample(range(len(rings)), rng.randint(1, len(rings)))):
+        ring = list(rings[i])
+        start = rng.randrange(len(ring))
+        ring = ring[start:] + ring[:start]
+        cycles.append(ring[::-1] if rng.random() < 0.5 else ring)
+    return pg, cycles
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_nest_discs_are_the_discs_of_each_cycle(rng):
+    pg, cycles = random_ring_nest(rng)
+    if rng.random() < 0.3:
+        rng.shuffle(cycles)
+    direct = tuple(inside_faces(pg, c) for c in cycles)
+    if all(a < b for a, b in zip(direct, direct[1:])):
+        assert ConcentricCycles(pg, cycles).discs == direct
+    else:
+        with pytest.raises(PreconditionViolated):
+            ConcentricCycles(pg, cycles)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_well_nest_discs_are_the_discs_of_each_cycle(rng):
+    w = random_well(rng)
+    assert w.nest.discs == tuple(inside_faces(w.plane, c) for c in w.cycles)
+
+
+def test_side_by_side_or_misordered_cycles_are_not_a_nest():
+    pg = embed_grid(3, 5)
+    left, right = (0, 1, 6, 5), (3, 4, 9, 8)
+    with pytest.raises(PreconditionViolated):
+        ConcentricCycles(pg, (left, right))
+    with pytest.raises(PreconditionViolated):
+        ConcentricCycles(pg, (right, left))
+    mesh, pg = embed_mesh(5, 4)
+    r0, r1, r2, r3 = mesh.cycles
+    for order in [(r0, r2, r1), (r1, r0, r3), (r3, r2), (r0, r1, r3, r2)]:
+        with pytest.raises(PreconditionViolated):
+            ConcentricCycles(pg, order)
+
+
+def full_scan_band_path(pg, cycle, band, forbidden=frozenset(), allowed_edges=None):
+    """The band search as it was first written: every edge of the graph is
+    tested for lying in the band, in `pg.graph.edges` order."""
+    on_cycle = set(cycle)
+    avail = [[] for _ in range(pg.graph.n)]
+    for u, v in pg.graph.edges:
+        if u in forbidden or v in forbidden:
+            continue
+        if allowed_edges is not None and (u, v) not in allowed_edges:
+            continue
+        if edge_strictly_inside(pg, u, v, band):
+            avail[u].append(v)
+            avail[v].append(u)
+    for u in cycle:
+        for v in avail[u]:
+            if v in on_cycle:
+                return (u, v)
+    parent, origin, stack = {}, {}, []
+    for u in cycle:
+        for v in avail[u]:
+            if v in on_cycle or v in origin:
+                continue
+            origin[v], parent[v] = u, None
+            stack.append(v)
+            while stack:
+                x = stack.pop()
+                for y in avail[x]:
+                    if y in on_cycle:
+                        if y != origin[x]:
+                            path = [y, x]
+                            while parent[path[-1]] is not None:
+                                path.append(parent[path[-1]])
+                            path.append(origin[x])
+                            return tuple(reversed(path))
+                        continue
+                    if y not in origin:
+                        origin[y], parent[y] = origin[x], x
+                        stack.append(y)
+    return None
+
+
+def full_scan_violation(cc, allowed_edges=None):
+    for i in range(len(cc.cycles)):
+        forbidden = frozenset(cc.cycles[i - 1]) if i > 0 else frozenset()
+        below = cc.discs[i - 1] if i > 0 else frozenset()
+        band = cc.discs[i] - below
+        found = full_scan_band_path(cc.plane, cc.cycles[i], band, forbidden, allowed_edges)
+        if found is not None:
+            return (i, found)
+    return None
+
+
+def full_scan_tighten(cc):
+    """The cycles that tighten returns, found with full_scan_band_path."""
+    pg, cycles, below = cc.plane, list(cc.cycles), frozenset()
+    for i in range(len(cycles)):
+        forbidden = frozenset(cycles[i - 1]) if i > 0 else frozenset()
+        disc = cc.discs[i]
+        while (found := full_scan_band_path(pg, cycles[i], disc - below, forbidden)) is not None:
+            cycles[i], disc = plane._reroute(pg, cycles[i], found, below)
+        below = disc
+    return tuple(cycles)
+
+
+def test_tightness_agrees_with_the_full_edge_scan():
+    rng = random.Random(2514)
+    loose = 0
+    for _ in range(240):
+        pg, cycles = random_ring_nest(rng)
+        cc = ConcentricCycles(pg, cycles)
+        found = tight_violation(cc)
+        assert found == full_scan_violation(cc)
+        loose += found is not None
+        allowed = frozenset(e for e in pg.graph.edges if rng.random() < 0.8)
+        assert tight_violation(cc, allowed) == full_scan_violation(cc, allowed)
+        assert tighten(cc).cycles == full_scan_tighten(cc)
+    assert loose > 120
+
+
+def test_well_tightness_agrees_with_the_full_edge_scan():
+    rng = random.Random(77)
+    for _ in range(40):
+        w = random_well(rng)
+        for v in (w, drain(w)):
+            assert tight_violation(v.nest, v.union_edges) == full_scan_violation(
+                v.nest, v.union_edges
+            )
 
 
 def test_plane_text_roundtrip():
