@@ -1,8 +1,12 @@
 """Batch front end: generate instances, run the solvers and verifiers,
 emit JSON. One command per process; no interaction.
 
-Exit codes: 0 ok, 1 a verification failed, 2 usage or bad input,
-3 a search budget or cap was exceeded. `reduce` exits 3 with status
+Exit codes: 0 ok, 2 usage or bad input, 3 a search budget or cap was
+exceeded. Exit 1 has five causes: `vital` answers "not vital" (no
+linkage, or a linkage that is not vital); `reduce` ends with status
+"stuck"; `folio --engine both` gets different folios from its two engines;
+`verify-hk` finds that one of its two checks failed; and an internal error,
+which escapes `main` as a traceback. `reduce` exits 3 with status
 "capped" when a deletion rule's search ran out of its budget, and still
 prints the trace of the deletions it certified before that. In `dp`
 and `vital` the linkage searches of one command share one budget of

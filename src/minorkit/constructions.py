@@ -81,7 +81,6 @@ class WallSpec:
     layers[d] holds the vertices at graph distance d from that walk.
     """
 
-    order: int
     graph: Graph
     perimeter: tuple
     layers: tuple
@@ -134,7 +133,7 @@ def wall(n):
         d += 1
         layers.append(frozenset(nxt))
         frontier = nxt
-    return WallSpec(order=n, graph=wg, perimeter=perim, layers=tuple(layers))
+    return WallSpec(graph=wg, perimeter=perim, layers=tuple(layers))
 
 
 # --- cylindrical meshes ----------------------------------------------------------

@@ -105,10 +105,6 @@ class NotTight(MinorkitError):
     """A well operation requires tight cycles and the input is not tight."""
 
 
-class TerminalNotOnBoundary(MinorkitError):
-    """A pattern terminal is not on the boundary cycle it must lie on."""
-
-
 class ParameterTooSmall(MinorkitError):
     """A generator parameter is below its documented minimum."""
 

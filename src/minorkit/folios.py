@@ -531,20 +531,6 @@ def strongly_irrelevant(host, k, d, v, before=None):
     return True
 
 
-def downward_closed(folio):
-    """Every candidate below a member in the pattern lattice is a member.
-    Raises PreconditionViolated on a member that is not a candidate of the
-    folio's (k, d)."""
-    below, _ = pattern_lattice(folio.k, folio.d)
-    codes = folio.codes()
-    for code in codes:
-        if code not in below:
-            raise PreconditionViolated(f"member {code!r} is not a candidate pattern")
-        if not below[code] <= codes:
-            return False
-    return True
-
-
 # --- export ----------------------------------------------------------------------
 
 

@@ -477,14 +477,3 @@ def _pattern_orbits(pattern):
 def canonical_code(rg):
     """Byte string; equal exactly for rooted-isomorphic inputs."""
     return canonical_form(rg)[1]
-
-
-def isomorphic(g1, g2):
-    """Plain graph isomorphism at gadget scale, via canonical codes."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(g1.degree(v) for v in g1.vertices()) != sorted(
-        g2.degree(v) for v in g2.vertices()
-    ):
-        return False
-    return canonical_code(RootedGraph(g1, ())) == canonical_code(RootedGraph(g2, ()))

@@ -98,10 +98,6 @@ class PlaneGraph:
         self._face_of = face_of
         self._vertex_faces = tuple(frozenset(s) for s in vertex_faces)
 
-    def face_of(self, u, v):
-        """Index of the face traced by the dart u -> v."""
-        return self._face_of[(u, v)]
-
     def edge_faces(self, u, v):
         """The (at most two distinct) face indices incident to edge uv."""
         return (self._face_of[(u, v)], self._face_of[(v, u)])

@@ -1,32 +1,28 @@
-"""Feasibility tests and constructive routing on discs and cylinders.
+"""Constructive routing on discs and cylinders.
 
-Terminals sit on the outermost cycle of a nested system (disc case) or on
-both the innermost and outermost cycles (cylinder case), attached through
-vertex-disjoint paths that cross every cycle exactly once. Routing peels
-cycles one at a time: a pair whose boundary arc is free of other active
-paths is closed through that arc, everyone else keeps descending. On the
-cylinder the local pairs close this way from both cuffs; the crossing pairs
-then descend the band left between them in lockstep, one ring per round,
-each sweeping along its ring toward the rail of its inner terminal.
+Terminals sit on the cuffs of a nested system of cycles, the outermost
+cycle and the innermost one, each at one end of its own rail: rails are
+vertex-disjoint paths that cross every cycle exactly once. One router
+serves both surfaces, because a disc is the cylinder in which every
+terminal sits on the outer cuff; `route_disc` and `route_cylinder` differ
+only in their preconditions.
 
-Curve systems are the purely combinatorial shadow of the cylinder picture:
-endpoints on the two cuffs, curves pairwise disjoint, and an integer
-winding shared by every crossing curve. A cylinder pattern is routable
-exactly when its curve system exists, with each terminal at its rail's
-slot on its cuff and winding 0, so `route_cylinder` asks
-`CurveSystem.on_cylinder` and does not test the pattern itself.
+A pattern is routable exactly when, on each cuff, the local pairs (both
+ends on that cuff) neither interleave nor enclose the end of a crossing
+pair, and the crossing pairs meet the two cuffs in the same cyclic order
+(`_routable`). Routing peels cycles one at a time: a pair whose boundary
+arc is free of other active rails is closed through that arc, everyone
+else keeps descending. The local pairs close this way from both cuffs; the
+crossing pairs then descend the band left between them in lockstep, one
+ring per round, each sweeping along its ring toward the rail of its inner
+terminal.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .errors import (
-    IndexOutOfRange,
-    PreconditionViolated,
-    TerminalNotOnBoundary,
-)
+from .errors import PreconditionViolated
 from .linkages import Linkage, Pattern, pattern_of, validate_linkage
 from .plane import (
     ConcentricCycles,
@@ -36,37 +32,6 @@ from .plane import (
     vertex_strictly_inside,
     write_plane,
 )
-
-
-def feasible_on_disc(pattern, boundary_order):
-    """Can the pattern be realized by disjoint curves in a disc with its
-    terminals in this boundary order? True iff no two pairs interleave."""
-    order = tuple(boundary_order)
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != len(order):
-        raise PreconditionViolated("boundary order repeats a vertex")
-    seen = []
-    for a, b in pattern.pairs:
-        for term in (a, b):
-            if term not in pos:
-                raise TerminalNotOnBoundary(
-                    f"terminal {term} is not on the boundary"
-                )
-            seen.append(term)
-    if len(set(seen)) != len(seen):
-        return False
-    return not _chords_cross([(pos[a], pos[b]) for a, b in pattern.pairs])
-
-
-def _chords_cross(chords):
-    """Do two of the chords, each a pair of positions on a circle,
-    interleave?"""
-    for i, (a, b) in enumerate(chords):
-        a, b = sorted((a, b))
-        for c, d in chords[i + 1 :]:
-            if (a < c < b) != (a < d < b):
-                return True
-    return False
 
 
 def _normalize_radial(cc, paths):
@@ -165,59 +130,62 @@ def route_disc(cc, paths, pattern):
     Pairs close through cycle arcs from the outside in; each cycle level
     closes at least one pair, so only the outermost k cycles are touched.
     """
-    t = len(cc.cycles)
     k = len(pattern.pairs)
-    if k == 0:
-        return Linkage.of(())
-    if t < k:
-        raise PreconditionViolated(f"need at least {k} cycles, have {t}")
-    if len(paths) != 2 * k:
-        raise PreconditionViolated("need exactly two crossing paths per pair")
-    norm, cross = _normalize_radial(cc, paths)
-    terms = [p[0] for p in norm]
-    if pattern.terminals() != set(terms):
-        raise PreconditionViolated(
-            "pattern terminals must be the outer endpoints of the paths"
-        )
-    opos = {v: i for i, v in enumerate(cc.cycles[t - 1])}
-    border = tuple(sorted(terms, key=lambda v: opos[v]))
-    if not feasible_on_disc(pattern, border):
-        return None
-
-    by_term = {p[0]: i for i, p in enumerate(norm)}
-    routes, _ = _peel(
-        cc,
-        norm,
-        cross,
-        [(by_term[a], by_term[b]) for a, b in pattern.pairs],
-        (),
-        t - 1,
-        -1,
-        lambda r, lv: norm[r][: cross[r][lv] + 1],
-    )
-
-    linkage = Linkage.of(routes)
-    assert validate_linkage(cc.plane.graph, linkage)
-    assert pattern_of(linkage) == Pattern.of(pattern.pairs)
-    inner = cc.discs[0]
-    for route in routes:
-        for v in route:
-            assert not vertex_strictly_inside(cc.plane, v, inner)
+    if len(cc.cycles) < k:
+        raise PreconditionViolated(f"need at least {k} cycles, have {len(cc.cycles)}")
+    if not pattern.terminals() <= set(cc.cycles[-1]):
+        raise PreconditionViolated("pattern terminals must lie on the outermost cycle")
+    linkage = _route(cc, paths, pattern)
+    if linkage is not None:
+        inner = cc.discs[0]
+        for route in linkage.paths:
+            for v in route:
+                assert not vertex_strictly_inside(cc.plane, v, inner)
     return linkage
 
 
-def _cuff_ok(n_points, chords, walls):
-    """Can the local chords on a cuff of n_points positions be drawn
-    disjointly, with crossing curves leaving at the walls? Positions are
-    read from the first wall on, so no chord may hold a wall inside it."""
-    start = min(walls, default=0)
+def route_cylinder(cc, paths, pattern):
+    """Route local and crossing pairs between the two cuffs of an annulus
+    whose innermost cycle bounds a single empty face, or None when a local
+    pair traps a terminal on its cuff, or the crossing pairs meet the two
+    cuffs in orders that are not rotations of each other.
 
-    def at(p):
-        return (p - start) % n_points
+    Local pairs close through cuff-side arcs round by round, exactly as on
+    the disc. Crossing pairs then descend the untouched middle band in
+    lockstep, one ring per round, each sweeping toward its target rail as
+    far as the gap to its neighbour allows. Routes only ever use cycle
+    edges and the given paths.
+    """
+    k = len(pattern.pairs)
+    if len(cc.cycles) < 2 * k:
+        raise PreconditionViolated(f"need at least {2 * k} cycles, have {len(cc.cycles)}")
+    if len(cc.discs[0]) != 1:
+        raise PreconditionViolated(
+            "the innermost cycle must bound a single empty face"
+        )
+    return _route(cc, paths, pattern)
 
-    return not _chords_cross(chords) and not any(
-        min(at(a), at(b)) < at(w) < max(at(a), at(b)) for a, b in chords for w in walls
-    )
+
+def _routable(n_slots, ends):
+    """Can the pairs of (cuff, slot) ends, with slots numbered alike on
+    both cuffs, be joined by disjoint curves on the cylinder? On each cuff
+    no two local pairs may interleave, and no local pair may enclose the
+    end of a crossing pair, read from the first such end on; the crossing
+    pairs must meet the two cuffs in the same cyclic order."""
+    orders = []
+    for cuff in (0, 1):
+        chords = [(p, q) for (c, p), (d, q) in ends if c == d == cuff]
+        marks = sorted(
+            (p if c == cuff else q, i) for i, ((c, p), (d, q)) in enumerate(ends) if c != d
+        )
+        start = marks[0][0] if marks else 0
+        spans = [sorted(((p - start) % n_slots, (q - start) % n_slots)) for p, q in chords]
+        if any(a < (w - start) % n_slots < b for a, b in spans for w, _ in marks):
+            return False
+        if any((a < c < b) != (a < d < b) for i, (a, b) in enumerate(spans) for c, d in spans[i + 1 :]):
+            return False
+        orders.append([i for _, i in marks])
+    return _is_cyclic_shift(orders[0], orders[1])
 
 
 def _slot_frames(cc, norm, cross):
@@ -243,30 +211,14 @@ def _slot_frames(cc, norm, cross):
     return ref, steps
 
 
-def route_cylinder(cc, paths, pattern):
-    """Route local and crossing pairs between the two cuffs of an annulus
-    whose innermost cycle bounds a single empty face, or None when the
-    pattern has no curve system on the cylinder: a local pair traps a
-    terminal on its cuff, or the crossing pairs meet the two cuffs in
-    orders that are not rotations of each other.
-
-    Local pairs close through cuff-side arcs round by round, exactly as on
-    the disc. Crossing pairs then descend the untouched middle band in
-    lockstep, one ring per round, each sweeping toward its target rail as
-    far as the gap to its neighbour allows. Routes only ever use cycle
-    edges and the given paths.
-    """
+def _route(cc, paths, pattern):
+    """The router behind `route_disc` and `route_cylinder`: join the paired
+    terminals, each at one end of its own rail, by disjoint paths along the
+    rails and the cycles, or None when the pattern is not `_routable`."""
     t = len(cc.cycles)
     k = len(pattern.pairs)
-    g = cc.plane.graph
     if k == 0:
         return Linkage.of(())
-    if t < 2 * k:
-        raise PreconditionViolated(f"need at least {2 * k} cycles, have {t}")
-    if len(cc.discs[0]) != 1:
-        raise PreconditionViolated(
-            "the innermost cycle must bound a single empty face"
-        )
     if len(paths) != 2 * k:
         raise PreconditionViolated("need exactly two rails per pair")
     norm, cross = _normalize_radial(cc, paths)
@@ -278,7 +230,8 @@ def route_cylinder(cc, paths, pattern):
     cuff_of = {}
     for i, p in enumerate(norm):
         at_outer = p[0] in terminals
-        at_inner = p[-1] in terminals
+        # on a one-cycle nest a rail is one vertex, and that is its outer end
+        at_inner = len(p) > 1 and p[-1] in terminals
         if at_outer == at_inner:
             raise PreconditionViolated(
                 "each rail must supply exactly one pattern terminal"
@@ -293,17 +246,13 @@ def route_cylinder(cc, paths, pattern):
     slot_order, ring_steps = framed
     slot_of = {rail: s for s, rail in enumerate(slot_order)}
 
-    try:
-        CurveSystem.on_cylinder(
-            2 * k,
-            2 * k,
-            [
-                ((cuff_of[a], slot_of[rail_of[a]]), (cuff_of[b], slot_of[rail_of[b]]), 0)
-                for a, b in pattern.pairs
-            ],
-        )
-    except PreconditionViolated:
+    ends = [
+        ((cuff_of[a], slot_of[rail_of[a]]), (cuff_of[b], slot_of[rail_of[b]]))
+        for a, b in pattern.pairs
+    ]
+    if not _routable(2 * k, ends):
         return None
+
     local = ([], [])  # per cuff
     crossing = []
     for pid, (a, b) in enumerate(pattern.pairs):
@@ -429,72 +378,9 @@ def route_cylinder(cc, paths, pattern):
 
     linkage = Linkage.of(routes)
     assert len(linkage.paths) == k
-    assert validate_linkage(g, linkage)
+    assert validate_linkage(cc.plane.graph, linkage)
     assert pattern_of(linkage) == Pattern.of(pattern.pairs)
     return linkage
-
-
-# --- curve systems -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurveSystem:
-    """Disjoint boundary-to-boundary curves on the cylinder, up to deformation.
-
-    points counts the marked boundary positions per cuff; curves reference
-    (cuff, position) endpoints. Every crossing curve carries one shared
-    integer winding; locals carry zero.
-    """
-
-    points: tuple
-    curves: tuple
-    windings: tuple
-
-    @staticmethod
-    def on_cylinder(n_outer, n_inner, curves):
-        sizes = (n_outer, n_inner)
-        canon = []
-        winds = []
-        for (c1, p1), (c2, p2), w in curves:
-            for cuff, p in ((c1, p1), (c2, p2)):
-                if cuff not in (0, 1):
-                    raise IndexOutOfRange(f"no cuff {cuff}")
-                if not 0 <= p < sizes[cuff]:
-                    raise IndexOutOfRange(
-                        f"position {p} not in [0,{sizes[cuff]}) on cuff {cuff}"
-                    )
-            canon.append(((c1, p1), (c2, p2)))
-            winds.append(int(w))
-        ends = [e for cur in canon for e in cur]
-        if len(set(ends)) != len(ends):
-            raise PreconditionViolated("curve endpoints must be distinct")
-        cross_w = set()
-        for ((c1, _), (c2, _)), w in zip(canon, winds):
-            if c1 == c2:
-                if w != 0:
-                    raise PreconditionViolated("local curves cannot wind")
-            else:
-                cross_w.add(w)
-        if len(cross_w) > 1:
-            raise PreconditionViolated(
-                "crossing curves must share one winding"
-            )
-        seqs = []
-        for cuff in (0, 1):
-            chords, marks = [], []
-            for pid, ((c1, p1), (c2, p2)) in enumerate(canon):
-                if c1 == c2 == cuff:
-                    chords.append((p1, p2))
-                elif c1 != c2:
-                    marks.append((p1 if c1 == cuff else p2, pid))
-            if not _cuff_ok(sizes[cuff], chords, [p for p, _ in marks]):
-                raise PreconditionViolated(
-                    "local curves trap endpoints on a cuff"
-                )
-            seqs.append([pid for _, pid in sorted(marks)])
-        if seqs[0] and not _is_cyclic_shift(seqs[0], seqs[1]):
-            raise PreconditionViolated("crossing curves are misaligned")
-        return CurveSystem(sizes, tuple(canon), tuple(winds))
 
 
 # --- external format ---------------------------------------------------------------

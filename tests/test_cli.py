@@ -317,6 +317,19 @@ def test_route_cylinder_crossing_pattern(tmp_path, capsys):
     assert len(doc["linkage"]) == 2
 
 
+def test_route_disc_refuses_inner_terminals_as_bad_input(tmp_path, capsys):
+    # 1 and 3 are the inner ends of their rails, off the disc's boundary
+    ann = write_annulus(tmp_path, capsys)
+    pat = tmp_path / "cross.pat"
+    pat.write_text("pair 12 1\npair 14 3\n")
+    code, doc = run_cli(
+        capsys,
+        ["route", "--annulus", str(ann), "--pattern", str(pat), "--surface", "disc"],
+    )
+    assert code == 2
+    assert "outermost cycle" in doc["error"]
+
+
 # --- verify-hk and bidim ------------------------------------------------------------
 
 

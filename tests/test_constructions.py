@@ -41,7 +41,8 @@ from minorkit.graphs import (
     write_edge_list,
 )
 from minorkit.linkages import Pattern, disjoint_paths, is_vital, pattern_of, validate_linkage
-from minorkit.minors import canonical_code, find_minor, isomorphic, verify_minor_model
+from minorkit.minors import canonical_code, find_minor, verify_minor_model
+from test_minors import isomorphic
 
 
 def code_of(g):

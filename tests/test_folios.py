@@ -34,7 +34,6 @@ from minorkit.folios import (
     _run_membership_dp,
     candidate_patterns,
     detail,
-    downward_closed,
     dp_decomposition,
     folio_bruteforce,
     folio_dp,
@@ -56,6 +55,20 @@ def path_graph(n):
 
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def downward_closed(folio):
+    """Every candidate below a member in the pattern lattice is a member.
+    Raises PreconditionViolated on a member that is not a candidate of the
+    folio's (k, d)."""
+    below, _ = pattern_lattice(folio.k, folio.d)
+    codes = folio.codes()
+    for code in codes:
+        if code not in below:
+            raise PreconditionViolated(f"member {code!r} is not a candidate pattern")
+        if not below[code] <= codes:
+            return False
+    return True
 
 
 def grid_graph(rows, cols):

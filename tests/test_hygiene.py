@@ -3,8 +3,9 @@ it never uses, no private module-level name or slot of the library goes
 unused, an import inside a function only ever breaks an import cycle, the
 library imports nothing beyond the standard library, work limits are
 errors.Budget objects with their defaults in `errors`, not per-engine
-integers, no search is refused by the size of its input, and every public
-function or class of the library has a caller outside the tests.
+integers, no search is refused by the size of its input, every public
+function or class of the library has a caller outside the tests, and every
+method, property and field of a library class is read somewhere.
 """
 
 import ast
@@ -211,7 +212,7 @@ def test_budgets_are_budget_objects_with_defaults_in_errors():
 # caps that bound the size of a precomputed object (the pattern lattice, the
 # root multisets, the gadget family), not the work of a search
 OBJECT_CAPS = {"ORACLE_DETAIL_CAP", "ORACLE_ROOT_CAP", "MULTISET_CAP", "GADGET_ORDER_CAP"}
-CANONICAL_FUNCTIONS = {"_canonical_search", "canonical_form", "canonical_code", "isomorphic"}
+CANONICAL_FUNCTIONS = {"_canonical_search", "canonical_form", "canonical_code"}
 # perfbench/checks.py still passes pattern_cap=, which find_red_minor ignores
 IGNORED_PATTERN_CAP = ("minors", "find_red_minor")
 
@@ -246,11 +247,9 @@ def test_searches_are_bounded_by_budgets_not_by_input_size():
 
 
 # public names that no caller in src/, perfbench/ or tools/ reads, kept on
-# purpose: tests use the first three as checkers, and the last composes the
+# purpose: tests use the first as a checker, and the second composes the
 # paper's pipeline
 KEPT_FOR_TESTS = {
-    "downward_closed",  # folios: the folio is closed under taking minors
-    "isomorphic",  # minors: isomorphism over canonical codes
     "verify_trace",  # pipeline: replays and re-checks every deletion
     "solve_folio",  # pipeline: reduce, then the folio of what is left
 }
@@ -304,3 +303,40 @@ def test_every_public_name_of_the_library_has_a_caller():
         for path, _ in homes
     ]
     assert not found, "public names only tests call:\n" + "\n".join(found)
+
+
+def class_members(tree):
+    """(class name, member) for each method, property and dataclass field
+    of each class in a module. Special methods, which Python calls by
+    itself, are left out."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield cls.name, name
+
+
+def test_every_member_of_a_library_class_is_read():
+    # read means loaded as an attribute anywhere in src/, tests/, perfbench/
+    # or tools/; a field that is only ever passed to the constructor is dead
+    read = {
+        node.attr
+        for folder in ("src", "tests", "perfbench", "tools")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = [
+        f"{path.relative_to(ROOT)}: {cls}.{member}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, member in class_members(parse(path))
+        if member not in read
+    ]
+    assert not found, "class members nothing reads:\n" + "\n".join(found)

@@ -1,18 +1,17 @@
-"""Routing and curve systems: disc feasibility, the peeling router, the
-cylinder caravan, and the cylinder's curve systems."""
+"""Routing on discs and cylinders: the peeling router, the cylinder
+caravan, and the feasibility test both share, each checked against the
+exact disjoint-paths engine."""
 
 from itertools import product
 
 import pytest
 
-from minorkit.errors import PreconditionViolated, TerminalNotOnBoundary
+from minorkit.errors import PreconditionViolated
 from minorkit.linkages import Pattern, disjoint_paths, pattern_of
 from minorkit.plane import ConcentricCycles, mesh_nest
 from minorkit.routing import (
-    CurveSystem,
     annulus_from_json,
     annulus_to_json,
-    feasible_on_disc,
     route_cylinder,
     route_disc,
 )
@@ -29,25 +28,6 @@ def matchings(items):
             yield ((first, items[i]),) + rem
 
 
-def test_feasible_on_disc_basic():
-    order = (10, 11, 12, 13)
-    assert feasible_on_disc(Pattern.of([(10, 11), (12, 13)]), order)
-    assert feasible_on_disc(Pattern.of([(10, 13), (11, 12)]), order)
-    assert not feasible_on_disc(Pattern.of([(10, 12), (11, 13)]), order)
-
-
-def test_feasible_on_disc_repeated_terminal():
-    order = (1, 2, 3)
-    assert not feasible_on_disc(Pattern.of([(1, 2), (2, 3)]), order)
-
-
-def test_feasible_on_disc_errors():
-    with pytest.raises(TerminalNotOnBoundary):
-        feasible_on_disc(Pattern.of([(1, 9)]), (1, 2, 3))
-    with pytest.raises(PreconditionViolated):
-        feasible_on_disc(Pattern.of([(1, 2)]), (1, 2, 2))
-
-
 def test_route_disc_single_pair_one_ring():
     mesh, pg, cc, rails = mesh_nest(4, 1)
     paths = [rails[0], rails[1]]
@@ -58,20 +38,18 @@ def test_route_disc_single_pair_one_ring():
 
 def test_route_disc_exhaustive_matches_noncrossing_counts():
     # the routable patterns on 2k boundary terminals are exactly the
-    # non-crossing matchings: 1, 2, 5 of them for k = 1, 2, 3
+    # non-crossing matchings: 1, 2, 5 of them for k = 1, 2, 3; each answer
+    # agrees with the exact disjoint-paths engine on the whole mesh
     catalan = {1: 1, 2: 2, 3: 5}
     for k in (1, 2, 3):
         mesh, pg, cc, rails = mesh_nest(2 * k, k)
         terms = [r[0] for r in rails]
-        routed = rejected = 0
+        routed = 0
         for pairs in matchings(terms):
             pat = Pattern.of(pairs)
             lk = route_disc(cc, rails, pat)
-            if lk is None:
-                assert not feasible_on_disc(pat, terms)
-                rejected += 1
-            else:
-                assert feasible_on_disc(pat, terms)
+            assert (lk is None) == (disjoint_paths(mesh.graph, pat) is None)
+            if lk is not None:
                 assert pattern_of(lk) == pat
                 routed += 1
         assert routed == catalan[k]
@@ -103,6 +81,16 @@ def test_route_disc_preconditions():
         route_disc(cc, clipped, Pattern.of([(rails[0][0], rails[1][0]), (rails[2][0], rails[3][0])]))
     with pytest.raises(PreconditionViolated):
         route_disc(cc, rails, Pattern.of([(rails[0][0], rails[0][0]), (rails[1][0], rails[2][0])]))
+
+
+def test_route_disc_refuses_an_inner_terminal_that_the_cylinder_routes():
+    # a terminal at a rail's inner end is not on the disc's boundary
+    mesh, pg, cc, rails = mesh_nest(4, 4)
+    pat = Pattern.of([(rails[0][0], rails[1][-1]), (rails[2][0], rails[3][0])])
+    with pytest.raises(PreconditionViolated):
+        route_disc(cc, rails, pat)
+    lk = route_cylinder(cc, rails, pat)
+    assert lk is not None and pattern_of(lk) == pat
 
 
 def test_route_cylinder_exhaustive_against_solver():
@@ -196,49 +184,6 @@ def test_route_cylinder_preconditions():
     )
     with pytest.raises(PreconditionViolated):
         route_cylinder(cc, rails, both_ends)
-
-
-def test_curve_system_cylinder():
-    cs = CurveSystem.on_cylinder(
-        4,
-        4,
-        [
-            ((0, 0), (0, 1), 0),
-            ((1, 0), (1, 1), 0),
-            ((0, 2), (1, 2), 1),
-            ((0, 3), (1, 3), 1),
-        ],
-    )
-    assert cs.points == (4, 4) and cs.windings == (0, 0, 1, 1)
-    with pytest.raises(PreconditionViolated):
-        CurveSystem.on_cylinder(2, 2, [((0, 0), (0, 1), 1)])
-    with pytest.raises(PreconditionViolated):
-        CurveSystem.on_cylinder(
-            2, 2, [((0, 0), (1, 0), 1), ((0, 1), (1, 1), -1)]
-        )
-    with pytest.raises(PreconditionViolated):
-        CurveSystem.on_cylinder(
-            4,
-            2,
-            [
-                ((0, 0), (0, 2), 0),
-                ((0, 1), (1, 0), 0),
-                ((0, 3), (1, 1), 0),
-            ],
-        )
-
-
-def test_cylinder_misaligned_crossings_rejected():
-    with pytest.raises(PreconditionViolated):
-        CurveSystem.on_cylinder(
-            3,
-            3,
-            [
-                ((0, 0), (1, 0), 0),
-                ((0, 1), (1, 2), 0),
-                ((0, 2), (1, 1), 0),
-            ],
-        )
 
 
 def test_annulus_json_roundtrip():
