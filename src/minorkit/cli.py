@@ -1,16 +1,18 @@
 """Batch front end: generate instances, run the solvers and verifiers,
 emit JSON. One command per process; no interaction.
 
-Exit codes: 0 ok, 2 usage or bad input, 3 a search budget or cap was
-exceeded. Exit 1 has five causes: `vital` answers "not vital" (no
-linkage, or a linkage that is not vital); `reduce` ends with status
-"stuck"; `folio --engine both` gets different folios from its two engines;
-`verify-hk` finds that one of its two checks failed; and an internal error,
-which escapes `main` as a traceback. `reduce` exits 3 with status
-"capped" when a deletion rule's search ran out of its budget, and still
-prints the trace of the deletions it certified before that. In `dp`
+Exit codes: 0 ok; 2 usage or bad input (an unknown flag, a number out of
+its range, an unreadable or malformed file, or any library error but the
+two below); 3 a search budget or cap was exceeded (BudgetExceeded or
+SearchCapExceeded). Exit 1 has four causes: `vital` answers "not vital"
+(no linkage, or a linkage that is not vital); `reduce` ends with status
+"stuck"; `verify-hk` finds that one of its two checks failed; and an
+internal error, which escapes `main` as a traceback. `reduce` exits 3 with
+status "capped" when a deletion rule's search ran out of its budget, and
+still prints the trace of the deletions it certified before that. In `dp`
 and `vital` the linkage searches of one command share one budget of
-`--max-nodes` (NODE_BUDGET) nodes; other searches use the `errors` defaults.
+`--max-nodes` (NODE_BUDGET, at least 1) nodes; other searches use the
+`errors` defaults.
 """
 
 import argparse
@@ -34,16 +36,15 @@ from .errors import (
     NODE_BUDGET,
     Budget,
     BudgetExceeded,
-    GenerationCapExceeded,
     MinorkitError,
+    PreconditionViolated,
     SearchCapExceeded,
-    UsageError,
 )
 from .folios import dp_decomposition, folio_bruteforce, folio_dp, folio_to_json
 from .graphs import AnnotatedGraph, Graph, RootedGraph, parse_edge_list, write_edge_list
 from .linkages import disjoint_paths, is_vital, parse_pattern, write_pattern
 from .minors import bidim
-from .pipeline import PipelineConfig, reduce, trace_to_json
+from .pipeline import reduce, trace_to_json
 from .plane import mesh_nest
 from .routing import annulus_from_json, annulus_to_json, route_cylinder, route_disc
 
@@ -64,12 +65,12 @@ def _vertex(g, token):
     if token.lstrip("-").isdigit():
         v = int(token)
         if not (0 <= v < g.n):
-            raise UsageError(f"vertex {v} outside the graph")
+            raise PreconditionViolated(f"vertex {v} outside the graph")
         return v
     try:
         return g.vertex_by_label(token)
     except KeyError:
-        raise UsageError(f"no vertex labelled {token!r}") from None
+        raise PreconditionViolated(f"no vertex labelled {token!r}") from None
 
 
 def _vertex_list(g, text):
@@ -159,18 +160,14 @@ def _cmd_dp(args):
 def _cmd_folio(args):
     g = _load_graph(args.graph)
     rg = RootedGraph.of(g, _vertex_list(g, args.roots))
-    doc = {"roots": list(rg.roots), "d": args.d, "engine": args.engine}
-    code = 0
-    if args.engine in ("oracle", "both"):
-        doc["oracle"] = json.loads(folio_to_json(folio_bruteforce(rg, args.d)))
-    if args.engine in ("dp", "both"):
-        td = dp_decomposition(g)
-        doc["dp"] = json.loads(folio_to_json(folio_dp(rg, args.d, td)))
-    if args.engine == "both":
-        doc["equal"] = doc["oracle"] == doc["dp"]
-        code = 0 if doc["equal"] else 1
+    if args.engine == "oracle":
+        folio = folio_bruteforce(rg, args.d)
+    else:
+        folio = folio_dp(rg, args.d, dp_decomposition(g))
+    doc = {"roots": list(rg.roots), "d": args.d, "engine": args.engine,
+           args.engine: json.loads(folio_to_json(folio))}
     _emit(doc)
-    return code
+    return 0
 
 
 def _cmd_vital(args):
@@ -190,8 +187,7 @@ def _cmd_vital(args):
 def _cmd_reduce(args):
     g = _load_graph(args.graph)
     host = AnnotatedGraph.of(g, _vertex_list(g, args.annotated))
-    cfg = PipelineConfig(threshold=args.threshold, engine=args.engine)
-    _, trace = reduce(host, args.k, args.d, cfg)
+    _, trace = reduce(host, args.k, args.d, args.threshold)
     print(trace_to_json(trace))
     return {"met": 0, "stuck": 1, "capped": 3}[trace.status]
 
@@ -230,6 +226,25 @@ def _cmd_bidim(args):
 # --- argument wiring -------------------------------------------------------------
 
 
+def _int_from(lo):
+    """An argparse type: an integer no smaller than lo."""
+
+    def integer(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+        return value
+
+    return integer
+
+
+def _probability(text):
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 1]")
+    return value
+
+
 @functools.cache
 def _build_parser():
     top = argparse.ArgumentParser(
@@ -249,14 +264,14 @@ def _build_parser():
     gen.add_argument("--cols", type=int, default=3)
     gen.add_argument("--rails", type=int, default=4)
     gen.add_argument("--rings", type=int, default=4)
-    gen.add_argument("--p", type=float, default=0.4)
+    gen.add_argument("--p", type=_probability, default=0.4)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(fn=_cmd_gen)
 
     tw = sub.add_parser("tw", help="exact treewidth, optionally certified")
     tw.add_argument("--graph", required=True)
-    tw.add_argument("--certify", type=int, default=None)
+    tw.add_argument("--certify", type=_int_from(0), default=None)
     tw.set_defaults(fn=_cmd_tw)
 
     dp = sub.add_parser("dp", help="vertex-disjoint paths for a pattern")
@@ -268,20 +283,20 @@ def _build_parser():
         default="auto",
         help="both values run the same linkage search; kept for old command lines",
     )
-    dp.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
+    dp.add_argument("--max-nodes", type=_int_from(1), default=NODE_BUDGET)
     dp.set_defaults(fn=_cmd_dp)
 
     folio = sub.add_parser("folio", help="folio of a rooted graph")
     folio.add_argument("--graph", required=True)
     folio.add_argument("--roots", required=True)
     folio.add_argument("--d", type=int, default=0)
-    folio.add_argument("--engine", choices=["oracle", "dp", "both"], default="oracle")
+    folio.add_argument("--engine", choices=["oracle", "dp"], default="oracle")
     folio.set_defaults(fn=_cmd_folio)
 
     vital = sub.add_parser("vital", help="find a linkage and check vitality")
     vital.add_argument("--graph", required=True)
     vital.add_argument("--pattern", required=True)
-    vital.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
+    vital.add_argument("--max-nodes", type=_int_from(1), default=NODE_BUDGET)
     vital.set_defaults(fn=_cmd_vital)
 
     red = sub.add_parser("reduce", help="certified irrelevant-vertex reduction")
@@ -290,7 +305,6 @@ def _build_parser():
     red.add_argument("--k", type=int, default=1)
     red.add_argument("--d", type=int, default=0)
     red.add_argument("--threshold", type=int, default=4)
-    red.add_argument("--engine", choices=["oracle", "clique-rule", "both"], default="both")
     red.set_defaults(fn=_cmd_reduce)
 
     route = sub.add_parser("route", help="route a pattern on an annulus")
@@ -307,7 +321,7 @@ def _build_parser():
     bd = sub.add_parser("bidim", help="bidimensionality up to a cap")
     bd.add_argument("--graph", required=True)
     bd.add_argument("--annotated", default="")
-    bd.add_argument("--cap", type=int, default=3)
+    bd.add_argument("--cap", type=_int_from(0), default=3)
     bd.set_defaults(fn=_cmd_bidim)
 
     return top
@@ -333,7 +347,7 @@ def main(argv=None):
         _emit({"error": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, SearchCapExceeded, GenerationCapExceeded) as exc:
+    except (BudgetExceeded, SearchCapExceeded) as exc:
         _emit({"error": str(exc)})
         print(f"budget: {exc}", file=sys.stderr)
         return 3

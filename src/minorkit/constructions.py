@@ -21,9 +21,7 @@ from itertools import combinations
 
 from .errors import (
     BudgetExceeded,
-    FamilyTooSmall,
-    GenerationCapExceeded,
-    ParameterTooSmall,
+    PreconditionViolated,
     SearchCapExceeded,
     VitalityValidationFailed,
 )
@@ -57,7 +55,7 @@ GADGET_ORDER_CAP = 10
 def grid(n, m):
     """The n-by-m grid, row-major, row 0 on top."""
     if n < 1 or m < 1:
-        raise ParameterTooSmall(f"grid needs n, m >= 1, got {n}x{m}")
+        raise PreconditionViolated(f"grid needs n, m >= 1, got {n}x{m}")
     edges = []
     for r in range(n):
         for c in range(m):
@@ -94,7 +92,7 @@ def wall(n):
     the parity opposite to i's parity lose their rung.
     """
     if n < 1:
-        raise ParameterTooSmall(f"wall needs n >= 1, got {n}")
+        raise PreconditionViolated(f"wall needs n >= 1, got {n}")
     m = 2 * n
     drawn = embed_grid(n, m)
     kept = []
@@ -158,7 +156,7 @@ def cylindrical_mesh(n, m):
     The vertex at position p of cycle i is labelled ``c{i+1}.{p+1}``.
     """
     if n < 1 or m < 1:
-        raise ParameterTooSmall(
+        raise PreconditionViolated(
             f"need at least one rail and one ring, got {n}x{m}"
         )
     ln = max(n, 3)  # shortest simple cycle has three vertices
@@ -254,7 +252,7 @@ def gamma_hat(k):
     raises.  Cached per k.
     """
     if k < 2:
-        raise ParameterTooSmall(f"chorded-grid instance needs k >= 2, got {k}")
+        raise PreconditionViolated(f"chorded-grid instance needs k >= 2, got {k}")
     m = 2 ** k - 1
 
     def vid(row, col):  # 1-indexed grid coordinates
@@ -339,7 +337,7 @@ def z_graph(s):
     centres form the marked set.
     """
     if s < 1:
-        raise ParameterTooSmall(f"strip graph needs s >= 1, got {s}")
+        raise PreconditionViolated(f"strip graph needs s >= 1, got {s}")
     q = 2 * s + 1
     cols = s * q
     g0 = grid(s, cols)
@@ -446,14 +444,14 @@ def regular_gadgets(k):
     count is an output of the generation, never assumed.
     """
     if k < 1:
-        raise ParameterTooSmall(f"gadget family needs k >= 1, got {k}")
+        raise PreconditionViolated(f"gadget family needs k >= 1, got {k}")
     for n in range(6, GADGET_ORDER_CAP + 1, 2):
         fam = _five_regular_connected(n)
         if len(fam) >= k:
             return GadgetFamily(
                 members=fam[:k], n_vertices=n, available=len(fam)
             )
-    raise GenerationCapExceeded(
+    raise SearchCapExceeded(
         f"no order up to {GADGET_ORDER_CAP} carries {k} gadget types"
     )
 
@@ -477,9 +475,9 @@ def _attachment_block(gadget):
 
 def _sorted_members(fam, k):
     if k < 1:
-        raise ParameterTooSmall(f"need k >= 1, got {k}")
+        raise PreconditionViolated(f"need k >= 1, got {k}")
     if len(fam.members) < k:
-        raise FamilyTooSmall(
+        raise PreconditionViolated(
             f"family holds {len(fam.members)} gadgets, construction needs {k}"
         )
     return sorted(fam.members[:k], key=lambda g: canonical_code(RootedGraph.of(g, ())))
@@ -616,7 +614,7 @@ def _absent_after(deco, v, type_codes, block_order, code_of):
     return disjoint_paths(cg, pat) is None
 
 
-def verify_hk_deletion(k, fam=None, per_vertex=False):
+def verify_hk_deletion(k, per_vertex=False):
     """Check the target is a minor of the decoration, and of no puncture.
 
     Returns {"minor_present": bool, "per_vertex_absent": bool}; with
@@ -626,11 +624,10 @@ def verify_hk_deletion(k, fam=None, per_vertex=False):
     count and bridge arguments of _absent_after.
     """
     if k < 2:
-        raise ParameterTooSmall(f"deletion checker needs k >= 2, got {k}")
+        raise PreconditionViolated(f"deletion checker needs k >= 2, got {k}")
     if k > 2:
         raise SearchCapExceeded(f"deletion checker is desk-scale: k <= 2, got {k}")
-    if fam is None:
-        fam = regular_gadgets(k)
+    fam = regular_gadgets(k)
     members = _sorted_members(fam, k)
     deco = decorate_gamma(k, fam)
     target = h_graph(k, fam)

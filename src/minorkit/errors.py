@@ -1,7 +1,17 @@
 """Shared exception types, and the work budgets of the bounded searches.
 
-Every loud failure mode in the library is one of these; nothing silently
-truncates a search. A search is bounded by the work it does, not by the
+Every loud failure mode in the library is one of six types; nothing
+silently truncates a search. `minorkit` maps each to an exit code:
+- PreconditionViolated, exit 2: bad input (a self-loop, a vertex out of
+  range, a malformed file, a parameter below its minimum, ...);
+- BudgetExceeded, exit 3: a search spent its work budget;
+- SearchCapExceeded, exit 3: a search or generation passed a fixed cap or
+  the recursion limit;
+- CertificateNotFound, exit 2: no treewidth certificate of the asked kind;
+- VitalityValidationFailed, exit 2: a construction's own check failed;
+- MinorkitError, exit 2: the base class of the five.
+
+A search is bounded by the work it does, not by the
 size of its input: it charges a Budget and raises BudgetExceeded, naming
 its units and how far it got, once that is spent. The defaults, with the
 time each takes to run out (Python 3.11, one core of a 2-CPU VM):
@@ -25,8 +35,8 @@ kd_folio or strongly_irrelevant call (charged as a Budget, and counted the
 same way by strongly_irrelevant, which tests only the sorted tuples);
 folios.ORACLE_DETAIL_CAP and ORACLE_ROOT_CAP, which bound the pattern
 lattice; and constructions.GADGET_ORDER_CAP, the largest order gadget
-generation enumerates (GenerationCapExceeded). SearchCapExceeded means the
-two oracle caps, a search deeper than the recursion limit, or, from
+generation enumerates. SearchCapExceeded means the two oracle caps, the
+gadget cap, a search deeper than the recursion limit, or, from
 verify_hk_deletion, only its k <= 2 guard.
 """
 
@@ -60,70 +70,22 @@ class MinorkitError(Exception):
     """Base class for all library errors."""
 
 
-class SelfLoop(MinorkitError):
-    """An edge joins a vertex to itself."""
-
-
-class IndexOutOfRange(MinorkitError):
-    """A vertex index is outside [0, n)."""
-
-
 class PreconditionViolated(MinorkitError):
-    """An operation's documented precondition does not hold."""
-
-
-class SearchCapExceeded(MinorkitError):
-    """An exact search was asked to run beyond a fixed cap or the recursion
-    limit; see the module docstring for which."""
+    """Bad input: an operation's documented precondition does not hold."""
 
 
 class BudgetExceeded(MinorkitError):
     """A Budget ran out; `budget` says whose, its limit and how far it got."""
 
 
-class RootCountMismatch(MinorkitError):
-    """Two rooted graphs disagree on the number of roots."""
-
-
-class InvalidEmbedding(MinorkitError):
-    """A rotation system fails validation or is not genus zero."""
-
-
-class InvalidDecomposition(MinorkitError):
-    """A tree decomposition fails validation."""
-
-
-class InvalidLinkage(MinorkitError):
-    """A claimed linkage does not validate in its host graph."""
+class SearchCapExceeded(MinorkitError):
+    """An exact search or generation was asked to run beyond a fixed cap or
+    the recursion limit; see the module docstring for which."""
 
 
 class CertificateNotFound(MinorkitError):
     """No treewidth certificate of the requested kind was found."""
 
 
-class NotTight(MinorkitError):
-    """A well operation requires tight cycles and the input is not tight."""
-
-
-class ParameterTooSmall(MinorkitError):
-    """A generator parameter is below its documented minimum."""
-
-
-class GenerationCapExceeded(MinorkitError):
-    """Exhaustive generation was asked to go beyond its feasible range."""
-
-
-class FamilyTooSmall(MinorkitError):
-    """A gadget family has fewer members than the construction needs."""
-
-
 class VitalityValidationFailed(MinorkitError):
     """A construction's witness linkage provably failed its vitality check."""
-
-
-class CliqueTooSmall(MinorkitError):
-    """A clique minor model is below the order the reduction rule requires."""
-
-
-class UsageError(MinorkitError):
-    """Bad command line arguments."""

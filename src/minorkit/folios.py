@@ -38,10 +38,8 @@ from .errors import (
     STATE_BUDGET,
     Budget,
     BudgetExceeded,
-    InvalidDecomposition,
     PreconditionViolated,
     SearchCapExceeded,
-    UsageError,
 )
 from .graphs import Graph, RootedGraph, delete_vertex
 from .minors import canonical_code, canonical_form, find_rooted_minor
@@ -248,7 +246,7 @@ def _dp_plan(g, td):
     and nbrs the positions of its neighbours in the old one. The plan
     depends on the host graph only, so it is built once per host."""
     if not validate_td(g, td).valid:
-        raise InvalidDecomposition("decomposition does not validate for host")
+        raise PreconditionViolated("decomposition does not validate for host")
     plan = []
 
     def move(bag, to):
@@ -471,27 +469,19 @@ def _root_tuples(host, k):
     return itertools.product(reds, repeat=k)
 
 
-def kd_folio(host, k, d, engine="oracle"):
-    """Union of d-folios over all ordered k-multisets of annotated vertices,
-    by engine "oracle" or "dp" (UsageError otherwise; PreconditionViolated
-    on a negative k or d). The DP engine builds one plan per host from
-    dp_decomposition and makes one run per root tuple and open candidate
-    group. BudgetExceeded past MULTISET_CAP multisets, STATE_BUDGET states
-    in one DP run or MINOR_NODE_BUDGET nodes in one oracle search."""
-    if engine not in ("oracle", "dp"):
-        raise UsageError(f"unknown engine {engine!r}")
+def kd_folio(host, k, d):
+    """The (k,d)-folio: the union of the d-folios of (host, tup) over every
+    ordered k-multiset tup of annotated vertices, each tagged by its tuple's
+    equality pattern. Computed by the folio DP, on one plan per host from
+    dp_decomposition, with one run per root tuple and open candidate group.
+    PreconditionViolated on a negative k or d; BudgetExceeded past
+    MULTISET_CAP multisets or STATE_BUDGET states in one DP run."""
     _check_counts(k, d)
     tuples = _root_tuples(host, k)
-    if engine == "dp":
-        plan = _dp_plan(host.graph, dp_decomposition(host.graph))
-
+    plan = _dp_plan(host.graph, dp_decomposition(host.graph))
     entries = set()
     for tup in tuples:
-        rg = RootedGraph.of(host.graph, tup)
-        if engine == "oracle":
-            entries |= folio_bruteforce(rg, d).entries
-        else:
-            entries |= _dp_folio(rg, d, plan).entries
+        entries |= _dp_folio(RootedGraph.of(host.graph, tup), d, plan).entries
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, PreconditionViolated, SelfLoop
+from .errors import PreconditionViolated
 
 
 class Graph:
@@ -20,13 +20,13 @@ class Graph:
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
-            raise IndexOutOfRange(f"vertex count {n} is negative")
+            raise PreconditionViolated(f"vertex count {n} is negative")
         seen = set()
         for u, v in edges:
             if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
+                raise PreconditionViolated(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise IndexOutOfRange(f"edge ({u},{v}) outside [0,{n})")
+                raise PreconditionViolated(f"edge ({u},{v}) outside [0,{n})")
             seen.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(seen)
@@ -38,7 +38,7 @@ class Graph:
         labels = dict(labels) if labels else {}
         for v in labels:
             if not (0 <= v < n):
-                raise IndexOutOfRange(f"label on missing vertex {v}")
+                raise PreconditionViolated(f"label on missing vertex {v}")
         self.labels = labels
 
     @property
@@ -92,7 +92,7 @@ class AnnotatedGraph:
     def __post_init__(self):
         bad = [v for v in self.annotated if not (0 <= v < self.graph.n)]
         if bad:
-            raise IndexOutOfRange(f"annotated vertices {bad} outside graph")
+            raise PreconditionViolated(f"annotated vertices {bad} outside graph")
 
     @staticmethod
     def of(graph, annotated):
@@ -109,7 +109,7 @@ class RootedGraph:
     def __post_init__(self):
         bad = [r for r in self.roots if not (0 <= r < self.graph.n)]
         if bad:
-            raise IndexOutOfRange(f"roots {bad} outside graph")
+            raise PreconditionViolated(f"roots {bad} outside graph")
 
     @staticmethod
     def of(graph, roots):
@@ -121,7 +121,7 @@ def induced_subgraph(g, keep):
     kept = sorted(set(keep))
     for v in kept:
         if not (0 <= v < g.n):
-            raise IndexOutOfRange(f"vertex {v} outside graph")
+            raise PreconditionViolated(f"vertex {v} outside graph")
     remap = {old: new for new, old in enumerate(kept)}
     edges = [
         (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
@@ -371,7 +371,7 @@ def min_vertex_cut(g, sources, sinks):
     sources, sinks = frozenset(sources), frozenset(sinks)
     for v in sources | sinks:
         if not (0 <= v < g.n):
-            raise IndexOutOfRange(f"terminal {v} outside graph")
+            raise PreconditionViolated(f"terminal {v} outside graph")
     if sources & sinks:
         raise PreconditionViolated("a vertex is both a source and a sink")
     value, (arc_to, arc_cap, adj) = _vertex_flow(g, sources, sinks)

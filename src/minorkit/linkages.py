@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NODE_BUDGET,
-    Budget,
-    IndexOutOfRange,
-    InvalidLinkage,
-    SearchCapExceeded,
-    UsageError,
-)
+from .errors import NODE_BUDGET, Budget, PreconditionViolated, SearchCapExceeded
 from .graphs import mask_reach, neighbor_masks
 
 
@@ -78,22 +71,22 @@ def pattern_of(l):
     seen = set()
     for p in l.paths:
         if not p:
-            raise InvalidLinkage("empty path in linkage")
+            raise PreconditionViolated("empty path in linkage")
         for v in p:
             if v in seen:
-                raise InvalidLinkage(f"vertex {v} used twice")
+                raise PreconditionViolated(f"vertex {v} used twice")
             seen.add(v)
     return Pattern.of((p[0], p[-1]) for p in l.paths)
 
 
-def _enumerate_linkages(g, p, spanning_only, limit, budget):
+def _enumerate_linkages(g, p, limit, budget):
     """Count linkages matching p, saturating at limit, and return the first
     witness found in the deterministic order, charging `budget` per search
     node. SearchCapExceeded when a path grows deeper than the interpreter's
     recursion limit."""
     for a, b in p.pairs:
         if not (0 <= a < g.n and 0 <= b < g.n):
-            raise IndexOutOfRange(f"terminal outside graph: {(a, b)}")
+            raise PreconditionViolated(f"terminal outside graph: {(a, b)}")
     masks = neighbor_masks(g)
     k = len(p.pairs)
     full = (1 << g.n) - 1
@@ -107,13 +100,6 @@ def _enumerate_linkages(g, p, spanning_only, limit, budget):
     if budget is None:
         budget = Budget(NODE_BUDGET, "linkage search nodes")
     charge = budget.charge
-
-    def at_leaf(used):
-        if spanning_only and used != full:
-            return
-        state["count"] += 1
-        if state["first"] is None:
-            state["first"] = Linkage.of(list(prefix))
 
     def extend(i, t, cur, used, path):
         if state["count"] >= limit:
@@ -162,7 +148,9 @@ def _enumerate_linkages(g, p, spanning_only, limit, budget):
         if state["count"] >= limit:
             return
         if i == k:
-            at_leaf(used)
+            state["count"] += 1
+            if state["first"] is None:
+                state["first"] = Linkage.of(list(prefix))
             return
         charge()
         s, t = p.pairs[i]
@@ -182,11 +170,11 @@ def _enumerate_linkages(g, p, spanning_only, limit, budget):
     return state["count"], state["first"]
 
 
-def count_linkages(g, p, spanning_only=False, limit=2, budget=None):
+def count_linkages(g, p, limit=2, budget=None):
     """Number of distinct linkages with pattern p, saturating at limit."""
     if limit <= 0:
         return 0
-    count, _ = _enumerate_linkages(g, p, spanning_only, limit, budget)
+    count, _ = _enumerate_linkages(g, p, limit, budget)
     return count
 
 
@@ -200,8 +188,8 @@ def disjoint_paths(g, p, engine="auto", budget=None):
     `minorkit dp --engine`); both can go with the next benchmark change.
     """
     if engine not in ("auto", "dfs"):
-        raise UsageError(f"unknown engine {engine!r}")
-    _, linkage = _enumerate_linkages(g, p, False, 1, budget)
+        raise PreconditionViolated(f"unknown engine {engine!r}")
+    _, linkage = _enumerate_linkages(g, p, 1, budget)
     if linkage is None:
         return None
     assert validate_linkage(g, linkage) and pattern_of(linkage) == Pattern.of(p.pairs)
@@ -211,11 +199,11 @@ def disjoint_paths(g, p, engine="auto", budget=None):
 def is_vital(g, l, budget=None):
     """Spans every vertex and is the unique linkage for its pattern."""
     if not validate_linkage(g, l):
-        raise InvalidLinkage("linkage does not validate in host")
+        raise PreconditionViolated("linkage does not validate in host")
     if sum(len(p) for p in l.paths) != g.n:
         return False
     p = pattern_of(l)
-    return count_linkages(g, p, spanning_only=False, limit=2, budget=budget) == 1
+    return count_linkages(g, p, budget=budget) == 1
 
 
 # --- text formats ------------------------------------------------------------------
@@ -233,10 +221,10 @@ def parse_pattern(text):
             continue
         parts = line.split()
         if len(parts) != 3 or parts[0] != "pair":
-            raise UsageError(f"bad pattern line: {raw!r}")
+            raise PreconditionViolated(f"bad pattern line: {raw!r}")
         try:
             pairs.append((int(parts[1]), int(parts[2])))
         except ValueError:
-            raise UsageError(f"bad pattern line: {raw!r}") from None
+            raise PreconditionViolated(f"bad pattern line: {raw!r}") from None
     return Pattern.of(pairs)
 

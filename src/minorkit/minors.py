@@ -31,7 +31,6 @@ from .errors import (
     MINOR_NODE_BUDGET,
     Budget,
     PreconditionViolated,
-    RootCountMismatch,
     SearchCapExceeded,
 )
 from .graphs import (
@@ -272,7 +271,7 @@ def _is_planar(pattern):
 def find_rooted_minor(host, pattern):
     """Rooted minor: host root i must land in the branch set of pattern root i."""
     if len(host.roots) != len(pattern.roots):
-        raise RootCountMismatch(
+        raise PreconditionViolated(
             f"host has {len(host.roots)} roots, pattern {len(pattern.roots)}"
         )
     required = [0] * pattern.graph.n

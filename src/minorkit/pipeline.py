@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .decomposition import exact_treewidth
-from .errors import BudgetExceeded, CliqueTooSmall, PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated
 from .folios import _check_counts, folio_bruteforce, kd_folio, strongly_irrelevant
 from .graphs import (
     AnnotatedGraph,
@@ -59,7 +59,7 @@ def clique_irrelevant_vertex(host, d, model):
     t = len(model.branch_sets)
     bound = _clique_order(terms, d)
     if t < bound:
-        raise CliqueTooSmall(
+        raise PreconditionViolated(
             f"clique order {t} is under the bound {bound} for "
             f"{len(terms)} terminals at detail {d}"
         )
@@ -82,21 +82,6 @@ def clique_irrelevant_vertex(host, d, model):
 
 
 # --- the reduction driver ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for reduce: the width to stop at and the deletion rules. The
-    searches run under the library's default budgets and caps."""
-
-    threshold: int = 4
-    engine: str = "both"
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise PreconditionViolated("threshold must be at least 1")
-        if self.engine not in ("oracle", "clique-rule", "both"):
-            raise PreconditionViolated(f"unknown engine {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -153,44 +138,42 @@ def _oracle_step(cur, k, d, before):
     return None
 
 
-def reduce(host, k, d, cfg=PipelineConfig()):
-    """Delete certified-irrelevant vertices until the treewidth threshold
-    is met or no rule fires; returns (reduced graph, trace).
+def reduce(host, k, d, threshold=4):
+    """Delete certified-irrelevant vertices until the exact treewidth is at
+    most `threshold` (at least 1) or no rule fires; returns (reduced graph,
+    trace).
 
-    One deletion per round. The clique rule is tried first when enabled;
-    the oracle rule is the fallback. Every trace entry names the deleted
-    vertex in the numbering of the original input. Each root tuple's folio
-    is computed once per run and kept until a clique-rule deletion. When a
-    search of either rule runs out of its budget, the deletions certified so
-    far are returned with status "capped"; a negative k or d, the oracle's
-    root and detail caps and exact_treewidth's budget raise.
+    One deletion per round: the clique rule first, then the oracle rule.
+    Every trace entry names the deleted vertex in the numbering of the
+    original input. Each root tuple's folio is computed once per run and
+    kept until a clique-rule deletion. The searches run under the library's
+    default budgets and caps. When a search of either rule runs out of its
+    budget, the deletions certified so far are returned with status
+    "capped"; a negative k or d, the oracle's root and detail caps and
+    exact_treewidth's budget raise.
     """
+    if threshold < 1:
+        raise PreconditionViolated("threshold must be at least 1")
     _check_counts(k, d)
     cur, orig_of = host, list(host.graph.vertices())
     deletions = []
     folios = {}  # root tuple in input numbering -> folio codes
     while True:
         width, _ = exact_treewidth(cur.graph)
-        if width <= cfg.threshold:
+        if width <= threshold:
             status = "met"
             break
-        found = None
         try:
-            if cfg.engine in ("clique-rule", "both"):
-                v = _clique_step(cur, d, width)
-                if v is not None:
-                    found = (v, "clique-rule")
-            if found is None and cfg.engine in ("oracle", "both"):
-                v = _oracle_step(cur, k, d, _kept_folio(folios, cur, orig_of, d))
-                if v is not None:
-                    found = (v, "oracle")
+            v, rule = _clique_step(cur, d, width), "clique-rule"
+            if v is None:
+                before = _kept_folio(folios, cur, orig_of, d)
+                v, rule = _oracle_step(cur, k, d, before), "oracle"
         except BudgetExceeded:
             status = "capped"
             break
-        if found is None:
+        if v is None:
             status = "stuck"
             break
-        v, rule = found
         if rule == "clique-rule":
             folios.clear()
         deletions.append((orig_of[v], rule))
@@ -244,11 +227,11 @@ def verify_trace(host, trace, k, d):
             return False
 
 
-def solve_folio(host, k, d, cfg=PipelineConfig()):
-    """Reduce first, then run the decomposition engine on the survivor.
-    Equals the direct brute-force folio of the unreduced input."""
-    reduced, _ = reduce(host, k, d, cfg)
-    return kd_folio(reduced, k, d, engine="dp")
+def solve_folio(host, k, d, threshold=4):
+    """Reduce first, then take the (k,d)-folio of the survivor. Equals the
+    (k,d)-folio of the unreduced input."""
+    reduced, _ = reduce(host, k, d, threshold)
+    return kd_folio(reduced, k, d)
 
 
 # --- trace export ------------------------------------------------------------

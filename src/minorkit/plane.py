@@ -17,11 +17,7 @@ subgraph.
 
 from __future__ import annotations
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidEmbedding,
-    PreconditionViolated,
-)
+from .errors import PreconditionViolated
 from .graphs import (
     blocks,
     connected_components,
@@ -38,7 +34,7 @@ class PlaneGraph:
     `rotation[v]` is the cyclic order of v's neighbors. The orbit count of
     the face walk must satisfy Euler's formula n - m + f = 2, which is
     exactly the statement that the rotation system describes a sphere
-    embedding; anything else raises InvalidEmbedding. The face traced by
+    embedding; anything else raises PreconditionViolated. The face traced by
     `outer_dart` is the outer face; a lone vertex has one face, which is
     the outer one, and ignores `outer_dart`.
     """
@@ -47,17 +43,17 @@ class PlaneGraph:
 
     def __init__(self, graph, rotation, outer_dart):
         if not is_connected(graph):
-            raise InvalidEmbedding("plane graphs must be connected")
+            raise PreconditionViolated("plane graphs must be connected")
         rotation = tuple(tuple(r) for r in rotation)
         if len(rotation) != graph.n:
-            raise InvalidEmbedding(
+            raise PreconditionViolated(
                 f"rotation lists {len(rotation)} vertices, graph has {graph.n}"
             )
         prev = []
         for v in range(graph.n):
             ring = rotation[v]
             if sorted(ring) != list(graph.neighbors(v)):
-                raise InvalidEmbedding(
+                raise PreconditionViolated(
                     f"rotation at vertex {v} does not list its neighbors"
                 )
             prev.append(
@@ -83,12 +79,12 @@ class PlaneGraph:
         if graph.n == 1:  # a lone vertex has no darts and one face
             faces, vertex_faces, outer = [()], [{0}], 0
         elif graph.n - graph.m + len(faces) != 2:
-            raise InvalidEmbedding(
+            raise PreconditionViolated(
                 f"rotation system is not planar: {graph.n} - {graph.m} + "
                 f"{len(faces)} != 2"
             )
         elif tuple(outer_dart) not in face_of:
-            raise IndexOutOfRange(f"outer dart {tuple(outer_dart)} is not a dart")
+            raise PreconditionViolated(f"outer dart {tuple(outer_dart)} is not a dart")
         else:
             outer = face_of[tuple(outer_dart)]
         self.graph = graph
@@ -676,7 +672,7 @@ def write_plane(pg):
 def parse_plane(text):
     """Inverse of write_plane. Raises PreconditionViolated on a malformed
     line, a `rot` line for a vertex the graph lacks or a repeated one, and
-    InvalidEmbedding on a rotation system that is not planar."""
+    PreconditionViolated on a rotation system that is not planar."""
     plain = []
     rot_lines = {}
     outer = None

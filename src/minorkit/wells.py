@@ -17,7 +17,7 @@ every step.
 
 from __future__ import annotations
 
-from .errors import MinorkitError, NotTight, PreconditionViolated
+from .errors import MinorkitError, PreconditionViolated
 from .plane import (
     ConcentricCycles,
     _arc,
@@ -311,7 +311,7 @@ def drain(w):
 def dry(w):
     """Rewrite paths until the well is dry. Requires tight cycles."""
     if not is_tight(w):
-        raise NotTight("dry requires the well's cycles to be tight")
+        raise PreconditionViolated("dry requires the well's cycles to be tight")
     out = _descend(w, is_dry, "dry")
     assert len(out.paths) == len(w.paths)
     return out

@@ -170,14 +170,16 @@ def test_vital_rejects_linkage_with_detour(tmp_path, capsys):
 
 def test_folio_engines_agree_with_labelled_roots(tmp_path, capsys):
     g = write_c4(tmp_path)
-    code, doc = run_cli(
-        capsys,
-        ["folio", "--graph", str(g), "--roots", "a,c", "--engine", "both", "--d", "0"],
-    )
-    assert code == 0
-    assert doc["equal"] is True
-    assert doc["roots"] == [0, 2]
-    assert doc["oracle"] == doc["dp"]
+    docs = {}
+    for engine in ("oracle", "dp"):
+        code, docs[engine] = run_cli(
+            capsys,
+            ["folio", "--graph", str(g), "--roots", "a,c", "--engine", engine, "--d", "0"],
+        )
+        assert code == 0
+        assert docs[engine]["roots"] == [0, 2]
+        assert docs[engine]["engine"] == engine
+    assert docs["oracle"]["oracle"] == docs["dp"]["dp"]
 
 
 # --- reduce -----------------------------------------------------------------------
@@ -217,20 +219,22 @@ def test_reduce_emits_trace_and_exit_zero_when_met(tmp_path, capsys):
 
 
 def test_reduce_exit_one_when_stuck(tmp_path, capsys):
-    g = write_blob(tmp_path)
+    # every vertex of K5 is annotated, so the oracle rule has nothing to
+    # test, and five terminals need a K13 minor for the clique rule
+    g = tmp_path / "k5.edg"
+    g.write_text(write_edge_list(Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])))
     code, doc = run_cli(
         capsys,
         [
             "reduce",
             "--graph", str(g),
-            "--annotated", "0,2",
-            "--k", "2",
+            "--annotated", "0,1,2,3,4",
             "--threshold", "1",
-            "--engine", "clique-rule",
         ],
     )
     assert code == 1
     assert doc["status"] == "stuck"
+    assert doc["deletions"] == []
 
 
 def test_reduce_prints_the_partial_trace_and_exits_three_when_capped(
@@ -377,7 +381,7 @@ def test_unknown_label_exits_two(tmp_path, capsys):
         ["folio", "--roots", "0,3", "--d", "-1", "--engine", "dp"],
         # the 4x4 grid has width 4, so this run would end "met" at once
         ["reduce", "--annotated", "0,3", "--k", "-1", "--d", "-1", "--threshold", "4"],
-        ["reduce", "--annotated", "0,3", "--k", "-1", "--threshold", "1", "--engine", "clique-rule"],
+        ["reduce", "--annotated", "0,3", "--k", "1", "--d", "-1", "--threshold", "4"],
     ],
 )
 def test_a_negative_root_count_or_detail_exits_two(tmp_path, capsys, argv):
@@ -446,6 +450,39 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, bad):
     code, doc = run_cli(capsys, args)
     assert code == 2
     assert "error" in doc
+
+
+DP = ["dp", "--graph", "G", "--pattern", "P", "--max-nodes", "N"]
+VITAL = ["vital", "--graph", "G", "--pattern", "P", "--max-nodes", "N"]
+RANDOM = ["gen", "random", "-o", "O", "--p", "N"]
+
+
+@pytest.mark.parametrize(
+    "argv, good, bad",
+    [
+        pytest.param(DP, "100", "0", id="dp-max-nodes-zero"),
+        pytest.param(DP, "100", "-1", id="dp-max-nodes-negative"),
+        pytest.param(VITAL, "100", "0", id="vital-max-nodes-zero"),
+        pytest.param(VITAL, "100", "-1", id="vital-max-nodes-negative"),
+        pytest.param(["tw", "--graph", "G", "--certify", "N"], "2", "-1", id="tw-certify-negative"),
+        pytest.param(["bidim", "--graph", "G", "--cap", "N"], "0", "-1", id="bidim-cap-negative"),
+        pytest.param(RANDOM, "1", "2", id="gen-p-above-one"),
+        pytest.param(RANDOM, "0", "-0.5", id="gen-p-below-zero"),
+        pytest.param(RANDOM, "0.5", "nan", id="gen-p-nan"),
+    ],
+)
+def test_an_out_of_range_number_exits_two(tmp_path, capsys, argv, good, bad):
+    # the command answers with the good value in place of N; with the bad
+    # one it refuses before it writes anything
+    (tmp_path / "p.pat").write_text("pair 0 2\n")
+    files = {"G": str(write_c4(tmp_path)), "P": str(tmp_path / "p.pat"), "O": str(tmp_path / "o")}
+    assert cli.main([{**files, "N": good}.get(a, a) for a in argv]) in (0, 1)
+    capsys.readouterr()
+    (tmp_path / "o").unlink(missing_ok=True)
+    assert cli.main([{**files, "N": bad}.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {argv[-2]}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -23,12 +23,7 @@ from minorkit.constructions import (
     z_graph,
 )
 from minorkit.decomposition import exact_treewidth
-from minorkit.errors import (
-    FamilyTooSmall,
-    GenerationCapExceeded,
-    ParameterTooSmall,
-    SearchCapExceeded,
-)
+from minorkit.errors import PreconditionViolated, SearchCapExceeded
 from minorkit.graphs import (
     Graph,
     RootedGraph,
@@ -65,7 +60,7 @@ def test_grid_shape_and_degrees():
     g = grid(3, 4)
     assert g.n == 12 and g.m == 3 * 3 + 2 * 4
     assert max(g.degree(v) for v in g.vertices()) == 4
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         grid(0, 5)
 
 
@@ -131,7 +126,7 @@ def test_mesh_rail_cycle_incidence(n, m):
         assert rail[0] in mesh.cycles[0] and rail[-1] in mesh.cycles[-1]
         for cyc, v in zip(mesh.cycles, rail):
             assert len(set(rail) & set(cyc)) == 1 and v in cyc
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         cylindrical_mesh(0, m)
 
 
@@ -139,7 +134,7 @@ def test_mesh_small_parameters_still_build():
     mesh = cylindrical_mesh(1, 2)
     assert len(mesh.rails) == 1 and len(mesh.cycles) == 2
     assert len(mesh.cycles[0]) == 3  # shortest simple cycle
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         cylindrical_mesh(0, 3)
 
 
@@ -200,7 +195,7 @@ def test_gamma_four_builds_with_deferred_uniqueness():
 
 
 def test_gamma_needs_k_at_least_two():
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         gamma_hat(1)
 
 
@@ -239,7 +234,7 @@ def test_z_marked_set_size(s):
 
 
 def test_z_needs_positive_order():
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         z_graph(0)
 
 
@@ -299,9 +294,9 @@ def test_gadget_generation_cap_fires_beyond_the_reach(monkeypatch):
         "_five_regular_connected",
         lambda n: () if n == 10 else _five_regular_connected(n),
     )
-    with pytest.raises(GenerationCapExceeded):
+    with pytest.raises(SearchCapExceeded):
         regular_gadgets(5)
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         regular_gadgets(0)
 
 
@@ -323,7 +318,7 @@ def test_target_graph_size_and_shape():
 
 def test_target_needs_enough_gadgets():
     fam = regular_gadgets(2)
-    with pytest.raises(FamilyTooSmall):
+    with pytest.raises(PreconditionViolated):
         h_graph(3, fam)
 
 
@@ -462,7 +457,7 @@ def test_deletion_checker_stage_arguments():
 
 
 def test_deletion_checker_parameter_guards():
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(PreconditionViolated):
         verify_hk_deletion(1)
     with pytest.raises(SearchCapExceeded):
         verify_hk_deletion(3)

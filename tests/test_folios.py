@@ -21,10 +21,8 @@ from minorkit.errors import (
     STATE_BUDGET,
     Budget,
     BudgetExceeded,
-    InvalidDecomposition,
     PreconditionViolated,
     SearchCapExceeded,
-    UsageError,
 )
 from minorkit.folios import (
     Folio,
@@ -326,7 +324,7 @@ def test_dp_equals_oracle_randomized():
 def test_dp_rejects_invalid_decomposition():
     host = RootedGraph(path_graph(3), (0,))
     bad = TreeDecomposition(Graph(1, []), (frozenset({0, 1}),))  # vertex 2 missing
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(PreconditionViolated):
         folio_dp(host, 0, bad)
 
 
@@ -388,7 +386,7 @@ def test_dp_plan_rejects_a_broken_tree():
     g = Graph(3, [])
     bags = (frozenset({0}), frozenset({1}), frozenset({2}))
     for tree in (Graph(3, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)])):
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(PreconditionViolated):
             _dp_plan(g, TreeDecomposition(tree, bags))
 
 
@@ -453,7 +451,7 @@ def test_dp_runs_past_the_exact_treewidth_cap(monkeypatch):
     assert got == folio_dp(host, 1, ladder_path_decomposition(11))
     # the 2x3 ladder rooted at its corners is a rooted minor of this one
     assert folio_bruteforce(RootedGraph(grid_graph(2, 3), (0, 5)), 1).codes() <= got.codes()
-    kd = kd_folio(AnnotatedGraph.of(g, {0, 21}), 2, 1, engine="dp")
+    kd = kd_folio(AnnotatedGraph.of(g, {0, 21}), 2, 1)
     assert got.entries <= kd.entries
     # the Wagner graph's bounds straddle (3 and 4); once the elimination
     # search runs out of its budget the DP runs on the min-fill decomposition
@@ -512,6 +510,15 @@ def test_dp_answers_grids_within_the_default_budget():
 # --- (k,d)-folios ------------------------------------------------------------
 
 
+def kd_folio_by_oracle(host, k, d):
+    """The (k,d)-folio by definition: the union of folio_bruteforce over
+    every ordered k-tuple of annotated vertices."""
+    entries = set()
+    for tup in itertools.product(sorted(host.annotated), repeat=k):
+        entries |= folio_bruteforce(RootedGraph.of(host.graph, tup), d).entries
+    return Folio(k=k, d=d, entries=frozenset(entries))
+
+
 def test_kd_folio_with_no_roots_is_plain_minors():
     tri = AnnotatedGraph.of(Graph(3, [(0, 1), (1, 2), (0, 2)]), ())
     f1 = kd_folio(tri, 0, 1)
@@ -520,17 +527,20 @@ def test_kd_folio_with_no_roots_is_plain_minors():
     f2 = kd_folio(tri, 0, 2)
     # gains the two-vertex patterns, joined or not
     assert len(f2.entries) == 4
+    assert (f1, f2) == (kd_folio_by_oracle(tri, 0, 1), kd_folio_by_oracle(tri, 0, 2))
 
 
 def test_kd_folio_single_red_vertex():
     host = AnnotatedGraph.of(Graph(1, []), {0})
     f = kd_folio(host, 1, 0)
     assert len(f.entries) == 1
+    assert f == kd_folio_by_oracle(host, 1, 0)
 
 
 def test_kd_folio_tags_members_by_tuple_pattern():
     host = AnnotatedGraph.of(path_graph(3), {0, 2})
     f = kd_folio(host, 2, 0)
+    assert f == kd_folio_by_oracle(host, 2, 0)
     merged_code = canonical_code(TWO_ROOTS_MERGED)
     tags = {e.tag for e in f.entries if e.code == merged_code}
     # (0,0) and (2,2) give the repeated-tuple tag, (0,2) and (2,0) the
@@ -553,10 +563,9 @@ def test_kd_folio_multiset_budget():
     # 16 ** 3 = 4096 root tuples are allowed, 17 ** 3 = 4913 are not
     assert len(list(_root_tuples(AnnotatedGraph.of(path_graph(16), range(16)), 3))) == 4096
     host = AnnotatedGraph.of(path_graph(18), range(17))
-    for engine in ("oracle", "dp"):
-        with pytest.raises(BudgetExceeded) as err:
-            kd_folio(host, 3, 0, engine=engine)
-        assert_spent(err, "root multisets", 4096)
+    with pytest.raises(BudgetExceeded) as err:
+        kd_folio(host, 3, 0)
+    assert_spent(err, "root multisets", 4096)
     with pytest.raises(BudgetExceeded) as err:
         strongly_irrelevant(host, 3, 0, 17)
     assert_spent(err, "root multisets", 4096)
@@ -564,15 +573,7 @@ def test_kd_folio_multiset_budget():
 
 def test_kd_folio_dp_engine_matches_oracle():
     host = AnnotatedGraph.of(grid_graph(2, 3), {0, 5})
-    a = kd_folio(host, 2, 1, engine="oracle")
-    b = kd_folio(host, 2, 1, engine="dp")
-    assert a.entries == b.entries
-
-
-def test_kd_folio_rejects_an_unknown_engine():
-    host = AnnotatedGraph.of(grid_graph(2, 3), {0, 5})
-    with pytest.raises(UsageError):
-        kd_folio(host, 2, 1, engine="dpp")
+    assert kd_folio(host, 2, 1) == kd_folio_by_oracle(host, 2, 1)
 
 
 def test_a_negative_root_count_or_detail_is_rejected():
@@ -582,9 +583,8 @@ def test_a_negative_root_count_or_detail_is_rejected():
     for k, d in ((1, -1), (-1, 0)):
         with pytest.raises(PreconditionViolated):
             strongly_irrelevant(host, k, d, 2)
-        for engine in ("oracle", "dp"):
-            with pytest.raises(PreconditionViolated):
-                kd_folio(host, k, d, engine=engine)
+        with pytest.raises(PreconditionViolated):
+            kd_folio(host, k, d)
     rooted = RootedGraph.of(host.graph, (0, 5))
     with pytest.raises(PreconditionViolated):
         folio_bruteforce(rooted, -1)

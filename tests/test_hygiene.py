@@ -4,8 +4,9 @@ unused, an import inside a function only ever breaks an import cycle, the
 library imports nothing beyond the standard library, work limits are
 errors.Budget objects with their defaults in `errors`, not per-engine
 integers, no search is refused by the size of its input, every public
-function or class of the library has a caller outside the tests, and every
-method, property and field of a library class is read somewhere.
+function or class of the library has a caller outside the tests, every
+method, property and field of a library class is read somewhere, and every
+function the benchmark's tracer wraps is still where the tracer looks.
 """
 
 import ast
@@ -340,3 +341,24 @@ def test_every_member_of_a_library_class_is_read():
         if member not in read
     ]
     assert not found, "class members nothing reads:\n" + "\n".join(found)
+
+
+def test_every_traced_function_is_bound_in_its_module():
+    # perfbench/tracing.py wraps each TARGETS function by module and name,
+    # so a renamed or moved function would fail only a traced benchmark run
+    tree = parse(ROOT / "perfbench" / "tracing.py")
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]
+    )
+    missing = []
+    for module, names in sorted(targets.items()):
+        bound = set()
+        for node in parse(PACKAGE / f"{module}.py").body:
+            if isinstance(node, ast.FunctionDef):
+                bound.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                bound |= {alias.asname or alias.name for alias in node.names}
+        missing += [f"{module}.{name}" for name in names if name not in bound]
+    assert targets and not missing, "traced functions not found:\n" + "\n".join(missing)

@@ -17,9 +17,8 @@ from minorkit import linkages
 from minorkit.errors import (
     Budget,
     BudgetExceeded,
-    InvalidLinkage,
+    PreconditionViolated,
     SearchCapExceeded,
-    UsageError,
 )
 from minorkit.graphs import Graph, RootedGraph
 from minorkit.linkages import (
@@ -124,7 +123,7 @@ def test_pattern_of_paths():
 
 
 def test_pattern_of_rejects_overlap():
-    with pytest.raises(InvalidLinkage):
+    with pytest.raises(PreconditionViolated):
         pattern_of(Linkage.of([(0, 1), (1, 2)]))
 
 
@@ -201,7 +200,7 @@ def test_engine_values_run_one_search():
     g = grid_graph(3, 3)
     p = Pattern.of([(0, 8), (2, 6)])
     assert disjoint_paths(g, p, engine="auto") == disjoint_paths(g, p, engine="dfs")
-    with pytest.raises(UsageError):
+    with pytest.raises(PreconditionViolated):
         disjoint_paths(g, p, engine="rooted")
 
 
@@ -284,19 +283,10 @@ def test_count_c4_two_arcs():
     assert count_linkages(cycle_graph(4), Pattern.of([(0, 2)]), limit=5) == 2
 
 
-def test_count_spanning_only():
-    # both arcs of C_4 realize the pattern, only the linkage through 1 and 3
-    # jointly with... no second path exists, so spanning count is 0
-    assert count_linkages(cycle_graph(4), Pattern.of([(0, 2)]), True, 5) == 0
-    assert (
-        count_linkages(path_graph(4), Pattern.of([(0, 3)]), True, 5) == 1
-    )
-
-
 def test_gamma2_witness_is_unique_and_vital():
     g = gamma2_like()
     p = pattern_of(GAMMA2_WITNESS)
-    assert count_linkages(g, p, spanning_only=False, limit=10) == 1
+    assert count_linkages(g, p, limit=10) == 1
     assert is_vital(g, GAMMA2_WITNESS)
 
 
@@ -309,7 +299,7 @@ def test_c4_arc_not_vital():
 
 
 def test_is_vital_rejects_invalid():
-    with pytest.raises(InvalidLinkage):
+    with pytest.raises(PreconditionViolated):
         is_vital(path_graph(3), Linkage.of([(0, 2)]))
 
 

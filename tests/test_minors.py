@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from minorkit import minors
 from minorkit.constructions import wall
 from minorkit.decomposition import _min_fill_order
-from minorkit.errors import BudgetExceeded, RootCountMismatch, SearchCapExceeded
+from minorkit.errors import BudgetExceeded, PreconditionViolated, SearchCapExceeded
 from minorkit.folios import candidate_patterns
 from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph, neighbor_masks
 from minorkit.minors import (
@@ -364,7 +364,7 @@ def test_rooted_absent_when_disconnected():
 def test_rooted_root_count_mismatch():
     host = RootedGraph.of(path_graph(3), (0,))
     pattern = RootedGraph.of(path_graph(2), (0, 1))
-    with pytest.raises(RootCountMismatch):
+    with pytest.raises(PreconditionViolated):
         find_rooted_minor(host, pattern)
 
 

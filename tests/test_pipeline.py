@@ -15,17 +15,11 @@ from hypothesis import strategies as st
 from minorkit import decomposition, minors, pipeline
 from minorkit.decomposition import exact_treewidth
 from minorkit.constructions import wall
-from minorkit.errors import (
-    BudgetExceeded,
-    CliqueTooSmall,
-    PreconditionViolated,
-    SearchCapExceeded,
-)
+from minorkit.errors import BudgetExceeded, PreconditionViolated, SearchCapExceeded
 from minorkit.folios import kd_folio, strongly_irrelevant
 from minorkit.graphs import AnnotatedGraph, Graph
 from minorkit.minors import MinorModel, verify_minor_model
 from minorkit.pipeline import (
-    PipelineConfig,
     ReductionTrace,
     _clique_step,
     _delete,
@@ -208,7 +202,7 @@ def test_clique_rule_requires_big_enough_clique():
     host = lobe_host()
     # Two terminals at detail 0 demand order 6; hand it a K_5 model.
     model = dense_clique_minor(host.graph, 5)
-    with pytest.raises(CliqueTooSmall):
+    with pytest.raises(PreconditionViolated):
         clique_irrelevant_vertex(host, 0, model)
 
 
@@ -239,21 +233,19 @@ def test_clique_rule_none_when_terminals_meet_every_branch_set():
     host = AnnotatedGraph.of(g, (0, 1, 2))
     # bound = (5*3)//2 + 1 = 8 > 3, so the small model trips the gate.
     model = dense_clique_minor(g, 3)
-    with pytest.raises(CliqueTooSmall):
+    with pytest.raises(PreconditionViolated):
         clique_irrelevant_vertex(host, 0, model)
 
 
-# --- config validation --------------------------------------------------------
+# --- threshold validation -----------------------------------------------------
 
 
 def test_config_rejects_zero_threshold():
-    with pytest.raises(PreconditionViolated):
-        PipelineConfig(threshold=0)
-
-
-def test_config_rejects_unknown_engine():
-    with pytest.raises(PreconditionViolated):
-        PipelineConfig(engine="guess")
+    host = AnnotatedGraph.of(complete_graph(3), (0,))
+    with pytest.raises(PreconditionViolated, match="threshold must be at least 1"):
+        reduce(host, 1, 0, threshold=0)
+    with pytest.raises(PreconditionViolated, match="threshold must be at least 1"):
+        solve_folio(host, 1, 0, threshold=0)
 
 
 # --- reduce -------------------------------------------------------------------
@@ -272,8 +264,7 @@ def blob_host():
 
 def test_reduce_blob_meets_threshold():
     host = blob_host()
-    cfg = PipelineConfig(threshold=4)
-    reduced, trace = reduce(host, 2, 0, cfg)
+    reduced, trace = reduce(host, 2, 0, threshold=4)
     assert trace.status == "met"
     assert trace.final_width <= 4
     assert trace.deletions == (
@@ -289,78 +280,72 @@ def test_reduce_records_original_ids():
     # Vertex 7 is deleted third, after two earlier deletions shifted the
     # numbering; the trace still names it 7.
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     assert trace.deletions[2][0] == 7
 
 
 def test_reduce_trace_replays():
     host = blob_host()
-    reduced, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    reduced, trace = reduce(host, 2, 0, threshold=4)
     assert replay_trace(host, trace) == reduced
 
 
 def test_reduce_trace_verifies_against_oracle():
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     assert verify_trace(host, trace, 2, 0)
 
 
 def test_reduce_is_idempotent():
     host = blob_host()
-    cfg = PipelineConfig(threshold=4)
-    reduced, _ = reduce(host, 2, 0, cfg)
-    again, trace = reduce(reduced, 2, 0, cfg)
+    reduced, _ = reduce(host, 2, 0, threshold=4)
+    again, trace = reduce(reduced, 2, 0, threshold=4)
     assert trace.deletions == ()
     assert again == reduced
 
 
 def test_reduce_under_threshold_is_a_noop():
     host = AnnotatedGraph.of(Graph(5, [(i, i + 1) for i in range(4)]), (0,))
-    reduced, trace = reduce(host, 2, 1, PipelineConfig(threshold=4))
+    reduced, trace = reduce(host, 2, 1, threshold=4)
     assert trace.status == "met"
     assert trace.deletions == ()
     assert reduced == host
 
 
 def test_reduce_oracle_rule_strips_free_component():
-    # A K_6 component with no terminal in it is invisible to every folio,
-    # so the oracle rule eats it one vertex at a time.
+    # A K_5 component with no terminal in it is invisible to every folio,
+    # so the oracle rule eats it one vertex at a time. The clique rule
+    # needs a K_6 minor for two terminals at detail 0, and there is none.
     core = [(0, 1), (1, 2)]
-    free = clique_edges(range(3, 9))
-    host = AnnotatedGraph.of(Graph(9, core + free), (0, 2))
-    reduced, trace = reduce(host, 1, 0, PipelineConfig(threshold=2, engine="oracle"))
+    free = clique_edges(range(3, 8))
+    host = AnnotatedGraph.of(Graph(8, core + free), (0, 2))
+    reduced, trace = reduce(host, 1, 0, threshold=2)
     assert trace.status == "met"
-    assert all(rule == "oracle" for _, rule in trace.deletions)
+    assert trace.deletions and all(rule == "oracle" for _, rule in trace.deletions)
     assert reduced.graph.n < host.graph.n
     assert verify_trace(host, trace, 1, 0)
 
 
-def test_reduce_engine_oracle_never_tags_clique_rule():
-    host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4, engine="oracle"))
-    assert trace.status == "met"
-    assert all(rule == "oracle" for _, rule in trace.deletions)
-
-
-def test_reduce_engines_reach_equivalent_survivors():
-    host = blob_host()
-    by_both, _ = reduce(host, 2, 0, PipelineConfig(threshold=4))
-    by_oracle, _ = reduce(host, 2, 0, PipelineConfig(threshold=4, engine="oracle"))
-    want = kd_folio(host, 2, 0, engine="dp")
-    assert kd_folio(by_both, 2, 0, engine="dp") == want
-    assert kd_folio(by_oracle, 2, 0, engine="dp") == want
-
-
-def test_reduce_clique_rule_alone_can_get_stuck():
+def test_reduce_clique_rule_alone_can_get_stuck(monkeypatch):
     # Once the clique shrinks below the order bound the rule goes quiet;
-    # with the oracle disabled the driver must stop and say so.
+    # with the oracle rule silenced, reduce must stop and say so.
+    monkeypatch.setattr(pipeline, "_oracle_step", lambda cur, k, d, before: None)
     host = blob_host()
-    reduced, trace = reduce(
-        host, 2, 0, PipelineConfig(threshold=1, engine="clique-rule")
-    )
+    reduced, trace = reduce(host, 2, 0, threshold=1)
     assert trace.status == "stuck"
+    assert trace.deletions == ((1, "clique-rule"), (4, "clique-rule"), (7, "clique-rule"))
     assert trace.final_width > 1
     assert reduced == trace.final
+
+
+def test_reduce_gets_stuck_when_no_rule_fires():
+    # every vertex of K_5 is annotated, so the oracle has nothing to test,
+    # and five terminals need a K_13 minor for the clique rule
+    host = AnnotatedGraph.of(complete_graph(5), range(5))
+    reduced, trace = reduce(host, 1, 0, threshold=1)
+    assert trace.status == "stuck"
+    assert trace.deletions == () and trace.final_width == 4
+    assert reduced == host
 
 
 def cycle_clique_host():
@@ -375,26 +360,24 @@ def test_reduce_runs_past_twelve_vertices(k, d):
     # no rule refuses a host by its vertex count: at detail 1 the clique
     # rule deletes three clique vertices first, and the oracle does the rest
     host = cycle_clique_host()
-    reduced, trace = reduce(host, k, d, PipelineConfig(threshold=4))
+    reduced, trace = reduce(host, k, d, threshold=4)
     assert trace.status == "met"
     assert len(trace.deletions) == 7 and trace.final_width == 4
     assert reduced.graph.n == 9
     assert verify_trace(host, trace, k, d)
 
 
-def reduce_recomputing(host, k, d, cfg):
+def reduce_recomputing(host, k, d, threshold):
     """The deletions and status of reduce, with every folio computed afresh
     for each candidate vertex in each round."""
     cur, orig_of, deletions = host, list(host.graph.vertices()), []
     while True:
         width, _ = exact_treewidth(cur.graph)
-        if width <= cfg.threshold:
+        if width <= threshold:
             return tuple(deletions), "met"
-        found = None
-        if cfg.engine != "oracle":
-            v = _clique_step(cur, d, width)
-            found = None if v is None else (v, "clique-rule")
-        if found is None and cfg.engine != "clique-rule":
+        v = _clique_step(cur, d, width)
+        found = None if v is None else (v, "clique-rule")
+        if found is None:
             free = (v for v in cur.graph.vertices() if v not in cur.annotated)
             v = next((v for v in free if strongly_irrelevant(cur, k, d, v)), None)
             found = None if v is None else (v, "oracle")
@@ -411,18 +394,16 @@ def reduce_cases(draw):
     pairs = list(itertools.combinations(range(n), 2))
     edges = [e for e in pairs if draw(st.integers(0, 3))]
     annotated = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
-    cfg = PipelineConfig(threshold=draw(st.integers(1, 3)),
-                         engine=draw(st.sampled_from(("oracle", "clique-rule", "both"))))
     host = AnnotatedGraph.of(Graph(n, edges), annotated)
-    return host, draw(st.integers(0, 2)), draw(st.integers(0, 2)), cfg
+    return host, draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=100, deadline=None)
 @given(reduce_cases())
 def test_reduce_keeps_folios_and_deletes_as_if_it_recomputed_them(case):
-    host, k, d, cfg = case
-    _, trace = reduce(host, k, d, cfg)
-    assert (trace.deletions, trace.status) == reduce_recomputing(host, k, d, cfg)
+    host, k, d, threshold = case
+    _, trace = reduce(host, k, d, threshold)
+    assert (trace.deletions, trace.status) == reduce_recomputing(host, k, d, threshold)
 
 
 def test_reduce_keeps_folios_by_input_ids():
@@ -431,7 +412,7 @@ def test_reduce_keeps_folios_by_input_ids():
     # vertex 3 the folio of vertex 2 and refuse every clique vertex
     edges = [(0, 2)] + clique_edges(range(4, 10))
     host = AnnotatedGraph.of(Graph(10, edges), (2, 3))
-    _, trace = reduce(host, 2, 1, PipelineConfig(threshold=3, engine="oracle"))
+    _, trace = reduce(host, 2, 1, threshold=3)
     assert trace.deletions == ((1, "oracle"), (4, "oracle"), (5, "oracle"))
     assert trace.status == "met"
 
@@ -449,7 +430,7 @@ def test_reduce_drops_kept_folios_after_a_clique_rule_deletion(monkeypatch):
     monkeypatch.setattr(pipeline, "_clique_step", forged)
     edges = [(0, 1), (1, 2)] + clique_edges(range(3, 9))
     host = AnnotatedGraph.of(Graph(9, edges), (0, 2))
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=3))
+    _, trace = reduce(host, 2, 0, threshold=3)
     assert trace.deletions == ((3, "oracle"), (1, "clique-rule"), (4, "oracle"))
     assert trace.status == "met"
 
@@ -459,7 +440,7 @@ def test_reduce_keeps_certified_deletions_when_the_oracle_is_capped(monkeypatch)
     # round one of 12, so a budget of 10 runs out in the oracle rule
     monkeypatch.setattr(minors, "MINOR_NODE_BUDGET", 10)
     host = cycle_clique_host()
-    reduced, trace = reduce(host, 2, 1, PipelineConfig(threshold=4))
+    reduced, trace = reduce(host, 2, 1, threshold=4)
     assert trace.status == "capped"
     assert trace.deletions == ((6, "clique-rule"), (7, "clique-rule"), (8, "clique-rule"))
     assert reduced == trace.final and reduced.graph.n == 13
@@ -475,17 +456,16 @@ def test_reduce_raises_when_exact_treewidth_runs_out_of_its_budget(monkeypatch):
     # not a "capped" run; the Wagner graph's width bounds straddle (3 and 4)
     monkeypatch.setattr(decomposition, "NODE_BUDGET", 2)
     with pytest.raises(BudgetExceeded) as err:
-        reduce(AnnotatedGraph.of(wagner_graph(), (0,)), 1, 0, PipelineConfig(threshold=3))
+        reduce(AnnotatedGraph.of(wagner_graph(), (0,)), 1, 0, threshold=3)
     assert err.value.budget.what == "elimination search nodes"
 
 
 def test_reduce_still_raises_on_the_oracle_root_and_detail_caps():
     # only a search budget that runs out ends the run as "capped"; a detail
     # or root count the oracle cannot take is a bad argument
-    cfg = PipelineConfig(threshold=4, engine="oracle")
     for k, d in [(2, 4), (5, 1)]:
         with pytest.raises(SearchCapExceeded):
-            reduce(blob_host(), k, d, cfg)
+            reduce(blob_host(), k, d, threshold=4)
 
 
 # --- solve_folio ---------------------------------------------------------------
@@ -493,8 +473,7 @@ def test_reduce_still_raises_on_the_oracle_root_and_detail_caps():
 
 def test_solve_folio_matches_direct_computation():
     host = blob_host()
-    cfg = PipelineConfig(threshold=4)
-    assert solve_folio(host, 2, 0, cfg) == kd_folio(host, 2, 0, engine="dp")
+    assert solve_folio(host, 2, 0, threshold=4) == kd_folio(host, 2, 0)
 
 
 def test_solve_folio_matches_direct_at_detail_one():
@@ -503,8 +482,7 @@ def test_solve_folio_matches_direct_at_detail_one():
     host = AnnotatedGraph.of(
         Graph(10, core + blob + [(3, 4)]), (0, 2)
     )
-    cfg = PipelineConfig(threshold=3)
-    assert solve_folio(host, 1, 1, cfg) == kd_folio(host, 1, 1, engine="dp")
+    assert solve_folio(host, 1, 1, threshold=3) == kd_folio(host, 1, 1)
 
 
 def test_solve_folio_propagates_budget():
@@ -512,7 +490,7 @@ def test_solve_folio_propagates_budget():
     # 17 ** 3 root tuples, past the cap of 4096
     host = AnnotatedGraph.of(Graph(17, [(i, i + 1) for i in range(16)]), range(17))
     with pytest.raises(BudgetExceeded) as err:
-        solve_folio(host, 3, 0, PipelineConfig(threshold=4))
+        solve_folio(host, 3, 0, threshold=4)
     assert err.value.budget.what == "root multisets"
     assert err.value.budget.used > err.value.budget.limit == 4096
 
@@ -522,7 +500,7 @@ def test_solve_folio_propagates_budget():
 
 def test_trace_json_roundtrip():
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     doc = json.loads(trace_to_json(trace))
     assert doc["status"] == "met"
     assert doc["deletions"] == [[1, "clique-rule"], [4, "clique-rule"], [7, "clique-rule"]]
@@ -532,7 +510,7 @@ def test_trace_json_roundtrip():
 
 def test_trace_json_rejects_unknown_status():
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     doc = json.loads(trace_to_json(trace))
     doc["status"] = "maybe"
     with pytest.raises(PreconditionViolated):
@@ -546,7 +524,7 @@ def test_trace_json_rejects_a_missing_field():
 
 def test_trace_json_rejects_an_unknown_rule():
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     doc = json.loads(trace_to_json(trace))
     doc["deletions"][0][1] = "magic"
     with pytest.raises(PreconditionViolated):
@@ -556,7 +534,7 @@ def test_trace_json_rejects_an_unknown_rule():
 def test_replay_and_verify_reject_a_vertex_the_graph_lacks():
     # a vertex the input never had, one deleted twice, and an annotated one
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     for deletions in (((99, "oracle"),), trace.deletions[:1] * 2, ((0, "oracle"),)):
         bad = ReductionTrace(deletions, trace.final, trace.final_width, trace.status)
         with pytest.raises(PreconditionViolated):
@@ -567,7 +545,7 @@ def test_replay_and_verify_reject_a_vertex_the_graph_lacks():
 
 def test_replay_rejects_tampered_trace():
     host = blob_host()
-    _, trace = reduce(host, 2, 0, PipelineConfig(threshold=4))
+    _, trace = reduce(host, 2, 0, threshold=4)
     bad = ReductionTrace(
         deletions=trace.deletions[:-1],
         final=trace.final,

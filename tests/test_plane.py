@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorkit.constructions import wall
-from minorkit.errors import IndexOutOfRange, InvalidEmbedding, PreconditionViolated
+from minorkit.errors import PreconditionViolated
 from minorkit import plane
 from minorkit.graphs import Graph
 from minorkit.plane import (
@@ -65,7 +65,7 @@ def test_grid_outer_face_is_perimeter():
 
 def test_rotation_must_list_neighbors():
     g = Graph(3, [(0, 1), (1, 2)])
-    with pytest.raises(InvalidEmbedding):
+    with pytest.raises(PreconditionViolated):
         PlaneGraph(g, [(1,), (2,), (1,)], (0, 1))
 
 
@@ -74,7 +74,7 @@ def test_twisted_rotation_fails_euler():
     good = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1)]
     assert len(PlaneGraph(g, good, (0, 1)).faces) == 4
     bad = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)]
-    with pytest.raises(InvalidEmbedding):
+    with pytest.raises(PreconditionViolated):
         PlaneGraph(g, bad, (0, 1))
 
 
@@ -83,10 +83,10 @@ def test_outer_dart_must_be_a_dart():
     good = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1)]
     bad = [(1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 1, 2)]
     for dart in [(0, 0), (0, 9), (9, 0)]:
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(PreconditionViolated):
             PlaneGraph(g, good, dart)
         # the embedding is checked first
-        with pytest.raises(InvalidEmbedding):
+        with pytest.raises(PreconditionViolated):
             PlaneGraph(g, bad, dart)
     # a lone vertex has one face and needs no outer dart
     lone = parse_plane(write_plane(embed_grid(1, 1)))
@@ -95,7 +95,7 @@ def test_outer_dart_must_be_a_dart():
 
 def test_disconnected_graph_rejected():
     g = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(InvalidEmbedding):
+    with pytest.raises(PreconditionViolated):
         PlaneGraph(g, [(1,), (0,), (3,), (2,)], (0, 1))
 
 

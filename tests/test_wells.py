@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from minorkit.errors import NotTight, PreconditionViolated
+from minorkit.errors import PreconditionViolated
 from minorkit.plane import embed_mesh, inside_faces
 from minorkit.wells import (
     Well,
@@ -88,7 +88,7 @@ def test_dry_requires_tight():
     v = (18, 12, 6, 7, 13, 19)
     w = Well(pg, skip, (v,), (18, 19))
     assert not is_tight(w)
-    with pytest.raises(NotTight):
+    with pytest.raises(PreconditionViolated):
         dry(w)
 
 
