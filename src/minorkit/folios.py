@@ -473,15 +473,31 @@ def kd_folio(host, k, d):
     """The (k,d)-folio: the union of the d-folios of (host, tup) over every
     ordered k-multiset tup of annotated vertices, each tagged by its tuple's
     equality pattern. Computed by the folio DP, on one plan per host from
-    dp_decomposition, with one run per root tuple and open candidate group.
-    PreconditionViolated on a negative k or d; BudgetExceeded past
-    MULTISET_CAP multisets or STATE_BUDGET states in one DP run."""
+    dp_decomposition, with one run per sorted root tuple and open candidate
+    group. Permuting a root tuple permutes the roots of every member of its
+    folio (as strongly_irrelevant uses), so each other ordering's members
+    are the sorted tuple's with their roots permuted and put back in
+    canonical form. PreconditionViolated on a negative k or d;
+    BudgetExceeded past MULTISET_CAP multisets or STATE_BUDGET states in
+    one DP run."""
     _check_counts(k, d)
-    tuples = _root_tuples(host, k)
+    tuples = [tup for tup in _root_tuples(host, k) if list(tup) == sorted(tup)]
     plan = _dp_plan(host.graph, dp_decomposition(host.graph))
     entries = set()
+    permuted = {}  # (code, perm) -> the canonical (form, code) of the permuted member
     for tup in tuples:
-        entries |= _dp_folio(RootedGraph.of(host.graph, tup), d, plan).entries
+        members = _dp_folio(RootedGraph.of(host.graph, tup), d, plan).entries
+        # ordering[i] = tup[perm[i]] takes member roots r to r[perm[i]]
+        orderings = {tuple(tup[p] for p in perm): perm
+                     for perm in itertools.permutations(range(k))}
+        for ordering, perm in orderings.items():
+            tag = label_pattern(ordering)
+            for e in members:
+                if (e.code, perm) not in permuted:
+                    roots = tuple(e.form.roots[p] for p in perm)
+                    permuted[e.code, perm] = canonical_form(RootedGraph(e.form.graph, roots))
+                form, code = permuted[e.code, perm]
+                entries.add(FolioEntry(tag, code, form))
     return Folio(k=k, d=d, entries=frozenset(entries))
 
 

@@ -16,7 +16,7 @@ from .errors import PreconditionViolated
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "labels", "_adj", "_masks")
 
     def __init__(self, n, edges=(), labels=None):
         if n < 0:
@@ -184,12 +184,17 @@ def mask_connected(mask, masks):
 
 
 def neighbor_masks(g):
-    """Per-vertex adjacency bitmasks, for the search modules."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    """Per-vertex adjacency bitmasks, for the search modules: a tuple
+    computed once per graph, on first use, and kept on it."""
+    try:
+        return g._masks
+    except AttributeError:
+        masks = [0] * g.n
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        g._masks = tuple(masks)
+        return g._masks
 
 
 def connected_components(g):

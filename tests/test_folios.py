@@ -576,6 +576,22 @@ def test_kd_folio_dp_engine_matches_oracle():
     assert kd_folio(host, 2, 1) == kd_folio_by_oracle(host, 2, 1)
 
 
+@st.composite
+def kd_cases(draw):
+    g = draw(small_rooted_hosts(max_n=7, max_k=0)).graph
+    annotated = draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+    return AnnotatedGraph.of(g, annotated), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kd_cases())
+def test_kd_folio_agrees_with_the_oracle_over_every_ordered_tuple(case):
+    # the DP runs on sorted tuples only; the other orderings' members are
+    # the sorted tuple's with their roots permuted
+    host, k, d = case
+    assert kd_folio(host, k, d) == kd_folio_by_oracle(host, k, d)
+
+
 def test_a_negative_root_count_or_detail_is_rejected():
     # with either negative there is no candidate pattern, so every folio
     # would come out empty and every vertex would look irrelevant

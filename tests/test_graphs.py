@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minorkit.decomposition import exact_treewidth
 from minorkit.errors import PreconditionViolated
 from minorkit.graphs import (
     AnnotatedGraph,
@@ -12,10 +15,13 @@ from minorkit.graphs import (
     connected_components,
     delete_vertex,
     induced_subgraph,
+    mask_of,
     min_vertex_cut,
+    neighbor_masks,
     parse_edge_list,
     write_edge_list,
 )
+from minorkit.linkages import Pattern, disjoint_paths
 
 
 def random_graph(n, p, rng):
@@ -26,6 +32,20 @@ def random_graph(n, p, rng):
 
 
 # --- construction ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.randoms(use_true_random=False))
+def test_neighbor_masks_are_one_tuple_per_graph(n, rng):
+    # computed on first use and kept; the engines that read them never
+    # change them
+    g = random_graph(n, 0.4, rng)
+    masks = neighbor_masks(g)
+    assert isinstance(masks, tuple) and neighbor_masks(g) is masks
+    exact_treewidth(g)
+    disjoint_paths(g, Pattern.of([(0, n - 1)]))
+    assert neighbor_masks(g) is masks
+    assert masks == tuple(mask_of(g.neighbors(v)) for v in g.vertices())
 
 
 def test_build_one_vertex():
