@@ -40,7 +40,7 @@ from .errors import (
     PreconditionViolated,
     SearchCapExceeded,
 )
-from .folios import dp_decomposition, folio_bruteforce, folio_dp, folio_to_json
+from .folios import dp_decomposition, folio_bruteforce, folio_doc, folio_dp
 from .graphs import AnnotatedGraph, Graph, RootedGraph, parse_edge_list, write_edge_list
 from .linkages import disjoint_paths, is_vital, parse_pattern, write_pattern
 from .minors import bidim
@@ -165,7 +165,7 @@ def _cmd_folio(args):
     else:
         folio = folio_dp(rg, args.d, dp_decomposition(g))
     doc = {"roots": list(rg.roots), "d": args.d, "engine": args.engine,
-           args.engine: json.loads(folio_to_json(folio))}
+           args.engine: folio_doc(folio)}
     _emit(doc)
     return 0
 

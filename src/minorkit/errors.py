@@ -25,7 +25,7 @@ time each takes to run out (Python 3.11, one core of a 2-CPU VM):
   and each bidim order), 54 s on K5 in the Wagner graph glued to a 4x4 grid;
 - STATE_BUDGET = 200_000 folio DP states per DP run (one per open group
   of candidates with the same vertex count and root map; each maximal
-  realized mask of a state counts), 0.6 s on a 4x6 grid rooted at two
+  realized mask of a state counts), 0.9 s on a 4x6 grid rooted at two
   corners at detail 3;
 - CANONICAL_NODE_BUDGET = 100_000 tree nodes per canonical form, about
   7-16 s at the 6-14k nodes/s measured on graphs of 20-40 vertices.

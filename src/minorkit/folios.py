@@ -15,8 +15,15 @@ pass of introduce, forget and join steps over a tree decomposition, tracking
 per bag how branch sets touch the boundary and which of the union of the
 group's edges are realized, runs the first time the lattice asks about an
 open candidate of the group; a candidate is a member exactly when an
-accepting state realizes all its edges. The oracle is ground truth; the DP
-must agree exactly.
+accepting state realizes all its edges. A root-merged candidate, whose
+pattern vertex q holds two root positions (and no other) with distinct host
+roots r and r', is first decided by split_rules from the pass of the group
+with q split in two, when that pass has run: a rooted model of it exists
+exactly when one exists of some split pattern, which replaces q by q1 at r
+and q2 at r', adds the edge q1q2 and gives each edge of q to q1 or q2 (cut
+a spanning tree of q's branch set on its r-r' path; both halves are
+connected and adjacent, and each neighbouring branch set touches one). The
+oracle is ground truth; the DP must agree exactly.
 
 Folio members carry a tag: the equality pattern of the generating root
 tuple (first-occurrence normalized), since the same canonical member can
@@ -29,7 +36,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 from .decomposition import exact_treewidth, min_fill_decomposition, validate_td
@@ -177,6 +183,60 @@ def candidate_groups(k, d):
     return {(n, roots): RootedGraph(Graph(n, es), roots) for (n, roots), es in edges.items()}
 
 
+def _need(union, edges):
+    """The mask of `edges` over the edges of `union`, bit i for its i-th."""
+    return sum(1 << i for i, e in enumerate(union.graph.edges) if e in edges)
+
+
+@functools.cache
+def split_rules(k, d):
+    """The rules that decide a root-merged candidate of
+    candidate_patterns(k, d) from another group's pass (see _dp_folio), as
+    a dict from the candidate's code to a tuple of (i, j, group, needs).
+
+    A rule splits a pattern vertex q that root positions i < j hold, and no
+    other position: q keeps position i, a new vertex takes position j, the
+    edge between the two is added, and each edge of q goes to one of them.
+    `needs` holds one mask over the union edges of `group` (the candidates
+    with one more vertex and the split root map) per such split pattern,
+    relabelled into the group's labelling; a rule is kept only when every
+    split pattern fits the union. Built from the patterns alone, on first
+    use, and cached by (k, d)."""
+    groups = candidate_groups(k, d)
+    rules = {}
+    for form, code in candidate_patterns(k, d):
+        n, roots = form.graph.n, form.roots
+        for q in sorted(set(roots)):
+            held = [p for p, r in enumerate(roots) if r == q]
+            if len(held) != 2:
+                continue
+            i, j = held
+            split = roots[:j] + (n,) + roots[j + 1 :]
+            group = next((g for g in groups if g[0] == n + 1
+                          and label_pattern(g[1]) == label_pattern(split)), None)
+            if group is None:
+                continue
+            union = groups[group]
+            # relabellings into the group: roots by position, the rest freely
+            fixed = dict(zip(split, group[1]))
+            free = [v for v in range(n + 1) if v not in fixed]
+            spare = [v for v in range(n + 1) if v not in fixed.values()]
+            maps = [{**fixed, **dict(zip(free, p))} for p in itertools.permutations(spare)]
+            kept = [e for e in form.graph.edges if q not in e] + [(q, n)]
+            nbrs = form.graph.neighbors(q)
+            needs = set()
+            for ends in itertools.product((q, n), repeat=len(nbrs)):
+                edges = kept + list(zip(ends, nbrs))
+                images = ({tuple(sorted((to[a], to[b]))) for a, b in edges} for to in maps)
+                image = next((es for es in images if es <= union.graph.edges), None)
+                if image is None:
+                    break
+                needs.add(_need(union, image))
+            else:
+                rules.setdefault(code, []).append((i, j, group, tuple(sorted(needs))))
+    return {code: tuple(r) for code, r in rules.items()}
+
+
 def _size(candidate):
     return candidate[0].graph.n + candidate[0].graph.m
 
@@ -190,7 +250,7 @@ def _check_counts(k, d):
 
 
 def _lattice_folio(host, d, contains):
-    """The d-folio of `host`, asking `contains(pattern)` only about the
+    """The d-folio of `host`, asking `contains(pattern, code)` only about the
     candidates the lattice has not settled, largest (vertices plus edges)
     first: a member settles everything below it as a member, a non-member
     everything above it as a non-member."""
@@ -202,7 +262,7 @@ def _lattice_folio(host, d, contains):
     for form, code in sorted(cands, key=_size, reverse=True):
         if code in settled:
             continue
-        if contains(form):
+        if contains(form, code):
             members |= below[code]
             settled |= below[code]
         else:
@@ -221,12 +281,13 @@ def folio_bruteforce(host, d):
         raise SearchCapExceeded(
             f"oracle caps: d <= {ORACLE_DETAIL_CAP}, |roots| <= {ORACLE_ROOT_CAP}"
         )
-    return _lattice_folio(host, d, lambda form: find_rooted_minor(host, form) is not None)
+    return _lattice_folio(host, d, lambda form, _: find_rooted_minor(host, form) is not None)
 
 
 # --- dynamic program over a tree decomposition --------------------------------
 
 
+@functools.cache  # keys are no longer than a bag, and recur across states
 def _relabel(keys):
     """Fragment ids numbered by first occurrence; FREE stays FREE."""
     ids = {}
@@ -286,8 +347,6 @@ def _dp_plan(g, td):
 
 def _maximal(masks):
     """The masks of `masks` that no other one contains, largest first."""
-    if len(masks) == 1:
-        return list(masks)
     kept = []
     for mask in sorted(masks, key=int.bit_count, reverse=True):
         if all(mask | big != big for big in kept):
@@ -310,7 +369,11 @@ def _run_membership_dp(host, pattern, plan, budget):
     each step keeps only the maximal masks of each state (an antichain): a
     dominated mask can never accept where its dominator cannot. The steps of
     `plan` run in order on a stack of state sets; a fragment that loses its
-    last bag vertex either finishes the branch set or kills the state. An
+    last bag vertex either finishes the branch set or kills the state. The
+    unseen-root prune also kills a state that finishes a branch set before its
+    subtree has introduced every host root forced into it (a stack beside
+    the state stack holds the vertices each subtree introduced): that state
+    would die anyway at the root's introduce or at a join. An
     introduce or forget moves a state by its (labels, fragments) part alone,
     so each move is worked out once per step and part. Each step charges
     `budget` with the masks it keeps. The returned masks are maximal too.
@@ -323,6 +386,9 @@ def _run_membership_dp(host, pattern, plan, budget):
     for r, q in zip(host.roots, pattern.roots):
         if forced.setdefault(r, q) != q:
             return []
+    roots_of = [0] * pn  # per pattern vertex, the host roots forced to it
+    for r, q in forced.items():
+        roots_of[q] |= 1 << r
 
     def introduce_moves(part, v, vi, nbrs):
         labs, frags = part
@@ -340,8 +406,8 @@ def _run_membership_dp(host, pattern, plan, budget):
                 elif labs[i] != FREE:
                     add |= edge_bit[labs[i]][lab]
             joined = FREE - 1  # key of v's fragment, unlike every id
-            keys = [joined if f in merge else f for f in frags]
-            keys.insert(vi, joined)
+            keys = tuple(joined if f in merge else f for f in frags)
+            keys = keys[:vi] + (joined,) + keys[vi:]
             new = (labs[:vi] + (lab,) + labs[vi:], _relabel(keys))
             out.append((new, 1 << lab, 0, add))
         return out
@@ -356,6 +422,8 @@ def _run_membership_dp(host, pattern, plan, budget):
             return [((rest[0], _relabel(rest[1])), 0, 0, 0)]
         if lab in rest[0]:
             return []  # branch set split off the boundary: dead
+        if roots_of[lab] & ~seen[-1]:
+            return []  # closed without a root it must hold: dead
         # the closed fragment's id is left as a gap: renumbering here would
         # merge states and move the point where `budget` fires
         return [(rest, 0, 1 << lab, 0)]
@@ -374,14 +442,17 @@ def _run_membership_dp(host, pattern, plan, budget):
                 a, b = find((0, f1)), find((1, f2))
                 if a != b:
                     parent[a] = b
-        return _relabel([FREE if f == FREE else find((0, f)) for f in frags1])
+        return _relabel(tuple(FREE if f == FREE else find((0, f)) for f in frags1))
 
     stack = []
+    seen = []  # beside each state set, the host vertices its subtree introduced
     for kind, *args in plan:
         out = {}  # (part, closed) -> realized masks
         if kind == "leaf":
             out[((), ()), 0] = {0}
+            seen.append(0)
         elif kind == "join":
+            seen.append(seen.pop() | seen.pop())
             by_labs = {}
             for ((labs, frags2), closed2), masks2 in stack.pop().items():
                 by_labs.setdefault(labs, []).append((frags2, closed2, masks2))
@@ -400,6 +471,8 @@ def _run_membership_dp(host, pattern, plan, budget):
                         [a | b for a in masks1 for b in masks2])
         else:
             step = introduce_moves if kind == "introduce" else forget_moves
+            if kind == "introduce":
+                seen[-1] |= 1 << args[0]
             moves = {}
             for (part, closed), masks in stack.pop().items():
                 if part not in moves:
@@ -408,7 +481,8 @@ def _run_membership_dp(host, pattern, plan, budget):
                     if not closed & blocked:
                         out.setdefault((new, closed | close), set()).update(
                             [m | add for m in masks] if add else masks)
-        out = {state: _maximal(masks) for state, masks in out.items()}
+        out = {state: [*masks] if len(masks) == 1 else _maximal(masks)
+               for state, masks in out.items()}
         budget.charge(sum(map(len, out.values())))
         stack.append(out)
     # `out` holds the states of the root, whose bag is empty
@@ -430,18 +504,35 @@ def _dp_folio(host, d, plan):
     candidate_groups) that the lattice asks about, made on first use. A
     candidate is a member when a mask of that pass covers its edges: its
     edges are among the union's in the same labelling, so its rooted models
-    are exactly the union pass's models that realize at least those edges."""
-    groups = candidate_groups(len(host.roots), d)
+    are exactly the union pass's models that realize at least those edges.
+
+    A root-merged candidate is first tried by its split_rules, since a
+    rooted model of it exists exactly when one of a split pattern does
+    (lemma: say root positions i and j hold pattern vertex q and no other
+    position does, and their host roots r and r' differ. Cut a spanning tree
+    of q's branch set on its r-r' path: both halves are connected and
+    adjacent, and each neighbouring branch set touches one of them; the
+    converse joins the halves). A rule is used only when its host roots
+    differ and its group's pass has already run; otherwise the candidate's
+    own group pass runs, so no pass is made that was not made without the
+    rules."""
+    k = len(host.roots)
+    groups, rules = candidate_groups(k, d), split_rules(k, d)
     accepted = {}  # group -> realized masks of its union pass
 
-    def contains(form):
+    def covered(group, needs):
+        return any(need & mask == need for need in needs for mask in accepted[group])
+
+    def contains(form, code):
+        for i, j, group, needs in rules.get(code, ()):
+            if host.roots[i] != host.roots[j] and group in accepted:
+                return covered(group, needs)
         group = form.graph.n, form.roots
         union = groups[group]
         if group not in accepted:
             budget = Budget(STATE_BUDGET, "folio DP states")
             accepted[group] = _run_membership_dp(host, union, plan, budget)
-        need = sum(1 << i for i, e in enumerate(union.graph.edges) if e in form.graph.edges)
-        return any(need & mask == need for mask in accepted[group])
+        return covered(group, [_need(union, form.graph.edges)])
 
     return _lattice_folio(host, d, contains)
 
@@ -453,7 +544,11 @@ def folio_dp(host, d, td):
     candidates (same vertex count and root map) that holds a candidate the
     pattern lattice leaves open, on the union of the group's edges, and
     raises BudgetExceeded rather than truncating when one run keeps more
-    than STATE_BUDGET states, each maximal realized mask counted.
+    than STATE_BUDGET states, each maximal realized mask counted. A
+    candidate whose root positions i and j share a pattern vertex, while
+    the host's roots there differ, is decided from the pass of the group
+    that splits that vertex in two when that pass has run (see _dp_folio
+    for the lemma), so its own group's pass is skipped.
     """
     return _dp_folio(host, d, _dp_plan(host.graph, td))
 
@@ -540,19 +635,19 @@ def strongly_irrelevant(host, k, d, v, before=None):
 # --- export ----------------------------------------------------------------------
 
 
-def folio_to_json(folio):
-    items = []
-    for e in sorted(folio.entries, key=lambda e: (e.code, e.tag)):
-        items.append(
-            {
-                "code": e.code.decode("ascii"),
-                "vertices": e.form.graph.n,
-                "edges": sorted([u, v] for u, v in e.form.graph.edges),
-                "root_map": list(e.form.roots),
-                "detail": detail(e.form),
-                "tuple_pattern": list(e.tag),
-            }
-        )
-    return json.dumps(
-        {"k": folio.k, "d": folio.d, "members": items}, sort_keys=True, indent=2
-    )
+def folio_doc(folio):
+    """The folio as a JSON-ready dict: k, d and its members sorted by code
+    and tag, each with its code, vertex count, sorted edges, root map,
+    detail and tuple pattern."""
+    members = [
+        {
+            "code": e.code.decode("ascii"),
+            "vertices": e.form.graph.n,
+            "edges": sorted([u, v] for u, v in e.form.graph.edges),
+            "root_map": list(e.form.roots),
+            "detail": detail(e.form),
+            "tuple_pattern": list(e.tag),
+        }
+        for e in sorted(folio.entries, key=lambda e: (e.code, e.tag))
+    ]
+    return {"k": folio.k, "d": folio.d, "members": members}

@@ -34,8 +34,8 @@ from minorkit.folios import (
     detail,
     dp_decomposition,
     folio_bruteforce,
+    folio_doc,
     folio_dp,
-    folio_to_json,
     kd_folio,
     label_pattern,
     pattern_lattice,
@@ -410,16 +410,18 @@ def test_dp_pass_explores_a_pinned_state_count():
     # the budget must fire at the same total on every run. Each step keeps
     # only the maximal realized masks of a state, so a state whose mask
     # another one with the same labels, fragments and closed set covers is
-    # dropped: 961 masks for the single-edge pattern, against 1193 when
-    # every realized mask was kept. Renumbering fragments where a branch set
-    # closes would merge states and change the count again. The union of
-    # the 3-vertex group, all three edges, keeps 971.
+    # dropped, and a state that closes a root's branch set before that root
+    # is introduced is dropped: 735 masks for the single-edge pattern,
+    # against 961 with dead closures kept and 1193 with every realized mask
+    # kept too. Renumbering fragments where a branch set closes would merge
+    # states and change the count again. The union of the 3-vertex group,
+    # all three edges, keeps 740.
     host = RootedGraph(grid_graph(2, 5), (0, 9))
     plan = _dp_plan(host.graph, exact_treewidth(host.graph)[1])
     single = RootedGraph(Graph(3, [(1, 2)]), (1, 2))
     union = folios.candidate_groups(2, 1)[3, (1, 2)]
     assert union.graph.edges == {(0, 1), (0, 2), (1, 2)}
-    for pattern, used in ((single, 961), (union, 971)):
+    for pattern, used in ((single, 735), (union, 740)):
         budget = Budget(used, "folio DP states")
         full = (1 << pattern.graph.m) - 1
         assert _run_membership_dp(host, pattern, plan, budget) == [full]
@@ -496,6 +498,32 @@ def test_a_group_pass_answers_as_each_candidate_alone(host, d):
         alone = _run_membership_dp(host, form, plan, Budget(STATE_BUDGET, "states"))
         assert any(need & mask == need for mask in passes[group]) == (
             (1 << form.graph.m) - 1 in alone)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rooted_hosts(max_k=3), st.integers(1, 2))
+def test_a_split_rule_answers_as_the_candidates_own_pass(host, d):
+    # a root-merged candidate has a rooted model exactly when one of its
+    # split patterns does, so the split group's pass decides it as the
+    # candidate's own group pass and the rooted-minor search do
+    k = len(host.roots)
+    plan = _dp_plan(host.graph, dp_decomposition(host.graph))
+    groups = folios.candidate_groups(k, d)
+    passes = {}
+
+    def answer(group, needs):
+        if group not in passes:
+            passes[group] = _run_membership_dp(
+                host, groups[group], plan, Budget(STATE_BUDGET, "states"))
+        return any(need & mask == need for need in needs for mask in passes[group])
+
+    for form, code in candidate_patterns(k, d):
+        want = find_rooted_minor(host, form) is not None
+        own = folios._need(groups[form.graph.n, form.roots], form.graph.edges)
+        assert answer((form.graph.n, form.roots), [own]) == want
+        for i, j, group, needs in folios.split_rules(k, d).get(code, ()):
+            if host.roots[i] != host.roots[j]:
+                assert answer(group, needs) == want
 
 
 def test_dp_answers_grids_within_the_default_budget():
@@ -749,9 +777,9 @@ def test_strongly_irrelevant_agrees_with_the_reference(case):
 def test_folio_json_export_is_deterministic_and_sorted():
     host = RootedGraph(cycle_graph(4), (0, 2))
     f = folio_bruteforce(host, 1)
-    text = folio_to_json(f)
-    assert text == folio_to_json(folio_bruteforce(host, 1))
-    doc = json.loads(text)
+    doc = folio_doc(f)
+    assert json.dumps(doc) == json.dumps(folio_doc(folio_bruteforce(host, 1)))
+    assert json.loads(json.dumps(doc)) == doc
     assert doc["k"] == 2 and doc["d"] == 1
     codes = [m["code"] for m in doc["members"]]
     assert codes == sorted(codes)
