@@ -31,6 +31,7 @@ from .graphs import (
     mask_neighborhood,
     mask_of,
     mask_reach,
+    min_degree_contractions,
     neighbor_masks,
 )
 from .minors import dense_clique_minor
@@ -129,26 +130,14 @@ def _minor_min_width(masks):
     """Lower bound (Gogate & Dechter's minor-min-width): contract a
     min-degree vertex into its min-degree neighbour, over and over; the
     largest min-degree seen bounds the treewidth of every minor, so of g."""
-    adj = list(masks)
-    rest = (1 << len(adj)) - 1
     lower = 0
-
-    def degree(x):
-        return adj[x].bit_count(), x
-
-    while rest & (rest - 1):
-        v = min(mask_bits(rest), key=degree)
-        nb = adj[v]
+    for _, _, nb, _ in min_degree_contractions(masks, _min_degree_neighbour):
         lower = max(lower, nb.bit_count())
-        if nb:
-            u = min(mask_bits(nb), key=degree)
-            for a in mask_bits(nb):
-                adj[a] &= ~(1 << v)
-            adj[u] |= nb & ~(1 << u)
-            for a in mask_bits(adj[u]):
-                adj[a] |= 1 << u
-        rest &= ~(1 << v)
     return lower
+
+
+def _min_degree_neighbour(adj, nb):
+    return min(mask_bits(nb), key=lambda x: (adj[x].bit_count(), x))
 
 
 def _order_within(masks, widths):
@@ -344,7 +333,9 @@ def treewidth_certificates(g, n):
     """Certificates pinning tw(g) = n without exhaustive search.
 
     Lower side: an n-by-n grid subgraph, else the branch sets of a K_{n+1}
-    minor (dense_clique_minor) as a bramble. Upper side: when the grid spans
+    minor (dense_clique_minor) as a bramble. The model may come from
+    dense_clique_minor's contraction rather than its search; either way
+    validate_bramble checks the bramble. Upper side: when the grid spans
     the graph, the decomposition of its column-major elimination order if
     that has width n; else a width-n decomposition from exact_treewidth.
     CertificateNotFound when a side has no certificate, including when the

@@ -183,6 +183,35 @@ def mask_connected(mask, masks):
     return mask_reach(mask & -mask, mask, masks) == mask
 
 
+def min_degree_contractions(masks, pick):
+    """Contract a minimum-degree vertex (least degree, then least index)
+    over and over until one live vertex is left, on a copy of `masks`.
+
+    Before each step it yields (v, u, nb, live): the vertex v, the
+    neighbour u that v is about to be contracted into, v's live
+    neighbourhood nb and the live mask. u is pick(adj, nb), from the
+    current adjacency masks, or None when v has no neighbour and is just
+    dropped. The caller may stop at any yield."""
+    adj = list(masks)
+    live = (1 << len(adj)) - 1
+
+    def degree(x):
+        return adj[x].bit_count(), x
+
+    while live & (live - 1):
+        v = min(mask_bits(live), key=degree)
+        nb = adj[v]
+        u = pick(adj, nb) if nb else None
+        yield v, u, nb, live
+        if nb:
+            for a in mask_bits(nb):
+                adj[a] &= ~(1 << v)
+            adj[u] |= nb & ~(1 << u)
+            for a in mask_bits(adj[u]):
+                adj[a] |= 1 << u
+        live &= ~(1 << v)
+
+
 def neighbor_masks(g):
     """Per-vertex adjacency bitmasks, for the search modules: a tuple
     computed once per graph, on first use, and kept on it."""

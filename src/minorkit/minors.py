@@ -14,10 +14,15 @@ set (_search_plan), and a host's adjacency masks once per graph. When no
 pattern vertex is required, seeds are ordered along the pattern's symmetry:
 the first placed vertex's orbit, from the automorphisms the canonical search
 finds, and each twin class. find_minor alone answers some "no"s before
-searching: first when the host's treewidth is below the pattern's, then when
-the host is planar and the pattern is not. The clique search,
-dense_clique_minor, is find_minor on K_t. Every search is bounded by the
-work it does, a fresh Budget(MINOR_NODE_BUDGET) per call charged once per
+searching: first when the host's treewidth is below the pattern's, then by
+the apex cut. When every H - S with |S| = a is non-planar (a, at most 2,
+is the pattern's apex number) and deleting some a host vertices leaves a
+planar graph, the host has no H minor: a model of H loses at most a branch
+sets to the deleted vertices, and the planar rest would hold a non-planar
+H - S. At a = 0 this is the planarity cut, a non-planar pattern in a planar
+host. The clique search, dense_clique_minor, contracts the host first
+(least-c) and falls back to find_minor on K_t. Every search is bounded by
+the work it does, a fresh Budget(MINOR_NODE_BUDGET) per call charged once per
 branch-set extension, not by the size of its pattern or host.
 
 Canonical codes come from individualisation and colour refinement over a
@@ -41,11 +46,13 @@ from .errors import (
 from .graphs import (
     Graph,
     RootedGraph,
+    induced_subgraph,
     mask_bits as _bits,
     mask_connected as _mask_connected,
     mask_neighborhood as _nbhood,
     mask_of as _mask_of,
     mask_reach as _reach_in,
+    min_degree_contractions,
     neighbor_masks,
 )
 from .plane import planar_embedding
@@ -283,9 +290,15 @@ def find_minor(host, pattern):
     Two minor-monotone properties answer None with no search, in this order.
     - Treewidth: the host's min-fill width (an upper bound on its
       treewidth) is below the pattern's minor-min-width (a lower bound).
-    - Planarity: the pattern is not planar (cached per pattern) and the host
-      is (Wagner 1937). planar_embedding checks its own "yes" for the host;
-      the pattern's "no" is unchecked.
+    - Apex cut: the host is planar once some a of its vertices are deleted,
+      where a = _apex_number(pattern) >= 0 (cached per pattern). Lemma: say
+      every H - S with |S| = a is non-planar, and G - A is planar for some
+      set A of a host vertices. Then H is not a minor of G. A model of H
+      loses at most a branch sets to A, so G - A, which is planar, would
+      hold a model of H - S for some |S| <= a, and that H - S is
+      non-planar. a = 0 is the planarity cut (Wagner 1937): a non-planar
+      pattern in a planar host. planar_embedding checks its own "yes" for
+      the host; the pattern's "no"s are unchecked.
     find_rooted_minor and find_red_minor have neither cut. reduce makes
     thousands of rooted calls a round on hosts of about ten vertices, where
     the two treewidth bounds alone take about 0.085 ms a call, over three
@@ -296,15 +309,36 @@ def find_minor(host, pattern):
     # the empty pattern, of treewidth -1, is in every host
     if pattern.n and (
         _min_fill_order(neighbor_masks(host))[0] < _minor_min_width(neighbor_masks(pattern))
-        or not _is_planar(pattern) and planar_embedding(host) is not None
+        or _planar_less_some(host, _apex_number(pattern))
     ):
         return None
     return _search_model(host, pattern)
 
 
 @cache
-def _is_planar(pattern):
-    return planar_embedding(pattern) is not None
+def _apex_number(pattern):
+    """The largest a <= 2 such that every pattern - S with |S| = a is
+    non-planar, or -1 when the pattern is planar. K5 and K3,3 give 0, K6
+    gives 1 and K7 2."""
+    a = -1
+    while a < 2 and not _planar_less_some(pattern, a + 1):
+        a += 1
+    return a
+
+
+def _planar_less_some(host, a):
+    """Whether deleting some a host vertices leaves a planar graph; False
+    when a < 0. Only the sets of exactly a vertices are tested: a graph
+    left planar by fewer deletions stays planar under more. planar_embedding
+    turns down a graph of more than 3n - 6 edges at once, so dense hosts
+    cost little."""
+    if a <= 0:
+        return a == 0 and planar_embedding(host) is not None
+    vertices = set(range(host.n))
+    return any(
+        planar_embedding(induced_subgraph(host, vertices.difference(gone))[0]) is not None
+        for gone in combinations(range(host.n), a)
+    )
 
 
 def find_rooted_minor(host, pattern):
@@ -352,13 +386,46 @@ def complete_graph(t):
 
 
 def dense_clique_minor(g, t):
-    """A K_t minor model of g, or None when g has none: find_minor on K_t,
-    so the answer is exact, and BudgetExceeded when the search passes
-    MINOR_NODE_BUDGET nodes. The name outlived an edge-density tier;
-    perfbench's tracer wraps `pipeline.dense_clique_minor` by it."""
+    """A K_t minor model of g, or None when g has none.
+
+    Contraction comes first: a minimum-degree vertex is contracted, over
+    and over, into the neighbour with which it shares the fewest
+    neighbours, ties to the lower vertex (the least-c rule of Bodlaender,
+    Koster & Wolle 2006), and a vertex with no neighbour is dropped. Once
+    the live vertices are pairwise adjacent and at least t, t of their
+    branch sets are the model, returned if verify_minor_model accepts it.
+    Otherwise find_minor on K_t decides, so the answer is exact, and
+    BudgetExceeded when its search passes MINOR_NODE_BUDGET nodes.
+    perfbench's tracer wraps `pipeline.dense_clique_minor` by this name."""
     if t < 1:
         raise PreconditionViolated("clique order must be at least 1")
-    return find_minor(g, complete_graph(t))
+    clique = complete_graph(t)
+    model = _contracted_clique(g, t)
+    if model is not None and verify_minor_model(g, clique, model):
+        return model
+    return find_minor(g, clique)
+
+
+def _contracted_clique(g, t):
+    """The least-c contraction of dense_clique_minor: the branch sets of
+    the t lowest live vertices once the live vertices are pairwise
+    adjacent, or None when fewer than t are left before they are."""
+    sets = [1 << v for v in range(g.n)]
+    for v, u, nb, live in min_degree_contractions(neighbor_masks(g), _fewest_common):
+        size = live.bit_count()
+        if size < t:
+            return None
+        if nb.bit_count() == size - 1:
+            # v has the least degree, so every live vertex sees all the others
+            kept = list(_bits(live))[:t]
+            return MinorModel(tuple(frozenset(_bits(sets[w])) for w in kept))
+        if u is not None:
+            sets[u] |= sets[v]
+    return None
+
+
+def _fewest_common(adj, nb):
+    return min(_bits(nb), key=lambda x: ((adj[x] & nb).bit_count(), x))
 
 
 # ---------------------------------------------------------------------------

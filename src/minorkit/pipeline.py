@@ -3,12 +3,14 @@
 Two deletion rules run under one driver. The clique rule takes a clique
 minor of the order its bound needs from dense_clique_minor, cuts the
 terminals off one branch set by a minimum-order separation, and deletes a
-vertex beyond the cut. The oracle rule searches G - v for the maximal
-members of each sorted root tuple's folio. A run computes each folio once
-and keeps it, keyed by the tuple in input numbering: annotated vertices are
-never deleted, and an oracle deletion keeps every folio. A clique-rule
-deletion drops the kept folios, so no answer rests on the clique bound's
-theorem. Deletions are replayable.
+vertex beyond the cut. dense_clique_minor contracts the host first and
+falls back to the exact search, find_minor, when contraction finds no
+model. The oracle rule searches G - v for the maximal members of each
+sorted root tuple's folio. A run computes each folio once and keeps it,
+keyed by the tuple in input numbering: annotated vertices are never
+deleted, and an oracle deletion keeps every folio. A clique-rule deletion
+drops the kept folios, so no answer rests on the clique bound's theorem.
+Deletions are replayable.
 """
 
 import json

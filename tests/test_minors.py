@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from minorkit import minors
 from minorkit.constructions import wall
-from minorkit.decomposition import _min_fill_order
+from minorkit.decomposition import _min_fill_order, _minor_min_width
 from minorkit.errors import BudgetExceeded, PreconditionViolated, SearchCapExceeded
 from minorkit.folios import candidate_patterns
-from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph, neighbor_masks
+from minorkit.graphs import AnnotatedGraph, Graph, RootedGraph, induced_subgraph, neighbor_masks
 from minorkit.minors import (
     MinorModel,
     bidim,
@@ -326,6 +326,77 @@ def test_the_planarity_cut_keeps_every_answer(case):
     # the branch-set search's "no" is the reference
     host, pattern = case
     assert find_minor(host, pattern) == minors._search_model(host, pattern)
+
+
+def with_apex(g, nbrs):
+    """g plus a vertex, g.n, joined to nbrs."""
+    return Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in nbrs])
+
+
+@st.composite
+def apex_cut_cases(draw):
+    """A planar host plus one or two vertices, each joined to all but at
+    most two of the vertices before it, at most nine vertices in all (the
+    reference search's "no"s for 7-vertex patterns take seconds on eleven),
+    and a pattern: a Kuratowski graph, at most subdivided once, with a
+    vertex joined to all the others, or K6 or K7 (apex numbers 1 and 2)
+    when the host's min-fill width reaches their minor-min-width (5 and 6),
+    so that the treewidth cut leaves some to the apex cut. With one added
+    vertex the apex cut holds for every pattern of apex number at least 1;
+    with two, only for K7, and the others go to the search."""
+    added = draw(st.integers(1, 2))
+    host = draw(planar_hosts())
+    host = induced_subgraph(host, range(min(host.n, 9 - added)))[0]
+    for _ in range(added):
+        missed = draw(st.sets(st.sampled_from(range(host.n)), max_size=2))
+        host = with_apex(host, set(range(host.n)) - missed)
+    width = _min_fill_order(neighbor_masks(host))[0]
+    t = draw(st.sampled_from([0] + [t for t in (6, 7) if width >= t - 1]))
+    if t:
+        return host, complete_graph(t)
+    base = draw(kuratowski_subdivisions(max_n=6))
+    return host, with_apex(base, range(base.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(apex_cut_cases())
+def test_the_apex_cut_keeps_every_answer(case):
+    host, pattern = case
+    assert find_minor(host, pattern) == minors._search_model(host, pattern)
+
+
+def test_k6_in_a_triangulation_with_an_apex_is_answered_without_a_search(monkeypatch):
+    # the hexagonal bipyramid, a triangulation on 8 vertices, plus a vertex
+    # joined to all of them: 26 = 4n - 10 edges, Mader's bound for graphs
+    # with no K6 minor, and none here since deleting the apex leaves a
+    # planar graph. Its treewidth is 5, K6's minor-min-width, so the
+    # treewidth cut does not answer it
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    host = with_apex(Graph(8, ring + [(i, p) for i in range(6) for p in (6, 7)]), range(8))
+    k6 = complete_graph(6)
+    assert host.m == 4 * host.n - 10 == 26
+    assert _min_fill_order(neighbor_masks(host))[0] >= _minor_min_width(neighbor_masks(k6))
+    calls = count_searches(monkeypatch)
+    assert find_minor(host, k6) is None
+    assert calls == []
+    assert minors._search_model(host, k6) is None
+
+
+@pytest.mark.parametrize(
+    "pattern, a",
+    [
+        (complete_graph(4), -1),
+        (grid_graph(3, 3), -1),
+        (complete_graph(5), 0),
+        (complete_bipartite(3, 3), 0),
+        (complete_graph(6), 1),
+        (complete_graph(7), 2),
+        # K8 less any three vertices is K5, but the apex number stops at 2
+        (complete_graph(8), 2),
+    ],
+)
+def test_apex_numbers(pattern, a):
+    assert minors._apex_number(pattern) == a
 
 
 def test_empty_pattern_always_present():

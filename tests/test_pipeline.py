@@ -115,6 +115,39 @@ def test_dense_clique_agrees_with_the_exact_search(case):
         assert_clique_model(g, t, model)
 
 
+@st.composite
+def mader_hosts(draw):
+    """t <= 7 and a graph on n <= 11 vertices with more than Mader's
+    (t - 2)n - C(t - 1, 2) edges, the most a graph on n >= t - 1 vertices
+    with no K_t minor has (Mader 1968)."""
+    t = draw(st.integers(1, 7))
+
+    def bound(n):
+        return (t - 2) * n - (t - 1) * (t - 2) // 2
+
+    n = draw(st.integers(t, 11).filter(lambda n: n * (n - 1) // 2 > bound(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    m = draw(st.integers(max(bound(n) + 1, 0), len(pairs)))
+    return Graph(n, draw(st.permutations(pairs))[:m]), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(mader_hosts())
+def test_dense_clique_finds_a_model_above_maders_bound(case):
+    g, t = case
+    assert_clique_model(g, t, dense_clique_minor(g, t))
+
+
+def test_a_bad_contraction_falls_back_to_the_search(monkeypatch):
+    # a "model" whose branch sets overlap and miss edges
+    monkeypatch.setattr(
+        minors, "_contracted_clique", lambda g, t: MinorModel((frozenset({0}),) * t)
+    )
+    g = complete_graph(7)
+    assert_clique_model(g, 5, dense_clique_minor(g, 5))
+    assert dense_clique_minor(Graph(6, [(i, i + 1) for i in range(5)]), 3) is None
+
+
 def test_dense_clique_subdivided_k4():
     # Each edge of a K_4 replaced by a two-edge path; the minor survives
     # subdivision.
