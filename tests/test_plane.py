@@ -188,16 +188,21 @@ def test_tighten_is_tight_nested_and_idempotent_on_ring_subnests():
 # --- the one-sweep discs and the band-face edges, against the direct ways ----------
 
 
+def rectangle(m, top, left, bottom, right):
+    """The cycle of embed_grid(_, m) around the box of grid vertices with
+    rows top..bottom and columns left..right."""
+    ring = [top * m + c for c in range(left, right + 1)]
+    ring += [r * m + right for r in range(top + 1, bottom + 1)]
+    ring += [bottom * m + c for c in range(right - 1, left - 1, -1)]
+    ring += [r * m + left for r in range(bottom - 1, top, -1)]
+    return tuple(ring)
+
+
 def grid_rectangles(n, m):
     """The concentric rectangles of embed_grid(n, m), innermost first."""
     out = []
     for k in range((min(n, m) - 2) // 2 + 1):
-        top, bottom, left, right = k, n - 1 - k, k, m - 1 - k
-        ring = [top * m + c for c in range(left, right + 1)]
-        ring += [r * m + right for r in range(top + 1, bottom + 1)]
-        ring += [bottom * m + c for c in range(right - 1, left - 1, -1)]
-        ring += [r * m + left for r in range(bottom - 1, top, -1)]
-        out.append(tuple(ring))
+        out.append(rectangle(m, k, k, n - 1 - k, m - 1 - k))
     return out[::-1]
 
 
@@ -252,6 +257,43 @@ def test_side_by_side_or_misordered_cycles_are_not_a_nest():
     for order in [(r0, r2, r1), (r1, r0, r3), (r3, r2), (r0, r1, r3, r2)]:
         with pytest.raises(PreconditionViolated):
             ConcentricCycles(pg, order)
+
+
+def random_rectangles(rng, m, box, out):
+    """Append to `out` vertex-disjoint rectangles of embed_grid(_, m) inside
+    the box (top, left, bottom, right): maybe one around the box, then the
+    box's interior either split in two side by side or filled in the same
+    way. The rectangles' discs form a tree that branches at each split."""
+    top, left, bottom, right = box
+    if bottom - top < 1 or right - left < 1:
+        return
+    if rng.random() < 0.6:
+        out.append(rectangle(m, *box))
+        top, left, bottom, right = top + 1, left + 1, bottom - 1, right - 1
+    if rng.random() < 0.5 and right - left >= 3:
+        c = rng.randint(left + 1, right - 2)
+        parts = [(top, left, bottom, c), (top, c + 1, bottom, right)]
+    elif rng.random() < 0.5 and bottom - top >= 3:
+        r = rng.randint(top + 1, bottom - 2)
+        parts = [(top, left, r, right), (r + 1, left, bottom, right)]
+    else:
+        parts = [(top, left, bottom, right)]
+    for part in parts:
+        random_rectangles(rng, m, part, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_nest_discs_of_side_by_side_and_nested_rectangles(rng):
+    n, m = rng.randint(2, 12), rng.randint(2, 12)
+    pg, cycles = embed_grid(n, m), []
+    random_rectangles(rng, m, (0, 0, n - 1, m - 1), cycles)
+    rng.shuffle(cycles)
+    for i, c in enumerate(cycles):
+        start = rng.randrange(len(c))
+        c = c[start:] + c[:start]
+        cycles[i] = c[::-1] if rng.random() < 0.5 else c
+    assert plane._nest_discs(pg, cycles) == tuple(inside_faces(pg, c) for c in cycles)
 
 
 def full_scan_band_path(pg, cycle, band, forbidden=frozenset(), allowed_edges=None):
@@ -346,12 +388,38 @@ def test_well_tightness_agrees_with_the_full_edge_scan():
 def test_plane_text_roundtrip():
     mesh, pg = embed_mesh(5, 3)
     back = parse_plane(write_plane(pg))
-    assert back.graph.n == pg.graph.n
+    assert back.graph == pg.graph
     assert back.rotation == pg.rotation
-    assert len(back.faces) == len(pg.faces)
-    assert {u for u, _ in back.faces[back.outer]} == {
-        u for u, _ in pg.faces[pg.outer]
-    }
+    assert back.faces == pg.faces and back.outer == pg.outer
+
+
+# embed_mesh(5, 3) as text: vertex 0 has ring 5 1 4, vertex 5 has ring
+# 10 6 0 9, the header reads 15 25 and the outer line 10 14
+MESH_TEXT = write_plane(embed_mesh(5, 3)[1])
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("rot 5 10 6 0 9", "rot 5 10 6 0 9\nrot 5 10 6 0 9", "repeated rot line for vertex 5", id="rot-repeated"),
+        pytest.param("outer 10 14", "rot 15 0\nouter 10 14", "rot line for vertex 15, not in the graph", id="rot-stray"),
+        pytest.param("rot 5 10 6 0 9", "rot 5 10 6 0 x", "not an integer", id="rot-not-integer"),
+        pytest.param("\n0 1\n", "\n0 one\n", "not an integer", id="edge-not-integer"),
+        pytest.param("outer 10 14", "outer 10 x", "not an integer", id="outer-not-integer"),
+        pytest.param("rot 5 10 6 0 9", "rot 5 10 6 0", "rotation at vertex 5 does not list", id="ring-leaves-out"),
+        pytest.param("rot 5 10 6 0 9", "rot 5 10 6 0 10", "rotation at vertex 5 does not list", id="ring-repeats"),
+        pytest.param("rot 5 10 6 0 9", "rot 5 6 10 0 9", "rotation system is not planar", id="ring-not-planar"),
+        pytest.param("rot 0 5 1 4", "rot 0 1 5 4", "rotation system is not planar", id="ring-reflected"),
+        pytest.param("outer 10 14", "outer 10 14 13", "bad outer line", id="outer-three-numbers"),
+        pytest.param("outer 10 14", "outer 10 12", r"outer dart \(10, 12\) is not a dart", id="outer-not-a-dart"),
+        pytest.param("15 25\n", "15 26\n", "header promises 26 edges, found 25", id="header-edge-count"),
+        pytest.param("15 25\n", "15 26\n0 1\n", "1 repeated edge", id="edge-repeated"),
+    ],
+)
+def test_malformed_plane_text_is_rejected(old, new, message):
+    assert old in MESH_TEXT
+    with pytest.raises(PreconditionViolated, match=message):
+        parse_plane(MESH_TEXT.replace(old, new, 1))
 
 
 def test_parse_plane_needs_outer():

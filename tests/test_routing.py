@@ -193,3 +193,60 @@ def test_annulus_json_roundtrip():
     assert paths == tuple(rails)
     pat = Pattern.of([(rails[0][0], rails[1][0]), (rails[2][0], rails[3][0])])
     assert route_cylinder(cc2, paths, pat) is not None
+
+
+def ring_vertex(ring, pos):
+    """The vertex at `pos` of ring `ring` (0 innermost) of mesh_nest(6, 4)."""
+    return ring * 6 + pos
+
+
+def along_ring(rails):
+    # rail 0 starts one step along the outer ring and turns down there
+    return [(ring_vertex(3, 1),) + rails[0]] + rails[1:]
+
+
+def skipping(rails):
+    # rail 0 jumps from the outer ring to ring 1; in the plane a rail that
+    # misses a ring, or meets the rings out of order, must take such a step
+    return [(ring_vertex(3, 0), ring_vertex(1, 0), ring_vertex(0, 0))] + rails[1:]
+
+
+def out_of_order(rails):
+    down = (ring_vertex(3, 0), ring_vertex(1, 0), ring_vertex(2, 0), ring_vertex(0, 0))
+    return [down] + rails[1:]
+
+
+def sharing(rails):
+    # rail 1 goes down to ring 2, along it and then down rail 0
+    merged = rails[1][:2] + (ring_vertex(2, 1),) + rails[0][1:]
+    return [rails[0], merged] + rails[2:]
+
+
+def diagonal(rails):
+    step = (ring_vertex(3, 0), ring_vertex(2, 0), ring_vertex(1, 1), ring_vertex(0, 1))
+    return [step] + rails[1:]
+
+
+@pytest.mark.parametrize("router", [route_disc, route_cylinder])
+@pytest.mark.parametrize(
+    "bend, message",
+    [
+        pytest.param(along_ring, "each path must cross each cycle exactly once", id="along-a-ring"),
+        pytest.param(skipping, r"path edge \(18,6\) missing", id="skips-a-ring"),
+        pytest.param(out_of_order, r"path edge \(18,6\) missing", id="out-of-order"),
+        pytest.param(sharing, "crossing paths share a vertex", id="shared-vertex"),
+        pytest.param(diagonal, r"path edge \(12,7\) missing", id="not-an-edge"),
+    ],
+)
+def test_bad_rails_are_rejected(router, bend, message):
+    # rails 0, 2, 3 and 5 of the 6-rail mesh, rail 0 bent; the terminals
+    # are the rails' outer ends, paired without crossing
+    mesh, pg, cc, rails = mesh_nest(6, 4)
+    paths = bend([rails[0], rails[2], rails[3], rails[5]])
+    pat = Pattern.of([(paths[0][0], paths[1][0]), (paths[2][0], paths[3][0])])
+    with pytest.raises(PreconditionViolated, match=message):
+        router(cc, paths, pat)
+    # the same call with straight rails routes
+    straight = [rails[0], rails[2], rails[3], rails[5]]
+    pat = Pattern.of([(straight[0][0], straight[1][0]), (straight[2][0], straight[3][0])])
+    assert router(cc, straight, pat) is not None
