@@ -80,7 +80,7 @@ def _vertex_list(g, text):
 
 
 def _emit(doc):
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -6,7 +6,10 @@ Compares the checkout this script sits in with OTHER_TREE, another checkout
 of the project. For each workload and seed, each tree builds its job list
 in a fresh subprocess from its own `src/` and `perfbench/workloads.py`,
 runs every job once and hashes `repr` of the answer (of the exception, if
-the job raises). Prints each job whose answers differ and exits 1 if any
+the job raises). A command-line job answers with its exit code and what it
+printed; when that parses as JSON, the document is dumped again in one
+canonical form before hashing, so that the layout of the printed JSON does
+not count as a difference. Prints each job whose answers differ and exits 1 if any
 do, 0 otherwise. `--workloads` limits the comparison to the named
 workloads (all four by default). Input files go to a temporary directory
 outside both trees, at the same path for both, and no bytecode is written.
@@ -32,9 +35,18 @@ sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
 import workloads
 _, jobs = workloads.build(workload, int(seed), Path(work))
 out = {}
+def canonical(answer):
+    # a command-line job answers (exit code, printed text)
+    if type(answer) is tuple and len(answer) == 2 and type(answer[1]) is str:
+        try:
+            doc = json.loads(answer[1])
+        except ValueError:
+            return answer
+        return answer[0], json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return answer
 for job in jobs:
     try:
-        answer = repr(job.run())
+        answer = repr(canonical(job.run()))
     except Exception as exc:
         answer = "raised " + repr(exc)
     out[job.name] = hashlib.sha256(answer.encode()).hexdigest()
