@@ -446,10 +446,16 @@ def write_edge_list(g):
 def parse_edge_list(text):
     """Inverse of write_edge_list. Raises PreconditionViolated on a
     malformed line or an edge count that disagrees with the header."""
+    return parse_edge_lines(text.splitlines())
+
+
+def parse_edge_lines(lines):
+    """parse_edge_list on the text's lines, for a caller that has split the
+    text already."""
     header = None
     edges = []
     labels = {}
-    for raw in text.splitlines():
+    for raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -459,17 +465,17 @@ def parse_edge_list(text):
                 if len(parts) == 3 and parts[0] == "label":
                     labels[int(parts[1])] = parts[2]
                 continue
-            nums = [int(x) for x in line.split()]
+            nums = tuple(map(int, line.split()))
         except ValueError:
             raise PreconditionViolated(f"not an integer in line {raw!r}") from None
         if header is None:
             if len(nums) != 2:
                 raise PreconditionViolated(f"bad header line: {raw!r}")
-            header = tuple(nums)
+            header = nums
             continue
         if len(nums) != 2:
             raise PreconditionViolated(f"bad edge line: {raw!r}")
-        edges.append(tuple(nums))
+        edges.append(nums)
     if header is None:
         raise PreconditionViolated("empty edge-list input")
     n, m = header
@@ -479,4 +485,3 @@ def parse_edge_list(text):
     if g.m != m:
         raise PreconditionViolated(f"{m - g.m} repeated edge(s) among the {m} listed")
     return g
-

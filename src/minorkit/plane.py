@@ -6,7 +6,11 @@ outer face orients everything else. Disc interiors, containment of traces,
 and the bands between nested cycles are face sets, never coordinates: the
 disc of one cycle is found by a search in the dual that does not cross the
 cycle, and all discs of a nest by one such search that crosses no cycle of
-the nest. A band's edges are read off the darts of the band's own faces.
+the nest, followed by a walk of the tree that its regions form. A band's
+edges are read off the darts of the band's own faces. Reading a plane graph
+from text, tracing its faces and finding a nest's discs each take time
+linear in the input, apart from sorting each vertex's neighbours, plus the
+size of the discs they return.
 
 planar_embedding decides planarity and returns such an embedding when there
 is one: Demoucron-Malgrange-Pertuiset on each block, the block rotations
@@ -23,7 +27,7 @@ from .graphs import (
     connected_components,
     induced_subgraph,
     is_connected,
-    parse_edge_list,
+    parse_edge_lines,
     write_edge_list,
 )
 
@@ -31,12 +35,14 @@ from .graphs import (
 class PlaneGraph:
     """A connected graph with a genus-zero rotation system.
 
-    `rotation[v]` is the cyclic order of v's neighbors. The orbit count of
-    the face walk must satisfy Euler's formula n - m + f = 2, which is
-    exactly the statement that the rotation system describes a sphere
-    embedding; anything else raises PreconditionViolated. The face traced by
-    `outer_dart` is the outer face; a lone vertex has one face, which is
-    the outer one, and ignores `outer_dart`.
+    `rotation[v]` is the cyclic order of v's neighbors. The faces are the
+    orbits of one dart successor map, traced in one pass over the darts in
+    the order u ascending, then `rotation[u]`, and numbered in the order
+    they are first met. The orbit count must satisfy Euler's formula
+    n - m + f = 2, which is exactly the statement that the rotation system
+    describes a sphere embedding; anything else raises PreconditionViolated.
+    The face traced by `outer_dart` is the outer face; a lone vertex has one
+    face, which is the outer one, and ignores `outer_dart`.
     """
 
     __slots__ = ("graph", "rotation", "faces", "outer", "_face_of", "_vertex_faces")
@@ -49,35 +55,37 @@ class PlaneGraph:
             raise PreconditionViolated(
                 f"rotation lists {len(rotation)} vertices, graph has {graph.n}"
             )
-        prev = []
-        for v in range(graph.n):
-            ring = rotation[v]
+        # the face walk enters v by (u, v) and leaves it towards the
+        # neighbour just before u in v's ring
+        succ = {}
+        for v, ring in enumerate(rotation):
             if sorted(ring) != list(graph.neighbors(v)):
                 raise PreconditionViolated(
                     f"rotation at vertex {v} does not list its neighbors"
                 )
-            prev.append(
-                {u: ring[i - 1] for i, u in enumerate(ring)}
-            )
+            for i, u in enumerate(ring):
+                succ[u, v] = (v, ring[i - 1])
 
         faces = []
         face_of = {}
-        for u in range(graph.n):
-            for v in rotation[u]:
-                if (u, v) in face_of:
-                    continue
-                walk = []
+        for u, ring in enumerate(rotation):
+            for v in ring:
                 dart = (u, v)
+                if dart in face_of:
+                    continue
+                f = len(faces)
+                walk = []
                 while dart not in face_of:
-                    face_of[dart] = len(faces)
+                    face_of[dart] = f
                     walk.append(dart)
-                    a, b = dart
-                    dart = (b, prev[b][a])
+                    dart = succ[dart]
                 faces.append(tuple(walk))
         # a face that enters u by one dart leaves it by the next one
-        vertex_faces = [{face_of[(u, v)] for v in rotation[u]} for u in range(graph.n)]
+        vertex_faces = tuple(
+            frozenset([face_of[u, v] for v in ring]) for u, ring in enumerate(rotation)
+        )
         if graph.n == 1:  # a lone vertex has no darts and one face
-            faces, vertex_faces, outer = [()], [{0}], 0
+            faces, vertex_faces, outer = [()], (frozenset((0,)),), 0
         elif graph.n - graph.m + len(faces) != 2:
             raise PreconditionViolated(
                 f"rotation system is not planar: {graph.n} - {graph.m} + "
@@ -92,7 +100,7 @@ class PlaneGraph:
         self.faces = tuple(faces)
         self.outer = outer
         self._face_of = face_of
-        self._vertex_faces = tuple(frozenset(s) for s in vertex_faces)
+        self._vertex_faces = vertex_faces
 
     def edge_faces(self, u, v):
         """The (at most two distinct) face indices incident to edge uv."""
@@ -181,8 +189,9 @@ def edge_strictly_inside(pg, u, v, region):
 class ConcentricCycles:
     """Pairwise disjoint cycles with strictly nested discs, innermost first.
 
-    Validation recomputes every disc from the faces, all of them in one
-    sweep of the dual (`_nest_discs`), and insists on strict containment;
+    Validation recomputes every disc from the faces, all of them from one
+    sweep of the dual and one walk of the tree of the regions that the
+    cycles cut out (`_nest_discs`), and insists on strict containment;
     the constructor is the proof that the sequence is actually concentric
     in the given embedding. `discs[i]` is `inside_faces(plane, cycles[i])`.
     """
@@ -218,55 +227,62 @@ class ConcentricCycles:
 
 def _nest_discs(pg, cycles):
     """`inside_faces(pg, c)` for each of the vertex-disjoint simple cycles,
-    from one search of the dual.
+    from one search of the dual and one walk of a tree.
 
     The search crosses no edge of any cycle and labels each face with its
-    region. Each cycle's edges link the regions on their two sides, which
-    makes a small region graph whose links carry the cycle's index. A face
-    reaches the outer face without crossing cycle i exactly when its region
-    reaches the outer face's region without a link of cycle i, so disc i is
-    the union of the regions that this search leaves unreached.
+    region. The faces beside a cycle on one side lie in one region: two
+    faces that follow each other along the cycle meet at a cycle vertex,
+    and the edges between them around it belong to no cycle, the cycles
+    being disjoint and simple. So each cycle links exactly two regions, and
+    one of its darts and that dart's twin name them. s disjoint cycles cut
+    the sphere into s + 1 regions, so these s links make a tree. Rooted at
+    the outer face's region, the disc of cycle i is the subtree below its
+    link, and the discs are built bottom-up, each as its region plus the
+    discs just below. The search visits each dart once, the walk each
+    region once, and each disc costs its own size.
     """
-    level = {}
-    for i, c in enumerate(cycles):
-        for key in _edge_keys(c + c[:1]):
-            level[key] = i
-    face_of = pg._face_of
-    region = [-1] * len(pg.faces)
+    blocked = set()
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            blocked.add((a, b))
+            blocked.add((b, a))
+    face_of, faces = pg._face_of, pg.faces
+    region = [-1] * len(faces)
     members = []
-    for start in (pg.outer, *range(len(pg.faces))):
+    for start in (pg.outer, *range(len(faces))):
         if region[start] >= 0:
             continue
         r = len(members)
         region[start] = r
         stack = [start]
         for f in stack:
-            for u, v in pg.faces[f]:
-                if ((u, v) if u < v else (v, u)) in level:
+            for dart in faces[f]:
+                if dart in blocked:
                     continue
-                g = face_of[(v, u)]
+                g = face_of[dart[1], dart[0]]
                 if region[g] < 0:
                     region[g] = r
                     stack.append(g)
         members.append(stack)
-    links = [set() for _ in members]
-    for i, c in enumerate(cycles):
-        for a, b in zip(c, c[1:] + c[:1]):
-            r, q = region[face_of[(a, b)]], region[face_of[(b, a)]]
-            links[r].add((q, i))
-            links[q].add((r, i))
-    discs = []
-    for i in range(len(cycles)):
-        reached = {region[pg.outer]}
-        stack = [region[pg.outer]]
-        for r in stack:
-            for q, j in links[r]:
-                if j != i and q not in reached:
-                    reached.add(q)
-                    stack.append(q)
-        discs.append(
-            frozenset().union(*(fs for r, fs in enumerate(members) if r not in reached))
-        )
+    assert len(members) == len(cycles) + 1, "disjoint cycles leave s + 1 regions"
+    links = [[] for _ in members]
+    for i, (a, b, *_) in enumerate(cycles):
+        r, q = region[face_of[a, b]], region[face_of[b, a]]
+        links[r].append((q, i))
+        links[q].append((r, i))
+    # region 0 holds the outer face; up[q] is (parent, cycle of the link)
+    order, up = [0], [None] * len(members)
+    for r in order:
+        for q, i in links[r]:
+            if q and up[q] is None:
+                up[q] = (r, i)
+                order.append(q)
+    discs = [None] * len(cycles)
+    below = [[] for _ in members]  # the discs of a region's children
+    for q in reversed(order[1:]):  # children come before their parents
+        r, i = up[q]
+        discs[i] = frozenset(members[q]).union(*below[q])
+        below[r].append(discs[i])
     return tuple(discs)
 
 
@@ -672,7 +688,8 @@ def write_plane(pg):
 def parse_plane(text):
     """Inverse of write_plane. Raises PreconditionViolated on a malformed
     line, a `rot` line for a vertex the graph lacks or a repeated one, and
-    PreconditionViolated on a rotation system that is not planar."""
+    on a rotation system that is not planar. One pass over the lines sorts
+    them; the edge-list lines go to graphs.parse_edge_lines as they are."""
     plain = []
     rot_lines = {}
     outer = None
@@ -694,7 +711,7 @@ def parse_plane(text):
             outer = tuple(nums)
         else:
             raise PreconditionViolated(f"bad outer line: {raw!r}")
-    g = parse_edge_list("\n".join(plain))
+    g = parse_edge_lines(plain)
     stray = sorted(v for v in rot_lines if not 0 <= v < g.n)
     if stray:
         raise PreconditionViolated(f"rot line for vertex {stray[0]}, not in the graph")

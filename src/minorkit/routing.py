@@ -37,17 +37,21 @@ from .plane import (
 def _normalize_radial(cc, paths):
     """Orient every path to start on the outermost cycle, and index its
     crossings. Paths must be pairwise disjoint and cross each cycle in
-    exactly one vertex, outermost first."""
+    exactly one vertex, outermost first.
+
+    The cycles of a nest are vertex-disjoint, so one map from vertex to
+    cycle index finds a path's crossings in one pass over the path: the
+    cost is the paths' length plus the cycles', not their product."""
     t = len(cc.cycles)
-    sets = [set(c) for c in cc.cycles]
+    level = {v: j for j, c in enumerate(cc.cycles) for v in c}
     norm = []
     for p in paths:
         p = tuple(p)
         if len(p) < 1:
             raise PreconditionViolated("empty crossing path")
-        if p[0] in sets[t - 1] and p[-1] in sets[0]:
+        if level.get(p[0]) == t - 1 and level.get(p[-1]) == 0:
             pass
-        elif p[-1] in sets[t - 1] and p[0] in sets[0]:
+        elif level.get(p[-1]) == t - 1 and level.get(p[0]) == 0:
             p = tuple(reversed(p))
         else:
             raise PreconditionViolated(
@@ -66,14 +70,15 @@ def _normalize_radial(cc, paths):
                 raise PreconditionViolated(f"path edge ({a},{b}) missing")
     cross = []
     for p in norm:
-        where = []
-        for j in range(t):
-            hits = [i for i, v in enumerate(p) if v in sets[j]]
-            if len(hits) != 1:
-                raise PreconditionViolated(
-                    "each path must cross each cycle exactly once"
-                )
-            where.append(hits[0])
+        hits = [(level[v], i) for i, v in enumerate(p) if v in level]
+        where = [-1] * t
+        for j, i in hits:
+            where[j] = i
+        # t hits that reach all t cycles reach each one once
+        if len(hits) != t or -1 in where:
+            raise PreconditionViolated(
+                "each path must cross each cycle exactly once"
+            )
         if any(where[j] <= where[j + 1] for j in range(t - 1)):
             raise PreconditionViolated(
                 "path crossings must visit the cycles in nesting order"
