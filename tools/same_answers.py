@@ -9,8 +9,8 @@ runs every job once and hashes `repr` of the answer (of the exception, if
 the job raises). A command-line job answers with its exit code and what it
 printed; when that parses as JSON, the document is dumped again in one
 canonical form before hashing, so that the layout of the printed JSON does
-not count as a difference. Prints each job whose answers differ and exits 1 if any
-do, 0 otherwise. `--workloads` limits the comparison to the named
+not count as a difference. Prints each job whose answers differ and exits 1
+if any do, 0 otherwise. `--workloads` limits the comparison to the named
 workloads (all four by default). Input files go to a temporary directory
 outside both trees, at the same path for both, and no bytecode is written.
 """
